@@ -2,8 +2,8 @@
 long-run variances, branching-process mixing bounds, and normal-limit checks.
 """
 
-from .errors import (HawkesError, HypothesisError, InfiniteMomentError,
-                     NumericError, SubcriticalityError)
+from .errors import (ConfigError, HawkesError, HypothesisError,
+                     InfiniteMomentError, NumericError, SubcriticalityError)
 from .kernels import (ExponentialKernel, Kernel, PowerLawKernel, UniformKernel,
                       ZeroKernel, kernel_from_dict)
 from .model import (HawkesModel, ModelSummary, load_model, model_from_dict,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HawkesError", "HypothesisError", "InfiniteMomentError", "NumericError",
-    "SubcriticalityError",
+    "SubcriticalityError", "ConfigError",
     "Kernel", "ExponentialKernel", "PowerLawKernel", "UniformKernel",
     "ZeroKernel", "kernel_from_dict",
     "HawkesModel", "ModelSummary", "spectral_radius", "model_from_dict",

@@ -323,7 +323,7 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float, lags) -> MixingB
         raise HypothesisError(f"need 0 < gamma < beta, got gamma={gamma}, beta={beta}")
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0 or np.any(lags <= 0.0):
-        raise ValueError("lags must be strictly positive")
+        raise ValueError("lags must be nonempty and strictly positive")
     model.validate(beta)
     nu = model.delay_moment(1.0 + beta)
     m = model.reproduction

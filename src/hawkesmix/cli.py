@@ -1,11 +1,12 @@
 """Configuration-driven command line interface.
 
 One JSON config describes the model and per-command parameter blocks; each
-subcommand validates the config against a strict schema (unknown keys are
-rejected with a JSON-pointer message), runs the corresponding pipeline, and
-writes JSON/CSV artifacts plus a manifest with the config hash, effective
-seed, and library versions.  Artifacts contain no timestamps and all
-iteration is seeded, so a rerun with the same config is byte-identical.
+subcommand checks the whole config (unknown keys, missing keys and values of
+the wrong JSON type are rejected with a JSON-pointer message), runs the
+corresponding pipeline, and writes JSON/CSV artifacts plus a manifest with
+the config hash, effective seed, and library versions.  Artifacts contain no
+timestamps and all iteration is seeded, so a rerun with the same config is
+byte-identical.
 
 Exit codes: 0 on success, 2 when a model or parameter violates a hypothesis
 of the underlying theory (subcriticality, kernel moments, exponent
@@ -24,11 +25,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-import jsonschema
-
 from . import __version__
 from .branching import mixing_bound
-from .errors import HypothesisError
+from .errors import (ConfigError, HypothesisError, check_fields, config_path,
+                     finite_number, number_list)
 from .model import HawkesModel, model_from_dict
 from .simulate import simulate, write_event_log
 from .spectrum import (asymptotic_variance_const, bartlett_grid, variance_ST)
@@ -37,222 +37,41 @@ from .testfunctions import TestFunction
 
 __all__ = ["main"]
 
-_KERNEL_SCHEMAS = [
-    {
-        "type": "object",
-        "properties": {
-            "family": {"const": "exponential"},
-            "alpha": {"type": "number", "minimum": 0},
-            "beta": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["family", "alpha", "beta"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "family": {"const": "powerlaw"},
-            "alpha": {"type": "number", "minimum": 0},
-            "c": {"type": "number", "exclusiveMinimum": 0},
-            "theta": {"type": "number", "exclusiveMinimum": 1},
-        },
-        "required": ["family", "alpha", "c", "theta"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "family": {"const": "uniform"},
-            "alpha": {"type": "number", "minimum": 0},
-            "a": {"type": "number", "exclusiveMinimum": 0},
-        },
-        "required": ["family", "alpha", "a"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {"family": {"const": "zero"}},
-        "required": ["family"],
-        "additionalProperties": False,
-    },
-]
-
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "eta": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "kernels": {
-            "type": "array",
-            "items": {"type": "array", "items": {"oneOf": _KERNEL_SCHEMAS}},
-        },
-    },
-    "required": ["eta", "kernels"],
-    "additionalProperties": False,
+# Every key a command block may hold, mapped to its JSON kind, and the keys
+# it must hold.  Value ranges are checked by the functions that use them.
+_BLOCKS = {
+    "validate": ({"beta": "number"}, ()),
+    "simulate": ({"horizon": "number", "burn_in": "number", "seed": "integer",
+                  "simulator": "string"}, ("horizon", "seed")),
+    "spectrum": ({"xi_min": "number", "xi_max": "number", "count": "integer"},
+                 ("xi_min", "xi_max", "count")),
+    "variance": ({"f": "f", "horizons": "numbers"}, ("f", "horizons")),
+    "mixing": ({"beta": "number", "gamma": "number", "lags": "numbers"},
+               ("beta", "gamma", "lags")),
+    "clt": ({"f": "f", "horizon": "number", "replicates": "integer",
+             "seed": "integer", "beta": "number", "delta": "number",
+             "grid": "numbers", "grid_step": "number", "simulator": "string",
+             "level": "number"}, ("f", "horizon", "replicates", "seed")),
+    "decay": ({"i": "integer", "j": "integer", "window": "number",
+               "lags": "numbers", "replicates": "integer", "seed": "integer",
+               "beta": "number", "gamma": "number", "simulator": "string"},
+              ("i", "j", "window", "lags", "replicates", "seed")),
 }
 
-_COMPONENT_SCHEMAS = [
-    {
-        "type": "object",
-        "properties": {"form": {"const": "constant"}, "k": {"type": "number"}},
-        "required": ["form", "k"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "form": {"const": "indicator"},
-            "a": {"type": "number"},
-            "b": {"type": "number"},
-            "amplitude": {"type": "number"},
-        },
-        "required": ["form", "a", "b"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "form": {"const": "const_plus_indicator"},
-            "k": {"type": "number"},
-            "a": {"type": "number"},
-            "b": {"type": "number"},
-            "amplitude": {"type": "number"},
-        },
-        "required": ["form", "k", "a", "b"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "form": {"const": "trigpoly"},
-            "period": {"type": "number", "exclusiveMinimum": 0},
-            "a0": {"type": "number"},
-            "cos": {"type": "array", "items": {"type": "number"}},
-            "sin": {"type": "array", "items": {"type": "number"}},
-        },
-        "required": ["form", "period", "a0"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "form": {"const": "periodic_samples"},
-            "period": {"type": "number", "exclusiveMinimum": 0},
-            "samples": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 2,
-            },
-        },
-        "required": ["form", "period", "samples"],
-        "additionalProperties": False,
-    },
-]
 
-_F_SCHEMA = {"type": "array", "items": {"oneOf": _COMPONENT_SCHEMAS}, "minItems": 1}
+def _json_type(types, name: str):
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError("", f"expected {name}, got {value!r}")
+    return check
 
-_CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "model": {"oneOf": [{"type": "string"}, _MODEL_SCHEMA]},
-        "validate": {
-            "type": "object",
-            "properties": {"beta": {"type": "number", "exclusiveMinimum": 0}},
-            "additionalProperties": False,
-        },
-        "simulate": {
-            "type": "object",
-            "properties": {
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "burn_in": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-                "simulator": {"enum": ["cluster", "thinning"]},
-            },
-            "required": ["horizon", "seed"],
-            "additionalProperties": False,
-        },
-        "spectrum": {
-            "type": "object",
-            "properties": {
-                "xi_min": {"type": "number"},
-                "xi_max": {"type": "number"},
-                "count": {"type": "integer", "minimum": 2},
-            },
-            "required": ["xi_min", "xi_max", "count"],
-            "additionalProperties": False,
-        },
-        "variance": {
-            "type": "object",
-            "properties": {
-                "f": _F_SCHEMA,
-                "horizons": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            },
-            "required": ["f", "horizons"],
-            "additionalProperties": False,
-        },
-        "mixing": {
-            "type": "object",
-            "properties": {
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "lags": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-            },
-            "required": ["beta", "gamma", "lags"],
-            "additionalProperties": False,
-        },
-        "clt": {
-            "type": "object",
-            "properties": {
-                "f": _F_SCHEMA,
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "replicates": {"type": "integer", "minimum": 10},
-                "seed": {"type": "integer", "minimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "grid": {
-                    "type": "array",
-                    "items": {"type": "number"},
-                    "minItems": 1,
-                },
-                "grid_step": {"type": "number", "exclusiveMinimum": 0},
-                "simulator": {"enum": ["cluster", "thinning"]},
-                "level": {"type": "number", "exclusiveMinimum": 0,
-                          "exclusiveMaximum": 1},
-            },
-            "required": ["f", "horizon", "replicates", "seed"],
-            "additionalProperties": False,
-        },
-        "decay": {
-            "type": "object",
-            "properties": {
-                "i": {"type": "integer", "minimum": 0},
-                "j": {"type": "integer", "minimum": 0},
-                "window": {"type": "number", "exclusiveMinimum": 0},
-                "lags": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "replicates": {"type": "integer", "minimum": 10},
-                "seed": {"type": "integer", "minimum": 0},
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "simulator": {"enum": ["cluster", "thinning"]},
-            },
-            "required": ["i", "j", "window", "lags", "replicates", "seed"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["model"],
-    "additionalProperties": False,
+
+_KINDS = {
+    "number": finite_number,
+    "numbers": number_list,
+    "integer": _json_type(int, "an integer"),
+    "string": _json_type(str, "a string"),
+    "f": TestFunction.from_dict,  # checked by building it
 }
 
 
@@ -273,36 +92,38 @@ def _write_csv(path: Path, header: list, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _config_error(err: jsonschema.ValidationError) -> str:
-    pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-    return f"config invalid at {pointer or '/'}: {err.message}"
-
-
 def _load_config(path: str) -> dict:
+    """Read a config and check every command block against ``_BLOCKS``."""
     with open(path) as fp:
         cfg = json.load(fp)
-    validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        raise ValueError(_config_error(errors[0]))
+    check_fields(cfg, ("model",), _BLOCKS)
+    for name, (kinds, required) in _BLOCKS.items():
+        if name in cfg:
+            with config_path(name):
+                check_fields(cfg[name], required, kinds)
+            for key, value in cfg[name].items():
+                with config_path(name, key):
+                    _KINDS[kinds[key]](value)
     return cfg
 
 
 def _load_model(cfg: dict, config_dir: Path) -> HawkesModel:
     spec = cfg["model"]
+    where = "/model"
     if isinstance(spec, str):
+        # a model file is a JSON document of its own; its pointers are
+        # given as a fragment of the file name
+        where = f"{spec}#"
         model_path = Path(spec)
         if not model_path.is_absolute():
             model_path = config_dir / model_path
         with open(model_path) as fp:
             spec = json.load(fp)
-        errors = sorted(
-            jsonschema.Draft202012Validator(_MODEL_SCHEMA).iter_errors(spec),
-            key=lambda e: list(e.absolute_path),
-        )
-        if errors:
-            raise ValueError(f"model file invalid: {_config_error(errors[0])}")
-    return model_from_dict(spec)
+    try:
+        return model_from_dict(spec)
+    except ConfigError as exc:
+        exc.pointer = where + exc.pointer
+        raise
 
 
 def _require_block(cfg: dict, name: str) -> dict:
@@ -366,6 +187,8 @@ def _cmd_spectrum(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "spectrum")
     if block["xi_max"] <= block["xi_min"]:
         raise ValueError("spectrum grid needs xi_max > xi_min")
+    if block["count"] < 2:
+        raise ValueError(f"spectrum grid needs count >= 2, got {block['count']}")
     model.validate()
     xis = np.linspace(block["xi_min"], block["xi_max"], block["count"])
     gam = bartlett_grid(model, xis)
@@ -402,6 +225,8 @@ def _cmd_variance(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "variance")
     f = TestFunction.from_dict(block["f"])
     horizons = block["horizons"]
+    if not horizons:
+        raise ValueError("variance needs at least one horizon")
     values = [variance_ST(model, f, t) for t in horizons]
     payload = {
         "horizons": list(map(float, horizons)),

@@ -1,13 +1,23 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config checks.
 
 Two failure modes are kept distinct: a model that violates the standing
 hypotheses (subcriticality, finite kernel moments, admissible exponents) is
 refused with :class:`HypothesisError`, while a computation that fails to
 converge raises :class:`NumericError`.  The command line maps the former to
 exit code 2 and everything else to exit code 1.
+
+A JSON spec with an unknown or missing key, or a value of the wrong type,
+raises :class:`ConfigError`.  The helpers at the end of this module are the
+checks that the ``from_dict`` builders and the command line share; ranges
+are left to the constructors and functions that use the values.
 """
 
 from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class HawkesError(Exception):
@@ -28,3 +38,81 @@ class InfiniteMomentError(HypothesisError):
 
 class NumericError(HawkesError):
     """An iterative computation failed to converge or overflowed."""
+
+
+class ConfigError(HawkesError, ValueError):
+    """A JSON spec has an unknown or missing key or a value of the wrong type.
+
+    ``pointer`` is the JSON pointer of the offending value inside the spec
+    handed to the builder that raised; each enclosing builder prefixes it
+    with its own location through :func:`config_path`.
+    """
+
+    def __init__(self, pointer: str, reason: str):
+        super().__init__(pointer, reason)
+        self.pointer = pointer
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"config invalid at {self.pointer or '/'}: {self.reason}"
+
+
+@contextmanager
+def config_path(*path):
+    """Prefix the pointer of a :class:`ConfigError` raised inside with ``path``."""
+    try:
+        yield
+    except ConfigError as exc:
+        exc.pointer = "".join(f"/{p}" for p in path) + exc.pointer
+        raise
+
+
+def check_fields(spec, required, optional=()) -> None:
+    """Require an object holding every key of ``required`` and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(spec, dict):
+        raise ConfigError("", f"expected an object, got {spec!r}")
+    missing = [k for k in required if k not in spec]
+    if missing:
+        raise ConfigError("", f"missing fields {missing}")
+    unknown = sorted(set(spec) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError("", f"unknown fields {unknown}")
+
+
+def check_choice(spec, key: str, choices):
+    """Return ``choices[spec[key]]`` for an object naming a known choice."""
+    check_fields(spec, (key,), spec)  # the caller checks the other keys
+    name = spec[key]
+    if not isinstance(name, str) or name not in choices:
+        raise ConfigError(f"/{key}", f"unknown {key} {name!r}, expected one of "
+                                     f"{sorted(choices)}")
+    return choices[name]
+
+
+def finite_number(value, pointer: str = "") -> float:
+    """``value`` as a float; booleans, strings and non-finite values fail."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def array(value, pointer: str = "") -> list:
+    """``value`` itself, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(pointer, f"expected an array, got {value!r}")
+    return value
+
+
+def number_list(value, pointer: str = "") -> list[float]:
+    """``value`` as a list of floats, each checked by :func:`finite_number`."""
+    return [finite_number(v, f"{pointer}/{n}")
+            for n, v in enumerate(array(value, pointer))]
+
+
+def require_finite(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter with a non-finite entry."""
+    for name, value in params.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")

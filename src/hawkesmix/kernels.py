@@ -16,12 +16,13 @@ h(u) du``.  Kernel objects are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import integrate, special
 
-from .errors import InfiniteMomentError
+from .errors import (InfiniteMomentError, check_choice, check_fields,
+                     finite_number, require_finite)
 
 __all__ = [
     "Kernel",
@@ -48,6 +49,9 @@ class Kernel:
     """
 
     family = "abstract"
+
+    def __post_init__(self):
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
 
     @property
     def l1_norm(self) -> float:
@@ -118,6 +122,7 @@ class ExponentialKernel(Kernel):
     family = "exponential"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.beta <= 0.0:
@@ -196,6 +201,7 @@ class PowerLawKernel(Kernel):
     family = "powerlaw"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.c <= 0.0:
@@ -297,6 +303,7 @@ class UniformKernel(Kernel):
     family = "uniform"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
         if self.a <= 0.0:
@@ -381,18 +388,11 @@ def kernel_from_dict(spec: dict) -> Kernel:
     """Build a kernel from its JSON representation.
 
     The expected shape is ``{"family": name, **params}``, e.g.
-    ``{"family": "exponential", "alpha": 0.5, "beta": 2.0}``.
+    ``{"family": "exponential", "alpha": 0.5, "beta": 2.0}``.  An unknown
+    family, a missing or unknown field, or a parameter that is not a finite
+    number raises :class:`~hawkesmix.errors.ConfigError`; parameter ranges
+    are checked by the kernel constructors.
     """
-    if "family" not in spec:
-        raise ValueError("kernel spec is missing the 'family' field")
-    family = spec["family"]
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown kernel family {family!r}")
-    cls, fields = _FAMILIES[family]
-    missing = [f for f in fields if f not in spec]
-    if missing:
-        raise ValueError(f"kernel spec for {family!r} is missing {missing}")
-    extra = set(spec) - set(fields) - {"family"}
-    if extra:
-        raise ValueError(f"kernel spec for {family!r} has unknown fields {sorted(extra)}")
-    return cls(**{f: float(spec[f]) for f in fields})
+    cls, params = check_choice(spec, "family", _FAMILIES)
+    check_fields(spec, ("family",) + params)
+    return cls(**{p: finite_number(spec[p], f"/{p}") for p in params})

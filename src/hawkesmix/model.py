@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfiniteMomentError, NumericError, SubcriticalityError
+from .errors import (NumericError, SubcriticalityError, array, check_fields,
+                     config_path, number_list, require_finite)
 from .kernels import Kernel, ZeroKernel, kernel_from_dict
 
 __all__ = [
@@ -26,48 +27,20 @@ __all__ = [
     "load_model",
 ]
 
-_POWER_TOL = 1e-12
-_POWER_MAXIT = 100_000
-
 
 def spectral_radius(m: np.ndarray) -> float:
     """Perron root of a nonnegative square matrix.
 
-    Power iteration from the all-ones vector with tolerance 1e-12; if the
-    iteration does not settle (for example when dominant eigenvalues come in
-    modulus pairs) a direct eigenvalue solve is used for ``d <= 4``.
-
-    Raises
-    ------
-    NumericError
-        If power iteration fails to converge and the matrix is too large for
-        the direct fallback.
+    The largest eigenvalue modulus from a direct eigenvalue solve; unlike
+    power iteration it needs no primitivity, so imprimitive matrices (whose
+    dominant eigenvalues come in modulus tuples) are handled alike.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     if np.any(m < 0.0):
         raise ValueError("reproduction matrices are nonnegative")
-    d = m.shape[0]
-    x = np.ones(d)
-    est = 0.0
-    for _ in range(_POWER_MAXIT):
-        y = m @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        new = float(x @ y / (x @ x))
-        x = y / norm
-        if abs(new - est) <= _POWER_TOL * max(1.0, abs(new)):
-            # one confirmation step guards against slow oscillation
-            z = m @ x
-            confirm = float(x @ z / (x @ x))
-            if abs(confirm - new) <= _POWER_TOL * max(1.0, abs(confirm)):
-                return abs(confirm)
-        est = new
-    if d <= 4:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
-    raise NumericError("power iteration did not converge for the spectral radius")
+    return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
 @dataclass(frozen=True)
@@ -102,6 +75,7 @@ class HawkesModel:
         eta = np.asarray(eta, dtype=float)
         if eta.ndim != 1 or eta.size == 0:
             raise ValueError("eta must be a nonempty vector")
+        require_finite(eta=eta)
         if np.any(eta <= 0.0):
             raise ValueError("baseline rates must be strictly positive")
         d = eta.size
@@ -155,8 +129,8 @@ class HawkesModel:
         Parameters
         ----------
         beta : float, optional
-            When given, also require every non-zero kernel to have a finite
-            normalized moment of order ``1 + beta``.
+            When given, it must be positive, and every non-zero kernel must
+            have a finite normalized moment of order ``1 + beta``.
 
         Returns
         -------
@@ -169,6 +143,8 @@ class HawkesModel:
         InfiniteMomentError
             If ``beta`` is given and a kernel lacks the required moment.
         """
+        if beta is not None and not beta > 0.0:
+            raise ValueError(f"beta must be > 0, got {beta}")
         self._check_subcritical()
         if beta is not None:
             self.delay_moment(1.0 + beta)
@@ -187,12 +163,6 @@ class HawkesModel:
                     worst = max(worst, k.moment(p))
         return worst
 
-    def max_kernel_peak(self) -> float:
-        return max(
-            (float(k.evaluate(0.0)) for row in self.kernels for k in row),
-            default=0.0,
-        )
-
     def to_dict(self) -> dict:
         return {
             "eta": self.eta.tolist(),
@@ -206,11 +176,20 @@ class HawkesModel:
 
 
 def model_from_dict(spec: dict) -> HawkesModel:
-    """Build a model from ``{"eta": [...], "kernels": [[...], ...]}``."""
-    if set(spec) != {"eta", "kernels"}:
-        raise ValueError("model spec must have exactly the fields 'eta', 'kernels'")
-    kernels = [[kernel_from_dict(k) for k in row] for row in spec["kernels"]]
-    return HawkesModel(spec["eta"], kernels)
+    """Build a model from ``{"eta": [...], "kernels": [[...], ...]}``.
+
+    Key and type failures raise :class:`~hawkesmix.errors.ConfigError`
+    with a JSON pointer into ``spec``, such as ``/kernels/0/1/beta``.
+    """
+    check_fields(spec, ("eta", "kernels"))
+    eta = number_list(spec["eta"], "/eta")
+    kernels = []
+    for i, row in enumerate(array(spec["kernels"], "/kernels")):
+        kernels.append([])
+        for j, k in enumerate(array(row, f"/kernels/{i}")):
+            with config_path("kernels", i, j):
+                kernels[i].append(kernel_from_dict(k))
+    return HawkesModel(eta, kernels)
 
 
 def load_model(path) -> HawkesModel:

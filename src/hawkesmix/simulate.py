@@ -93,9 +93,16 @@ class ClusterTrace:
             root = np.where(has_parent, parent[root], root)
 
 
+def _seed(seed):
+    """``seed`` itself, after refusing a negative integer by name."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def spawn_seeds(seed, n: int):
     """Independent per-replicate seed streams derived from one master seed."""
-    return np.random.SeedSequence(seed).spawn(n)
+    return np.random.SeedSequence(_seed(seed)).spawn(n)
 
 
 def default_burn_in(model: HawkesModel) -> float:
@@ -182,7 +189,7 @@ def simulate_cluster(
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if b < 0.0:
         raise ValueError("burn-in must be >= 0")
-    gen = rng if rng is not None else np.random.default_rng(seed)
+    gen = rng if rng is not None else np.random.default_rng(_seed(seed))
     d = model.d
     masses = model.reproduction
 
@@ -282,7 +289,7 @@ def simulate_thinning(
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if b < 0.0:
         raise ValueError("burn-in must be >= 0")
-    gen = rng if rng is not None else np.random.default_rng(seed)
+    gen = rng if rng is not None else np.random.default_rng(_seed(seed))
     d = model.d
     eta = model.eta
     # contributions below this level may be pruned from the active set; the

@@ -211,8 +211,9 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
     """
     summary = model.validate()
     ts = np.asarray(ts, dtype=float)
-    if ts.size == 0 or np.any(ts <= 0.0):
-        raise ValueError("profile times must be strictly positive")
+    if ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0.0)):
+        raise ValueError("profile horizons must be nonempty, finite and "
+                         "strictly positive")
     m = summary.mean_intensity
     ncomp = len(f)
     if ncomp != model.d:

@@ -23,7 +23,7 @@ from scipy.special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
 from .errors import HypothesisError, NumericError
 from .model import HawkesModel
-from .simulate import EventLog, simulate, spawn_seeds
+from .simulate import EventLog, default_burn_in, simulate, spawn_seeds
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
 
@@ -115,6 +115,8 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
     curve matters here and adjacent grid variances differ at order
     ``sigma_T^2 / n``, far above the quadrature error.
     """
+    if not horizon > 0.0:
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     if grid_step is None:
         grid_step = horizon / 1000.0
     if not 0.0 < grid_step <= horizon:
@@ -217,6 +219,28 @@ class HarnessReport:
 _DEFAULT_GRID = np.arange(1, 11) / 10.0
 
 
+def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
+                    seed: int, simulator: str, threads: int,
+                    row) -> np.ndarray:
+    """Stack ``row(log)`` over seeded replicate logs, in replicate order.
+
+    Replicate ``r`` always draws from the ``r``-th stream spawned from
+    ``seed``, so the result does not depend on ``threads``.  The burn-in
+    depends only on the model and is computed once for all replicates.
+    """
+    burn_in = default_burn_in(model)
+    seeds = spawn_seeds(seed, replicates)
+
+    def one(r: int) -> np.ndarray:
+        return row(simulate(model, horizon, simulator=simulator,
+                            burn_in=burn_in, seed=seeds[r]))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return np.vstack(list(pool.map(one, range(replicates))))
+    return np.vstack([one(r) for r in range(replicates)])
+
+
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
                 replicates: int, seed: int, beta: float = 3.0,
                 delta: float = 2.0, grid=None, simulator: str = "cluster",
@@ -245,39 +269,37 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     simulator : str
         ``"cluster"`` or ``"thinning"``.
     level : float
-        Test level for the Kolmogorov-Smirnov critical value.
+        Test level in ``(0, 1)`` for the Kolmogorov-Smirnov critical value.
     threads : int
         Worker threads for the replicate loop.
     """
     if replicates < 10:
-        raise ValueError("need at least 10 replicates")
+        raise ValueError(f"need at least 10 replicates, got {replicates}")
+    if not delta > 0.0:
+        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    model.validate(beta)
     if (beta - 1.0) * delta <= 2.0:
         raise HypothesisError(
             f"limit theorem needs (beta - 1) * delta > 2, got "
             f"({beta} - 1) * {delta} = {(beta - 1.0) * delta:.6g}"
         )
-    model.validate(beta)
     grid = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    if np.any(grid <= 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("grid must be strictly increasing inside (0, 1]")
+    if (grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > 1.0)
+            or np.any(np.diff(grid) <= 0.0)):
+        raise ValueError("grid must be nonempty and strictly increasing "
+                         "inside (0, 1]")
 
     tc = time_change(model, f, horizon, grid_step)
     sigma_t = float(np.sqrt(tc.sigma_T2))
     v_times = tc(grid)
     eval_times = np.append(v_times, horizon)
 
-    seeds = spawn_seeds(seed, replicates)
-
-    def one(r: int) -> np.ndarray:
-        log = simulate(model, horizon, simulator=simulator, seed=seeds[r])
-        return partial_statistics(log, model, f, eval_times)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(replicates)))
-    else:
-        rows = [one(r) for r in range(replicates)]
-    stats = np.vstack(rows)
+    stats = _replicate_rows(
+        model, horizon, replicates, seed, simulator, threads,
+        lambda log: partial_statistics(log, model, f, eval_times),
+    )
     w = stats[:, :-1] / sigma_t
     s_T = stats[:, -1]
 
@@ -381,7 +403,11 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     ``gamma`` are given, the branching covariance-decay bound at the window
     gap.
     """
+    if replicates < 10:
+        raise ValueError(f"need at least 10 replicates, got {replicates}")
     lags = np.asarray(lags, dtype=float)
+    if lags.size == 0:
+        raise ValueError("need at least one lag")
     if np.any(lags <= window_len):
         raise ValueError("lags must exceed the window length")
     if window_len <= 0.0:
@@ -389,22 +415,15 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     model.validate()
     horizon = float(np.max(lags)) + window_len
 
-    seeds = spawn_seeds(seed, replicates)
-
-    def one(r: int) -> np.ndarray:
-        log = simulate(model, horizon, simulator=simulator, seed=seeds[r])
-        row = np.empty(lags.size + 1)
-        row[0] = log.count(i, 0.0, window_len)
+    def row(log: EventLog) -> np.ndarray:
+        out = np.empty(lags.size + 1)
+        out[0] = log.count(i, 0.0, window_len)
         for t, lag in enumerate(lags):
-            row[1 + t] = log.count(j, lag, lag + window_len)
-        return row
+            out[1 + t] = log.count(j, lag, lag + window_len)
+        return out
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(replicates)))
-    else:
-        rows = [one(r) for r in range(replicates)]
-    counts = np.vstack(rows)
+    counts = _replicate_rows(model, horizon, replicates, seed, simulator,
+                             threads, row)
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import (array, check_choice, check_fields, config_path,
+                     finite_number, number_list, require_finite)
+
 __all__ = [
     "ComponentFunction",
     "ConstantF",
@@ -89,6 +92,9 @@ class ConstantF(ComponentFunction):
     k: float
     form = "constant"
 
+    def __post_init__(self):
+        require_finite(k=self.k)
+
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.k)
 
@@ -118,6 +124,7 @@ class IndicatorF(ComponentFunction):
     form = "indicator"
 
     def __post_init__(self):
+        require_finite(a=self.a, b=self.b, amplitude=self.amplitude)
         if not self.b > self.a:
             raise ValueError("indicator needs b > a")
 
@@ -160,6 +167,9 @@ class ConstPlusIndicatorF(ComponentFunction):
     b: float
     amplitude: float = 1.0
     form = "const_plus_indicator"
+
+    def __post_init__(self):
+        self._parts()  # the parts' constructors check the parameters
 
     def _parts(self):
         return ConstantF(self.k), IndicatorF(self.a, self.b, self.amplitude)
@@ -208,6 +218,8 @@ class TrigPolyF(ComponentFunction):
     form = "trigpoly"
 
     def __init__(self, period: float, a0: float, cos_coeffs=(), sin_coeffs=()):
+        require_finite(period=period, a0=a0, cos_coeffs=cos_coeffs,
+                       sin_coeffs=sin_coeffs)
         if period <= 0.0:
             raise ValueError("period must be positive")
         self.period = float(period)
@@ -297,11 +309,13 @@ class SampledPeriodicF(ComponentFunction):
     form = "periodic_samples"
 
     def __init__(self, period: float, samples):
+        require_finite(period=period)
         if period <= 0.0:
             raise ValueError("period must be positive")
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("need at least two samples per period")
+        require_finite(samples=samples)
         self.period = float(period)
         self.samples = samples
         n = samples.size
@@ -436,32 +450,37 @@ class SampledPeriodicF(ComponentFunction):
         }
 
 
+# form -> (builder, required fields, optional fields); every field holds one
+# number except those in _ARRAY_FIELDS, which hold an array of numbers
 _FORMS = {
-    "constant": ConstantF,
-    "indicator": IndicatorF,
-    "const_plus_indicator": ConstPlusIndicatorF,
-    "trigpoly": TrigPolyF,
-    "periodic_samples": SampledPeriodicF,
+    "constant": (ConstantF, ("k",), ()),
+    "indicator": (IndicatorF, ("a", "b"), ("amplitude",)),
+    "const_plus_indicator": (ConstPlusIndicatorF, ("k", "a", "b"),
+                             ("amplitude",)),
+    "trigpoly": (lambda period, a0, cos=(), sin=():
+                 TrigPolyF(period, a0, cos, sin),
+                 ("period", "a0"), ("cos", "sin")),
+    "periodic_samples": (SampledPeriodicF, ("period", "samples"), ()),
 }
+_ARRAY_FIELDS = ("cos", "sin", "samples")
 
 
 def component_from_dict(spec: dict) -> ComponentFunction:
-    form = spec.get("form")
-    if form == "constant":
-        return ConstantF(float(spec["k"]))
-    if form == "indicator":
-        return IndicatorF(float(spec["a"]), float(spec["b"]),
-                          float(spec.get("amplitude", 1.0)))
-    if form == "const_plus_indicator":
-        return ConstPlusIndicatorF(float(spec["k"]), float(spec["a"]),
-                                   float(spec["b"]),
-                                   float(spec.get("amplitude", 1.0)))
-    if form == "trigpoly":
-        return TrigPolyF(float(spec["period"]), float(spec["a0"]),
-                         spec.get("cos", ()), spec.get("sin", ()))
-    if form == "periodic_samples":
-        return SampledPeriodicF(float(spec["period"]), spec["samples"])
-    raise ValueError(f"unknown test-function form {form!r}")
+    """Build one component weight from ``{"form": name, **fields}``.
+
+    An unknown form, a missing or unknown field, or a value of the wrong
+    type (including non-finite numbers) raises
+    :class:`~hawkesmix.errors.ConfigError`; ranges are checked by the
+    constructors.
+    """
+    build, required, optional = check_choice(spec, "form", _FORMS)
+    check_fields(spec, ("form",) + required, optional)
+    values = {}
+    for key, value in spec.items():
+        if key != "form":
+            check = number_list if key in _ARRAY_FIELDS else finite_number
+            values[key] = check(value, f"/{key}")
+    return build(**values)
 
 
 class TestFunction:
@@ -502,4 +521,9 @@ class TestFunction:
 
     @classmethod
     def from_dict(cls, specs) -> "TestFunction":
-        return cls([component_from_dict(s) for s in specs])
+        """Build from a list of specs, one per :func:`component_from_dict`."""
+        components = []
+        for n, spec in enumerate(array(specs)):
+            with config_path(n):
+                components.append(component_from_dict(spec))
+        return cls(components)

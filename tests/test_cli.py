@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -247,3 +250,282 @@ class TestInlineModel:
         assert run("validate", inline, out_b) == 0
         assert (out_a / "summary.json").read_bytes() == \
             (out_b / "summary.json").read_bytes()
+
+
+# one valid block per command, each quick to run
+VALID_BLOCKS = {
+    "validate": {"beta": 1.0},
+    "simulate": {"horizon": 10.0, "seed": 1},
+    "spectrum": {"xi_min": 0.0, "xi_max": 1.0, "count": 5},
+    "variance": {"f": CONST_F, "horizons": [5.0]},
+    "mixing": {"beta": 1.0, "gamma": 0.5, "lags": [4.0]},
+    "clt": {"f": CONST_F, "horizon": 20.0, "replicates": 12, "seed": 9,
+            "grid": [1.0]},
+    "decay": {"i": 0, "j": 0, "window": 1.0, "lags": [3.0],
+              "replicates": 12, "seed": 4, "beta": 1.0, "gamma": 0.5},
+}
+BLOCK_COMMANDS = {"simulate": "simulate", "spectrum": "spectrum",
+                  "variance": "variance", "mixing": "mixing-bound",
+                  "clt": "clt-test", "decay": "decay"}
+DROP = object()
+NAN = float("nan")
+
+
+def edited_config(tmp_path: Path, path: tuple, value) -> Path:
+    """The valid inline config with the value at ``path`` replaced or dropped."""
+    cfg = json.loads(json.dumps(dict(VALID_BLOCKS, model=MODEL)))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    out = tmp_path / "config.json"
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+def _case(path, value, status, *fragments):
+    case_id = "/".join(map(str, path)) + "=" + (
+        "drop" if value is DROP else json.dumps(value)[:24])
+    return pytest.param(path, value, status, fragments, id=case_id)
+
+
+K01 = ("model", "kernels", 0, 1)
+F1 = ("variance", "f", 1)
+
+# One invalid config per constraint of the former JSON schema: unknown and
+# missing keys, JSON types, numeric bounds and NaN.  Key, shape and type
+# failures point into the config; a range failure carries the message of the
+# library check that owns the range.  Bounds on the mixing exponents reach
+# mixing_bound's hypothesis check and exit 2.
+REJECTED = [
+    _case(("bogus",), 1, 1, "config invalid at /: unknown fields ['bogus']"),
+    _case(("model",), DROP, 1, "config invalid at /: missing fields ['model']"),
+    _case(("model",), 3, 1, "config invalid at /model: expected an object"),
+    _case(("model", "note"), "x", 1,
+          "config invalid at /model: unknown fields ['note']"),
+    _case(("model", "eta"), DROP, 1,
+          "config invalid at /model: missing fields ['eta']"),
+    _case(("model", "kernels"), DROP, 1,
+          "config invalid at /model: missing fields ['kernels']"),
+    _case(("model", "eta"), "x", 1,
+          "config invalid at /model/eta: expected an array, got 'x'"),
+    _case(("model", "eta", 0), "a", 1,
+          "config invalid at /model/eta/0: expected a finite number, got 'a'"),
+    _case(("model", "eta", 0), True, 1,
+          "config invalid at /model/eta/0: expected a finite number, got True"),
+    _case(("model", "eta"), [], 1, "eta must be a nonempty vector"),
+    _case(("model", "eta", 0), NAN, 1,
+          "config invalid at /model/eta/0: expected a finite number, got nan"),
+    _case(("model", "kernels"), 3, 1,
+          "config invalid at /model/kernels: expected an array, got 3"),
+    _case(("model", "kernels", 0), 3, 1,
+          "config invalid at /model/kernels/0: expected an array, got 3"),
+    _case(K01, 3, 1, "config invalid at /model/kernels/0/1: expected an object"),
+    _case(K01 + ("family",), "gaussian", 1,
+          "config invalid at /model/kernels/0/1/family: unknown family "
+          "'gaussian'"),
+    _case(K01 + ("family",), DROP, 1,
+          "config invalid at /model/kernels/0/1: missing fields ['family']"),
+    _case(K01 + ("rate",), 3.0, 1,
+          "config invalid at /model/kernels/0/1: unknown fields ['rate']"),
+    _case(K01, {"family": "zero", "alpha": 0.0}, 1,
+          "config invalid at /model/kernels/0/1: unknown fields ['alpha']"),
+    _case(K01 + ("beta",), DROP, 1,
+          "config invalid at /model/kernels/0/1: missing fields ['beta']"),
+    _case(K01 + ("beta",), "fast", 1,
+          "config invalid at /model/kernels/0/1/beta: expected a finite "
+          "number, got 'fast'"),
+    _case(K01 + ("alpha",), False, 1,
+          "config invalid at /model/kernels/0/1/alpha: expected a finite "
+          "number, got False"),
+    _case(K01 + ("beta",), NAN, 1,
+          "config invalid at /model/kernels/0/1/beta: expected a finite "
+          "number, got nan"),
+    _case(K01 + ("alpha",), -0.1, 1, "alpha must be >= 0"),
+    _case(K01 + ("beta",), 0.0, 1, "beta must be > 0"),
+    _case(K01, {"family": "powerlaw", "alpha": -0.1, "c": 1.0, "theta": 2.0},
+          1, "alpha must be >= 0"),
+    _case(K01, {"family": "powerlaw", "alpha": 0.1, "c": 0.0, "theta": 2.0},
+          1, "c must be > 0"),
+    _case(K01, {"family": "powerlaw", "alpha": 0.1, "c": 1.0, "theta": 1.0},
+          1, "theta must be > 1"),
+    _case(("model", "kernels", 1, 0, "alpha"), -0.2, 1, "alpha must be >= 0"),
+    _case(("model", "kernels", 1, 0, "a"), 0.0, 1, "a must be > 0"),
+    _case(("validate",), 3, 1,
+          "config invalid at /validate: expected an object, got 3"),
+    _case(("validate", "gamma"), 1.0, 1,
+          "config invalid at /validate: unknown fields ['gamma']"),
+    _case(("validate", "beta"), "x", 1,
+          "config invalid at /validate/beta: expected a finite number, got 'x'"),
+    _case(("validate", "beta"), -0.5, 1, "beta must be > 0, got -0.5"),
+    _case(("validate", "beta"), NAN, 1,
+          "config invalid at /validate/beta: expected a finite number, got nan"),
+    _case(("simulate", "bogus_key"), 3, 1,
+          "config invalid at /simulate: unknown fields ['bogus_key']"),
+    _case(("simulate", "horizon"), DROP, 1,
+          "config invalid at /simulate: missing fields ['horizon']"),
+    _case(("simulate", "seed"), DROP, 1,
+          "config invalid at /simulate: missing fields ['seed']"),
+    _case(("simulate", "horizon"), "10", 1,
+          "config invalid at /simulate/horizon: expected a finite number, "
+          "got '10'"),
+    _case(("simulate", "horizon"), 0.0, 1, "horizon must be positive"),
+    _case(("simulate", "horizon"), NAN, 1,
+          "config invalid at /simulate/horizon: expected a finite number, "
+          "got nan"),
+    _case(("simulate", "burn_in"), -1.0, 1, "burn-in must be >= 0"),
+    _case(("simulate", "seed"), 1.5, 1,
+          "config invalid at /simulate/seed: expected an integer, got 1.5"),
+    _case(("simulate", "seed"), -1, 1, "seed must be >= 0, got -1"),
+    _case(("simulate", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
+    _case(("spectrum", "step"), 0.1, 1,
+          "config invalid at /spectrum: unknown fields ['step']"),
+    _case(("spectrum", "count"), DROP, 1,
+          "config invalid at /spectrum: missing fields ['count']"),
+    _case(("spectrum", "xi_min"), "a", 1,
+          "config invalid at /spectrum/xi_min: expected a finite number, "
+          "got 'a'"),
+    _case(("spectrum", "xi_max"), NAN, 1,
+          "config invalid at /spectrum/xi_max: expected a finite number, "
+          "got nan"),
+    _case(("spectrum", "count"), 2.5, 1,
+          "config invalid at /spectrum/count: expected an integer, got 2.5"),
+    _case(("spectrum", "count"), 1, 1, "spectrum grid needs count >= 2, got 1"),
+    _case(("variance", "tol"), 1e-6, 1,
+          "config invalid at /variance: unknown fields ['tol']"),
+    _case(("variance", "f"), DROP, 1,
+          "config invalid at /variance: missing fields ['f']"),
+    _case(("variance", "f"), {"form": "constant", "k": 1.0}, 1,
+          "config invalid at /variance/f: expected an array"),
+    _case(("variance", "f"), [], 1, "need at least one component"),
+    _case(F1, 1.0, 1,
+          "config invalid at /variance/f/1: expected an object, got 1.0"),
+    _case(F1 + ("form",), "spline", 1,
+          "config invalid at /variance/f/1/form: unknown form 'spline'"),
+    _case(F1 + ("form",), DROP, 1,
+          "config invalid at /variance/f/1: missing fields ['form']"),
+    _case(F1, {"form": "indicator", "a": 0.0, "b": 1.0, "amp": 3.0}, 1,
+          "config invalid at /variance/f/1: unknown fields ['amp']"),
+    _case(F1, {"form": "indicator", "a": 0.0}, 1,
+          "config invalid at /variance/f/1: missing fields ['b']"),
+    _case(F1 + ("k",), "1", 1,
+          "config invalid at /variance/f/1/k: expected a finite number, "
+          "got '1'"),
+    _case(F1 + ("k",), NAN, 1,
+          "config invalid at /variance/f/1/k: expected a finite number, "
+          "got nan"),
+    _case(F1, {"form": "const_plus_indicator", "a": 0.0, "b": 1.0}, 1,
+          "config invalid at /variance/f/1: missing fields ['k']"),
+    _case(F1, {"form": "trigpoly", "period": 0.0, "a0": 1.0}, 1,
+          "period must be positive"),
+    _case(F1, {"form": "trigpoly", "period": 1.0, "a0": 1.0, "cos": 0.5}, 1,
+          "config invalid at /variance/f/1/cos: expected an array, got 0.5"),
+    _case(F1, {"form": "trigpoly", "period": 1.0, "a0": 1.0, "sin": ["x"]}, 1,
+          "config invalid at /variance/f/1/sin/0: expected a finite number, "
+          "got 'x'"),
+    _case(F1, {"form": "periodic_samples", "period": -1.0,
+               "samples": [1.0, 2.0]}, 1, "period must be positive"),
+    _case(F1, {"form": "periodic_samples", "period": 1.0, "samples": [1.0]},
+          1, "need at least two samples per period"),
+    _case(("variance", "horizons"), [], 1,
+          "variance needs at least one horizon"),
+    _case(("variance", "horizons", 0), 0.0, 1,
+          "profile horizons must be nonempty, finite and strictly positive"),
+    _case(("variance", "horizons", 0), NAN, 1,
+          "config invalid at /variance/horizons/0: expected a finite number, "
+          "got nan"),
+    _case(("mixing", "delta"), 1.0, 1,
+          "config invalid at /mixing: unknown fields ['delta']"),
+    _case(("mixing", "lags"), DROP, 1,
+          "config invalid at /mixing: missing fields ['lags']"),
+    _case(("mixing", "beta"), 0.0, 2, "need 0 < gamma < beta", "beta=0.0"),
+    _case(("mixing", "gamma"), -0.5, 2, "need 0 < gamma < beta", "gamma=-0.5"),
+    _case(("mixing", "lags"), 4.0, 1,
+          "config invalid at /mixing/lags: expected an array, got 4.0"),
+    _case(("mixing", "lags"), [], 1,
+          "lags must be nonempty and strictly positive"),
+    _case(("mixing", "lags", 0), -4.0, 1,
+          "lags must be nonempty and strictly positive"),
+    _case(("clt", "threads"), 2, 1,
+          "config invalid at /clt: unknown fields ['threads']"),
+    _case(("clt", "replicates"), DROP, 1,
+          "config invalid at /clt: missing fields ['replicates']"),
+    _case(("clt", "horizon"), -20.0, 1, "horizon must be > 0, got -20.0"),
+    _case(("clt", "replicates"), 12.5, 1,
+          "config invalid at /clt/replicates: expected an integer, got 12.5"),
+    _case(("clt", "replicates"), 9, 1, "need at least 10 replicates, got 9"),
+    _case(("clt", "seed"), -9, 1, "seed must be >= 0, got -9"),
+    _case(("clt", "beta"), -0.5, 1, "beta must be > 0, got -0.5"),
+    _case(("clt", "delta"), -10.0, 1, "delta must be > 0, got -10.0"),
+    _case(("clt", "grid"), [], 1, "grid must be nonempty"),
+    _case(("clt", "grid_step"), 0.0, 1, "grid step must lie in (0, horizon]"),
+    _case(("clt", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
+    _case(("clt", "simulator"), 1, 1,
+          "config invalid at /clt/simulator: expected a string, got 1"),
+    _case(("clt", "level"), 0.0, 1, "level must lie in (0, 1), got 0.0"),
+    _case(("clt", "level"), 1.5, 1, "level must lie in (0, 1), got 1.5"),
+    _case(("clt", "level"), NAN, 1,
+          "config invalid at /clt/level: expected a finite number, got nan"),
+    _case(("clt", "f", 0, "k"), True, 1,
+          "config invalid at /clt/f/0/k: expected a finite number, got True"),
+    _case(("decay", "window_len"), 1.0, 1,
+          "config invalid at /decay: unknown fields ['window_len']"),
+    _case(("decay", "i"), DROP, 1,
+          "config invalid at /decay: missing fields ['i']"),
+    _case(("decay", "i"), -1, 1, "component index -1 out of range"),
+    _case(("decay", "j"), -1, 1, "component index -1 out of range"),
+    _case(("decay", "j"), 0.5, 1,
+          "config invalid at /decay/j: expected an integer, got 0.5"),
+    _case(("decay", "window"), 0.0, 1, "window length must be positive"),
+    _case(("decay", "lags"), [], 1, "need at least one lag"),
+    _case(("decay", "lags", 0), -3.0, 1, "lags must exceed the window length"),
+    _case(("decay", "replicates"), 3, 1, "need at least 10 replicates, got 3"),
+    _case(("decay", "seed"), -4, 1, "seed must be >= 0, got -4"),
+    _case(("decay", "beta"), -1.0, 2, "need 0 < gamma < beta", "beta=-1.0"),
+    _case(("decay", "gamma"), 0.0, 2, "need 0 < gamma < beta", "gamma=0.0"),
+    _case(("decay", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
+]
+
+
+class TestRejection:
+    @pytest.mark.parametrize("path,value,status,fragments", REJECTED)
+    def test_invalid_config(self, tmp_path, capsys, path, value, status,
+                            fragments):
+        cfg = edited_config(tmp_path, path, value)
+        command = BLOCK_COMMANDS.get(path[0], "validate")
+        assert run(command, cfg, tmp_path / "out") == status
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_every_block_checked_whatever_the_command(self, tmp_path, capsys):
+        cfg = edited_config(tmp_path, ("clt", "f", 0, "form"), "spline")
+        assert run("validate", cfg, tmp_path / "out") == 1
+        assert "config invalid at /clt/f/0/form" in capsys.readouterr().err
+
+    def test_model_file_pointer_names_the_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        spec = json.loads(json.dumps(MODEL))
+        spec["kernels"][1][0]["a"] = "wide"
+        (tmp_path / "model.json").write_text(json.dumps(spec))
+        assert run("validate", cfg, tmp_path / "out") == 1
+        assert ("config invalid at model.json#/kernels/1/0/a"
+                in capsys.readouterr().err)
+
+    def test_validate_runs_without_jsonschema(self, tmp_path):
+        cfg = write_config(tmp_path, validate={"beta": 1.0})
+        code = ("import sys; sys.modules['jsonschema'] = None; "
+                "from hawkesmix.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(hm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "validate", "--config", str(cfg),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "spectral radius 0.7 < 1" in proc.stdout

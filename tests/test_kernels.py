@@ -248,3 +248,15 @@ class TestValidation:
             hm.PowerLawKernel(0.4, 0.0, 2.5)
         with pytest.raises(ValueError):
             hm.UniformKernel(0.5, -1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hm.ExponentialKernel(0.5, np.inf),
+        lambda: hm.ExponentialKernel(np.nan, 1.0),
+        lambda: hm.PowerLawKernel(0.4, 1.0, np.inf),
+        lambda: hm.PowerLawKernel(0.4, np.nan, 2.5),
+        lambda: hm.UniformKernel(np.inf, 1.0),
+        lambda: hm.UniformKernel(0.5, np.inf),
+    ])
+    def test_nonfinite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()

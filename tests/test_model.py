@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
-from hawkesmix.errors import InfiniteMomentError, SubcriticalityError
+from hawkesmix.errors import (ConfigError, InfiniteMomentError,
+                              SubcriticalityError)
 
 
 class TestSpectralRadius:
@@ -26,6 +27,14 @@ class TestSpectralRadius:
             m = rng.uniform(0.0, 0.4, size=(4, 4))
             ref = np.max(np.abs(np.linalg.eigvals(m)))
             assert hm.spectral_radius(m) == pytest.approx(ref, rel=1e-8)
+
+    def test_imprimitive_six_by_six(self):
+        # bipartite: the dominant eigenvalues +-sqrt(0.54) share one modulus,
+        # which stalls power iteration
+        m = np.zeros((6, 6))
+        m[:3, 3:] = 0.3
+        m[3:, :3] = 0.2
+        assert hm.spectral_radius(m) == pytest.approx(np.sqrt(0.54), rel=1e-12)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
@@ -104,6 +113,18 @@ class TestHawkesModel:
         with pytest.raises(ValueError):
             hm.HawkesModel([], [])
 
+    def test_nonfinite_eta_rejected(self):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            hm.HawkesModel([np.nan], [[hm.ZeroKernel()]])
+
+    def test_nonfinite_alpha_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            hm.HawkesModel([1.0], [[hm.ExponentialKernel(np.nan, 1.0)]])
+
+    def test_validate_beta_must_be_positive(self, d2_model):
+        with pytest.raises(ValueError, match="beta must be > 0"):
+            d2_model.validate(-0.5)
+
     def test_bad_kernel_shape(self):
         with pytest.raises(ValueError):
             hm.HawkesModel([1.0, 1.0], [[hm.ZeroKernel()]])
@@ -125,6 +146,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="fields"):
             hm.model_from_dict({"eta": [1.0], "kernels": [[{"family": "zero"}]],
                                 "note": "x"})
+
+    @pytest.mark.parametrize("value", ["fast", True, float("nan"), float("inf")])
+    def test_kernel_field_pointer(self, value):
+        spec = {"eta": [1.0, 1.0],
+                "kernels": [[{"family": "zero"}, {"family": "zero"}],
+                            [{"family": "zero"},
+                             {"family": "exponential", "alpha": 0.5,
+                              "beta": value}]]}
+        with pytest.raises(ConfigError) as info:
+            hm.model_from_dict(spec)
+        assert info.value.pointer == "/kernels/1/1/beta"
+        assert str(info.value).startswith("config invalid at /kernels/1/1/beta:")
 
     def test_zero_coupling_shape(self):
         grid = hm.zero_coupling(3)

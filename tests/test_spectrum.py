@@ -126,6 +126,11 @@ class TestVarianceProfile:
             hm.variance_profile(d2_model, f2, [])
         with pytest.raises(ValueError):
             hm.variance_profile(d2_model, f2, [-1.0])
+        # a non-finite horizon must fail fast instead of stalling the
+        # quadrature
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hm.variance_ST(d2_model, f2, bad)
 
 
 class TestAsymptoticVariance:

@@ -167,6 +167,19 @@ class TestCltHarness:
         with pytest.raises(ValueError):
             hm.clt_harness(d2_model, f, 100.0, 5, seed=1)
 
+    def test_delta_must_be_positive(self, d2_model):
+        # (beta - 1) * delta > 2 alone would admit beta < 1 with delta < 0
+        f = hm.TestFunction.constant([1.0, 1.0])
+        with pytest.raises(ValueError, match="delta must be > 0"):
+            hm.clt_harness(d2_model, f, 100.0, 20, seed=1, beta=0.5,
+                           delta=-10.0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.5])
+    def test_level_inside_unit_interval(self, d2_model, level):
+        f = hm.TestFunction.constant([1.0, 1.0])
+        with pytest.raises(ValueError, match="level must lie in"):
+            hm.clt_harness(d2_model, f, 100.0, 20, seed=1, level=level)
+
     def test_grid_validated(self, d2_model):
         f = hm.TestFunction.constant([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -197,6 +210,11 @@ class TestDecayDiagnostic:
         assert rep.mixing.gamma == 0.5
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["mixing"]["gamma"] == 0.5
+
+    def test_replicate_floor(self, d1_model):
+        with pytest.raises(ValueError, match="at least 10 replicates"):
+            hm.mixing_decay_diagnostic(d1_model, 0, 0, 1.0, [3.0],
+                                       replicates=3, seed=0)
 
     def test_lag_validation(self, d1_model):
         with pytest.raises(ValueError):

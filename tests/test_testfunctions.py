@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import hawkesmix as hm
+from hawkesmix.errors import ConfigError
 
 FORMS = [
     hm.ConstantF(1.5),
@@ -126,6 +127,31 @@ class TestTestFunction:
             hm.TestFunction([1.0])
         with pytest.raises(ValueError):
             hm.component_from_dict({"form": "spline"})
+
+    def test_misspelt_field_rejected(self):
+        with pytest.raises(ConfigError, match="unknown fields") as info:
+            hm.component_from_dict({"form": "indicator", "a": 0, "b": 1,
+                                    "amp": 3})
+        assert "amp" in str(info.value)
+
+    def test_pointer_names_component_and_field(self):
+        specs = [{"form": "constant", "k": 1.0},
+                 {"form": "trigpoly", "period": 1.0, "a0": 0.0,
+                  "cos": [0.5, "x"]}]
+        with pytest.raises(ConfigError) as info:
+            hm.TestFunction.from_dict(specs)
+        assert info.value.pointer == "/1/cos/1"
+
+    @pytest.mark.parametrize("make", [
+        lambda: hm.ConstantF(np.nan),
+        lambda: hm.IndicatorF(0.0, 1.0, np.inf),
+        lambda: hm.ConstPlusIndicatorF(np.nan, 0.0, 1.0),
+        lambda: hm.TrigPolyF(1.0, 1.0, [np.inf]),
+        lambda: hm.SampledPeriodicF(1.0, [1.0, np.nan]),
+    ])
+    def test_nonfinite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
