@@ -31,7 +31,9 @@ from .errors import (ConfigError, HypothesisError, check_fields, config_path,
                      finite_number, number_list)
 from .model import HawkesModel, model_from_dict
 from .simulate import simulate, write_event_log
-from .spectrum import (asymptotic_variance_const, bartlett_grid, variance_ST)
+from .spectrum import (asymptotic_variance_const, bartlett_grid,
+                       variance_profile)
+from .spectrum import variance_ST  # noqa: F401 - bench/tracing.py wraps it
 from .stats import clt_harness, mixing_decay_diagnostic
 from .testfunctions import TestFunction
 
@@ -227,7 +229,7 @@ def _cmd_variance(model: HawkesModel, cfg: dict, args, outdir: Path):
     horizons = block["horizons"]
     if not horizons:
         raise ValueError("variance needs at least one horizon")
-    values = [variance_ST(model, f, t) for t in horizons]
+    values = variance_profile(model, f, horizons).tolist()
     payload = {
         "horizons": list(map(float, horizons)),
         "values": values,

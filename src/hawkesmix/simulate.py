@@ -140,6 +140,18 @@ def default_burn_in(model: HawkesModel) -> float:
     return max(mass_scale, duration_scale)
 
 
+def _prepare(model: HawkesModel, horizon: float, burn_in, seed, rng):
+    """Checked burn-in (default per :func:`default_burn_in`) and generator
+    of a simulation; refuses a non-finite or out-of-range window."""
+    model.validate()
+    if not (np.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    b = default_burn_in(model) if burn_in is None else float(burn_in)
+    if not (np.isfinite(b) and b >= 0.0):
+        raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
+    return b, rng if rng is not None else np.random.default_rng(_seed(seed))
+
+
 def _resolve_ties(times, comps, parents, src, model, lo, hi, rng):
     """Re-draw delays until all event times are pairwise distinct."""
     for _ in range(100):
@@ -183,13 +195,7 @@ def simulate_cluster(
     return_trace : bool
         Also return the :class:`ClusterTrace` genealogy.
     """
-    model.validate()
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    b = default_burn_in(model) if burn_in is None else float(burn_in)
-    if b < 0.0:
-        raise ValueError("burn-in must be >= 0")
-    gen = rng if rng is not None else np.random.default_rng(_seed(seed))
+    b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
     masses = model.reproduction
 
@@ -283,13 +289,7 @@ def simulate_thinning(
     intensity until the next event; the bound is recomputed after each
     accepted event and tightened after each rejection.
     """
-    model.validate()
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    b = default_burn_in(model) if burn_in is None else float(burn_in)
-    if b < 0.0:
-        raise ValueError("burn-in must be >= 0")
-    gen = rng if rng is not None else np.random.default_rng(_seed(seed))
+    b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
     eta = model.eta
     # contributions below this level may be pruned from the active set; the
@@ -370,13 +370,16 @@ def simulate_thinning(
 _SIMULATORS = {"cluster": simulate_cluster, "thinning": simulate_thinning}
 
 
+def _simulator(name: str):
+    """The simulation mechanism called ``name``."""
+    if name not in _SIMULATORS:
+        raise ValueError(f"unknown simulator {name!r}")
+    return _SIMULATORS[name]
+
+
 def simulate(model, horizon, simulator="cluster", **kwargs):
     """Dispatch to one of the two simulation mechanisms by name."""
-    try:
-        fn = _SIMULATORS[simulator]
-    except KeyError:
-        raise ValueError(f"unknown simulator {simulator!r}") from None
-    return fn(model, horizon, **kwargs)
+    return _simulator(simulator)(model, horizon, **kwargs)
 
 
 def write_event_log(log: EventLog, csv_path) -> Path:

@@ -9,9 +9,9 @@ intensities.  Variances of centered linear statistics are integrals of
 window transforms against ``gamma``.  Writing ``gamma = diag(m) + G``
 splits every such integral into a part that Plancherel evaluates exactly in
 the time domain and a coupling part whose integrand decays fast enough for
-panel quadrature with a certified closed-form tail.  Count covariances
-across large lags get a Filon-type rule that integrates the oscillatory
-carrier exactly against a panelwise Legendre interpolant.
+panel quadrature with a certified closed-form tail.  Variances and count
+covariances share one block loop and one Filon-type panel rule, exact for
+the oscillatory carrier of a count covariance and Gauss at carrier 0.
 """
 
 from __future__ import annotations
@@ -171,25 +171,68 @@ def _kernel_timescale(model: HawkesModel) -> float:
     return max(scales) if scales else 0.0
 
 
-def _window_tail(f: TestFunction, horizon: float, kg: float, xi: float) -> float:
-    """Certified bound on the quadrature tail past ``xi`` for the coupling
-    part of a variance integral: ``int_xi^inf sum_i |Ff_i|^2 ||G|| dxi``
-    doubled for the negative axis."""
-    envs = [f[i].envelope(horizon) for i in range(len(f))]
-    s_aa = sum(e.a**2 for e in envs)
-    s_ab = sum(e.a * e.b for e in envs)
-    s_bb = sum(e.b**2 for e in envs)
-    tail = kg * (
-        s_aa / (2.0 * xi**2) + 2.0 * s_ab / (3.0 * xi**3) + s_bb / (4.0 * xi**4)
-    )
-    return 2.0 * tail
-
-
 def _panel_points(width: float, start_panel: int, n_panels: int):
     edges = width * (start_panel + np.arange(n_panels))
     centers = edges + 0.5 * width
     xis = (centers[:, None] + 0.5 * width * _NODES[None, :]).ravel()
     return xis
+
+
+def _panel_rule(width: float, carrier: float = 0.0):
+    """Filon rule for ``vals(xi) exp(2i pi carrier xi)`` on panels of
+    ``width``: exact carrier moments against each panel's degree-7 Legendre
+    interpolant, which at carrier 0 is the Gauss rule bit for bit.  Returns
+    ``integrate(vals, start_panel)``, twice the real part of the integral
+    over the panels from ``start_panel`` sampled at :func:`_panel_points`."""
+    half = 0.5 * width
+    c = 2.0 * np.pi * carrier * half
+    moments = 2.0 * (1j ** np.arange(8)) * spherical_jn(np.arange(8), abs(c))
+    weights = _TO_LEGENDRE.T @ (np.conj(moments) if c < 0.0 else moments)
+    if carrier == 0.0:
+        weights = np.ascontiguousarray(weights.real)
+
+    def integrate(vals: np.ndarray, start_panel: int) -> float:
+        sums = vals.reshape(-1, 8) @ weights
+        if carrier != 0.0:
+            centers = width * (start_panel + np.arange(sums.size)) + half
+            sums = sums * np.exp(2j * np.pi * carrier * centers)
+        return 2.0 * half * float(sums.sum().real)
+
+    return integrate
+
+
+def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
+                xi_min: float, base, block, sums, rel_tol: float,
+                abs_tol: float) -> np.ndarray:
+    """``base`` plus the coupling integrals past ``panel``, one per statistic.
+
+    Adds ``block(xis, g, panel)`` over blocks of panels of ``width``, one
+    ``G`` grid each, until past ``xi_min`` the certified tail ``2 kg (s_aa /
+    (2 xi^2) + 2 s_ab / (3 xi^3) + s_bb / (4 xi^4))`` of the envelope sums
+    drops to ``max(rel_tol * min |value|, abs_tol)``; past ``_XI_CAP`` it
+    raises :class:`NumericError`.
+    """
+    s_aa, s_ab, s_bb = sums
+    total = np.zeros(np.shape(base))
+    while True:
+        xis = _panel_points(width, panel, _PANELS_PER_BLOCK)
+        total += block(xis, _g_grid(model, xis), panel)
+        panel += _PANELS_PER_BLOCK
+        xi = panel * width
+        if xi < xi_min:
+            continue
+        kg = _g_norm_const(model, xi)
+        tail = 2.0 * kg * (s_aa / (2.0 * xi**2) + 2.0 * s_ab / (3.0 * xi**3)
+                           + s_bb / (4.0 * xi**4))
+        value = base + total
+        smallest = float(np.min(np.abs(value)))
+        if tail <= max(rel_tol * smallest, abs_tol):
+            return value
+        if xi > _XI_CAP:
+            raise NumericError(
+                f"{name} quadrature did not converge: range {xi:.3g}, "
+                f"tail bound {tail:.3g}, smallest |value| {smallest:.3g}"
+            )
 
 
 def variance_profile(model: HawkesModel, f: TestFunction, ts,
@@ -229,51 +272,31 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
 
     horizon = float(np.max(ts))
     width = 1.0 / (3.0 * (horizon + _kernel_timescale(model) + 1.0))
-    env_from = max(f[i].envelope(horizon).xi_min for i in range(ncomp))
-    xi_min = max(2.0 * ah, env_from, 8.0 * width)
+    envs = [f[i].envelope(horizon) for i in range(ncomp)]
+    xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
+    sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
+            sum(e.b**2 for e in envs))
 
+    rule = _panel_rule(width)
     # fast path: all components share the plain [0, t] window, so one real
     # quadratic form of G serves every t
     weights = f.constant_weights()
 
-    coupling = np.zeros(ts.size)
-    panel = 0
-    while True:
-        xis = _panel_points(width, panel, _PANELS_PER_BLOCK)
-        g = _g_grid(model, xis)
+    def block(xis, g, panel):
         if weights is not None:
-            q = np.real(
-                np.einsum("i,pij,j->p", weights, g, weights, optimize=True)
-            )
-            for r, t in enumerate(ts):
-                win2 = (t * np.sinc(xis * t)) ** 2
-                vals = (win2 * q).reshape(-1, 8) @ _WEIGHTS
-                coupling[r] += float(vals.sum()) * 0.5 * width * 2.0
-        else:
-            w = np.empty((ncomp, xis.size), dtype=complex)
-            for r, t in enumerate(ts):
-                for i in range(ncomp):
-                    w[i] = f[i].fourier_window(xis, t)
-                quad = np.real(
-                    np.einsum("ip,pij,jp->p", w, g, np.conj(w), optimize=True)
-                )
-                vals = quad.reshape(-1, 8) @ _WEIGHTS
-                coupling[r] += float(vals.sum()) * 0.5 * width * 2.0
-        panel += _PANELS_PER_BLOCK
-        xi_reached = panel * width
-        if xi_reached < xi_min:
-            continue
-        kg = _g_norm_const(model, xi_reached)
-        tail = _window_tail(f, horizon, kg, xi_reached)
-        totals = np.abs(base + coupling)
-        if tail <= max(rel_tol * float(np.min(totals)), abs_tol):
-            break
-        if xi_reached > _XI_CAP:
-            raise NumericError(
-                f"variance quadrature did not converge: range {xi_reached:.3g}, "
-                f"tail bound {tail:.3g}, smallest total {np.min(totals):.3g}"
-            )
-    return base + coupling
+            q = np.einsum("i,pij,j->p", weights, g, weights,
+                          optimize=True).real
+            return [rule((t * np.sinc(xis * t)) ** 2 * q, panel) for t in ts]
+        out = []
+        for t in ts:
+            w = np.array([c.fourier_window(xis, t) for c in f.components],
+                         dtype=complex)
+            quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w), optimize=True)
+            out.append(rule(quad.real, panel))
+        return out
+
+    return _quadrature("variance", model, width, 0, xi_min, base, block, sums,
+                       rel_tol, abs_tol)
 
 
 def variance_ST(model: HawkesModel, f: TestFunction, horizon: float,
@@ -373,24 +396,6 @@ def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
     return PeriodicVariance(value, tail, n_max)
 
 
-def _filon_region(func, width: float, start_panel: int, n_panels: int,
-                  carrier: float) -> complex:
-    """Integral of ``func(xi) * exp(2i pi carrier xi)`` over the panels
-    ``[width * start, width * (start + n))`` by exact carrier moments against
-    panelwise degree-7 Legendre interpolants."""
-    xis = _panel_points(width, start_panel, n_panels)
-    vals = np.asarray(func(xis), dtype=complex).reshape(n_panels, 8)
-    coeffs = vals @ _TO_LEGENDRE.T
-    half = 0.5 * width
-    c = 2.0 * np.pi * carrier * half
-    moments = 2.0 * (1j ** np.arange(8)) * spherical_jn(np.arange(8), abs(c))
-    if c < 0.0:
-        moments = np.conj(moments)
-    centers = width * (start_panel + np.arange(n_panels)) + half
-    phases = np.exp(2j * np.pi * carrier * centers)
-    return complex(half * np.sum(phases * (coeffs @ moments)))
-
-
 def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
                rel_tol: float = 1e-6, abs_tol: float = 0.0) -> float:
     """Covariance ``Cov(N_i(A), N_j(B))`` for half-open intervals.
@@ -438,35 +443,19 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     bw = len_a + len_b + 4.0 * _kernel_timescale(model) / (1.0 - model.rho)
     width = 1.0 / (3.0 * bw)
 
-    def residual(xis):
-        g = _g_grid(model, xis)[:, i, j]
-        smooth = (
-            len_a * len_b * np.sinc(xis * len_a) * np.sinc(xis * len_b)
-        )
-        return smooth * g
+    def block(xis, g, panel, rule=_panel_rule(width, carrier)):
+        smooth = len_a * len_b * np.sinc(xis * len_a) * np.sinc(xis * len_b)
+        return rule(smooth * g[:, i, j], panel)
 
     # fractional smoothness of G at the origin for heavy-tailed kernels:
-    # resolve the first stretch with eightfold finer panels
-    fine_width = width / 8.0
-    n_fine = int(np.ceil(2.0 / width)) * 8
-    total = _filon_region(residual, fine_width, 0, n_fine, carrier)
-    xi_reached = n_fine * fine_width
-    start = int(round(xi_reached / width))
+    # the first stretch gets eightfold finer panels, with their own rule
+    start = int(np.ceil(2.0 / width))
+    xis = _panel_points(width / 8.0, 0, 8 * start)
+    fine = block(xis, _g_grid(model, xis), 0,
+                 _panel_rule(width / 8.0, carrier))
 
-    while True:
-        block = _filon_region(residual, width, start, _PANELS_PER_BLOCK, carrier)
-        total += block
-        start += _PANELS_PER_BLOCK
-        xi_reached = start * width
-        if xi_reached < 2.0 * ah:
-            continue
-        kg = _g_norm_const(model, xi_reached)
-        tail = 2.0 * kg / (np.pi**2 * 2.0 * xi_reached**2)
-        value = diag_part + 2.0 * total.real
-        if tail <= max(rel_tol * abs(value), abs_tol):
-            return float(value)
-        if xi_reached > _XI_CAP:
-            raise NumericError(
-                f"count-covariance quadrature did not converge: range "
-                f"{xi_reached:.3g}, tail bound {tail:.3g}, value {value:.3g}"
-            )
+    # each indicator window's transform is at most 1 / (pi xi)
+    value = _quadrature("count-covariance", model, width, start, 2.0 * ah,
+                        diag_part + fine, block, (1.0 / np.pi**2, 0.0, 0.0),
+                        rel_tol, abs_tol)
+    return float(value)

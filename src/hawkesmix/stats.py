@@ -23,7 +23,8 @@ from scipy.special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
 from .errors import HypothesisError, NumericError
 from .model import HawkesModel
-from .simulate import EventLog, default_burn_in, simulate, spawn_seeds
+from .simulate import (EventLog, _simulator, default_burn_in, simulate,
+                       spawn_seeds)
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
 
@@ -279,6 +280,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         raise ValueError(f"delta must be > 0, got {delta}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
+    _simulator(simulator)  # fails on an unknown name before any spectral work
     model.validate(beta)
     if (beta - 1.0) * delta <= 2.0:
         raise HypothesisError(
@@ -400,8 +402,8 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     For each lag ``tau``, estimates ``Cov(N_i((0, w]), N_j((tau, tau + w]))``
     over independent replicates and reports it beside the spectral value
     from :func:`hawkesmix.spectrum.cov_counts` and, when ``beta`` and
-    ``gamma`` are given, the branching covariance-decay bound at the window
-    gap.
+    ``gamma`` are given (both or neither), the branching covariance-decay
+    bound at the window gap.
     """
     if replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
@@ -412,6 +414,9 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
         raise ValueError("lags must exceed the window length")
     if window_len <= 0.0:
         raise ValueError("window length must be positive")
+    if (beta is None) != (gamma is None):
+        raise ValueError("the decay bound needs both beta and gamma, or "
+                         f"neither; got beta={beta}, gamma={gamma}")
     model.validate()
     horizon = float(np.max(lags)) + window_len
 

@@ -152,8 +152,8 @@ class TestVariance:
         assert run("variance", cfg, out) == 0
         payload = json.loads((out / "variance.json").read_text())
         f = hm.TestFunction.constant([1.0, 1.0])
-        for t, v in zip(payload["horizons"], payload["values"]):
-            assert v == pytest.approx(hm.variance_ST(d2_model, f, t), rel=1e-12)
+        expect = hm.variance_profile(d2_model, f, payload["horizons"])
+        assert payload["values"] == pytest.approx(list(expect), rel=1e-12)
         assert payload["long_run_slope"] == pytest.approx(
             hm.asymptotic_variance_const(d2_model, [1.0, 1.0]), rel=1e-12
         )
@@ -299,7 +299,8 @@ F1 = ("variance", "f", 1)
 # missing keys, JSON types, numeric bounds and NaN.  Key, shape and type
 # failures point into the config; a range failure carries the message of the
 # library check that owns the range.  Bounds on the mixing exponents reach
-# mixing_bound's hypothesis check and exit 2.
+# mixing_bound's hypothesis check and exit 2; a decay block with only one of
+# them is refused by mixing_decay_diagnostic and exits 1.
 REJECTED = [
     _case(("bogus",), 1, 1, "config invalid at /: unknown fields ['bogus']"),
     _case(("model",), DROP, 1, "config invalid at /: missing fields ['model']"),
@@ -486,6 +487,10 @@ REJECTED = [
     _case(("decay", "seed"), -4, 1, "seed must be >= 0, got -4"),
     _case(("decay", "beta"), -1.0, 2, "need 0 < gamma < beta", "beta=-1.0"),
     _case(("decay", "gamma"), 0.0, 2, "need 0 < gamma < beta", "gamma=0.0"),
+    _case(("decay", "gamma"), DROP, 1, "needs both beta and gamma",
+          "beta=1.0, gamma=None"),
+    _case(("decay", "beta"), DROP, 1, "needs both beta and gamma",
+          "beta=None, gamma=0.5"),
     _case(("decay", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
 ]
 

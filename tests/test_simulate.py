@@ -174,3 +174,16 @@ class TestMechanismAgreement:
             hm.simulate(d1_model, 0.0)
         with pytest.raises(ValueError):
             hm.simulate(d1_model, 10.0, burn_in=-1.0)
+
+    @pytest.mark.parametrize("simulator", ["cluster", "thinning"])
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"horizon": float("nan")}, "horizon"),
+        ({"horizon": float("inf")}, "horizon"),
+        ({"horizon": 10.0, "burn_in": float("nan")}, "burn-in"),
+    ], ids=["nan-horizon", "inf-horizon", "nan-burn-in"])
+    def test_non_finite_window_rejected(self, d1_model, simulator, kwargs,
+                                        name):
+        # NaN fails every comparison and thinning never reaches an infinite
+        # horizon, so both would run on unless finiteness is checked
+        with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+            hm.simulate(d1_model, simulator=simulator, seed=1, **kwargs)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
-from hawkesmix.errors import HypothesisError
+from hawkesmix import spectrum
+from hawkesmix.errors import HypothesisError, NumericError
 
 
 def d1_variance_exact(t: float) -> float:
@@ -242,3 +243,34 @@ class TestCovCounts:
             hm.cov_counts(d2_model, 0, 0, (1.0, 1.0), (0.0, 2.0))
         with pytest.raises(ValueError):
             hm.cov_counts(d2_model, 2, 0, (0.0, 1.0), (0.0, 1.0))
+
+
+class TestQuadrature:
+    def test_carrier_zero_rule_is_gauss(self):
+        rule = spectrum._panel_rule(1.0)
+        weights = np.array([rule(e, 0) for e in np.eye(8)])
+        assert np.array_equal(weights, spectrum._WEIGHTS)
+
+    @pytest.mark.parametrize("carrier", [0.0, 0.7, -3.1, 41.3])
+    def test_rule_integrates_carrier_exactly(self, carrier):
+        # vals = 1: twice the real part of int_lo^hi exp(2i pi c xi) dxi
+        width, start, n = 0.25, 3, 16
+        xis = spectrum._panel_points(width, start, n)
+        got = spectrum._panel_rule(width, carrier)(np.ones(xis.size), start)
+        lo, hi = width * start, width * (start + n)
+        exact = 2.0 * (hi * np.sinc(2.0 * carrier * hi)
+                       - lo * np.sinc(2.0 * carrier * lo))
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
+
+    def test_non_convergence_names_the_range(self, d2_model, monkeypatch):
+        monkeypatch.setattr(spectrum, "_XI_CAP", 1.0)
+        f = hm.TestFunction.constant([1.0, 1.0])
+        with pytest.raises(NumericError,
+                           match=r"^variance quadrature did not converge: "
+                                 r"range \d"):
+            hm.variance_profile(d2_model, f, [10.0], rel_tol=1e-15)
+        with pytest.raises(NumericError,
+                           match=r"^count-covariance quadrature did not "
+                                 r"converge: range \d"):
+            hm.cov_counts(d2_model, 0, 1, (0.0, 1.0), (3.0, 4.0),
+                          rel_tol=1e-15)

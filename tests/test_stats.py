@@ -180,6 +180,17 @@ class TestCltHarness:
         with pytest.raises(ValueError, match="level must lie in"):
             hm.clt_harness(d2_model, f, 100.0, 20, seed=1, level=level)
 
+    def test_unknown_simulator_before_spectral_work(self, d2_model,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("variance profile built for a bad simulator")
+
+        monkeypatch.setattr(hm.stats, "variance_profile", fail)
+        f = hm.TestFunction.constant([1.0, 1.0])
+        with pytest.raises(ValueError, match="unknown simulator 'thining'"):
+            hm.clt_harness(d2_model, f, 2000.0, 20, seed=1,
+                           simulator="thining")
+
     def test_grid_validated(self, d2_model):
         f = hm.TestFunction.constant([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -210,6 +221,12 @@ class TestDecayDiagnostic:
         assert rep.mixing.gamma == 0.5
         payload = json.loads(json.dumps(rep.to_dict()))
         assert payload["mixing"]["gamma"] == 0.5
+
+    @pytest.mark.parametrize("given", [{"beta": 1.0}, {"gamma": 0.5}])
+    def test_bound_needs_both_exponents(self, d1_model, given):
+        with pytest.raises(ValueError, match="needs both beta and gamma"):
+            hm.mixing_decay_diagnostic(d1_model, 0, 0, 1.0, [3.0],
+                                       replicates=20, seed=1, **given)
 
     def test_replicate_floor(self, d1_model):
         with pytest.raises(ValueError, match="at least 10 replicates"):
