@@ -268,7 +268,6 @@ def _cmd_clt(model: HawkesModel, cfg: dict, args, outdir: Path):
         grid=block.get("grid"),
         simulator=block.get("simulator", "cluster"),
         level=block.get("level", 0.01),
-        threads=args.threads,
         grid_step=block.get("grid_step"),
     )
     _write_json(outdir / "clt_report.json", report.to_dict())
@@ -301,7 +300,6 @@ def _cmd_decay(model: HawkesModel, cfg: dict, args, outdir: Path):
         beta=block.get("beta"),
         gamma=block.get("gamma"),
         simulator=block.get("simulator", "cluster"),
-        threads=args.threads,
     )
     _write_json(outdir / "decay.json", report.to_dict())
     header = ["lag", "empirical", "empirical_se", "spectral"]
@@ -340,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for replicate loops")
+                       help="accepted and ignored: replicates run serially")
     return parser
 
 

@@ -11,8 +11,9 @@ nonincreasing in elapsed time.
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
 a stationary window.  Exact time ties (probability zero, but possible in
-floating point) are resolved by re-drawing the later event's delay, so each
-log carries strictly increasing times per component.
+floating point) are checked per component inside the window ``[0, T]`` and
+resolved by re-drawing the later event, so each log carries strictly
+increasing times per component.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _MAX_GENERATIONS = 10_000
+_WRITE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -152,22 +154,33 @@ def _prepare(model: HawkesModel, horizon: float, burn_in, seed, rng):
     return b, rng if rng is not None else np.random.default_rng(_seed(seed))
 
 
-def _resolve_ties(times, comps, parents, src, model, lo, hi, rng):
-    """Re-draw delays until all event times are pairwise distinct."""
+def _window_events(times, comps, parents, model, lo, horizon, rng):
+    """Sorted event times of each component inside ``[0, horizon]``.
+
+    The later row of each exact tie within one of these arrays is redrawn in
+    place (an immigrant uniformly on ``[lo, horizon]``, a child by a new
+    delay from its parent) until none is left.
+    """
     for _ in range(100):
-        order = np.argsort(times, kind="stable")
-        dup = np.zeros(times.size, dtype=bool)
-        tied = np.flatnonzero(np.diff(times[order]) == 0.0)
-        if tied.size == 0:
-            return
-        dup[order[tied + 1]] = True
-        for idx in np.flatnonzero(dup):
-            p = parents[idx]
+        events, tied = [], []
+        for j in range(model.d):
+            sel = (comps == j) & (times >= 0.0) & (times <= horizon)
+            tj = np.sort(times[sel])
+            events.append(tj)
+            same = np.diff(tj) == 0.0
+            if same.any():
+                rows = np.flatnonzero(sel)
+                order = np.argsort(times[rows], kind="stable")
+                tied.append(rows[order[1:][same]])
+        if not tied:
+            return events
+        for k in np.sort(np.concatenate(tied)):
+            p = parents[k]
             if p < 0:
-                times[idx] = rng.uniform(lo, hi)
+                times[k] = rng.uniform(lo, horizon)
             else:
-                kern = model.kernels[src[idx]][comps[idx]]
-                times[idx] = times[p] + kern.sample_delays(rng, 1)[0]
+                kern = model.kernels[comps[p]][comps[k]]
+                times[k] = times[p] + kern.sample_delays(rng, 1)[0]
     raise NumericError("could not separate tied event times")
 
 
@@ -200,14 +213,13 @@ def simulate_cluster(
     masses = model.reproduction
 
     span = horizon + b
-    t_chunks, c_chunks, g_chunks, p_chunks, s_chunks = [], [], [], [], []
+    t_chunks, c_chunks, g_chunks, p_chunks = [], [], [], []
     for j in range(d):
         n = gen.poisson(model.eta[j] * span)
         t_chunks.append(gen.uniform(-b, horizon, size=n))
         c_chunks.append(np.full(n, j, dtype=np.int64))
         g_chunks.append(np.zeros(n, dtype=np.int64))
         p_chunks.append(np.full(n, -1, dtype=np.int64))
-        s_chunks.append(np.full(n, -1, dtype=np.int64))
 
     cur_t = np.concatenate(t_chunks)
     cur_c = np.concatenate(c_chunks)
@@ -220,7 +232,7 @@ def simulate_cluster(
             raise NumericError(
                 f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
             )
-        nxt_t, nxt_c, nxt_p, nxt_s = [], [], [], []
+        nxt_t, nxt_c, nxt_p = [], [], []
         for i in range(d):
             sel = cur_c == i
             if not sel.any():
@@ -238,19 +250,16 @@ def simulate_cluster(
                 nxt_t.append(np.repeat(pt, counts) + delays)
                 nxt_c.append(np.full(tot, j, dtype=np.int64))
                 nxt_p.append(np.repeat(pidx, counts))
-                nxt_s.append(np.full(tot, i, dtype=np.int64))
         if nxt_t:
             cur_t = np.concatenate(nxt_t)
             cur_c = np.concatenate(nxt_c)
             par = np.concatenate(nxt_p)
-            src = np.concatenate(nxt_s)
             cur_idx = offset + np.arange(cur_t.size)
             offset += cur_t.size
             t_chunks.append(cur_t)
             c_chunks.append(cur_c)
             g_chunks.append(np.full(cur_t.size, generation, dtype=np.int64))
             p_chunks.append(par)
-            s_chunks.append(src)
         else:
             break
 
@@ -258,13 +267,7 @@ def simulate_cluster(
     comps = np.concatenate(c_chunks)
     gens = np.concatenate(g_chunks)
     parents = np.concatenate(p_chunks)
-    src = np.concatenate(s_chunks)
-    _resolve_ties(times, comps, parents, src, model, -b, horizon, gen)
-
-    events = []
-    for j in range(d):
-        sel = (comps == j) & (times >= 0.0) & (times <= horizon)
-        events.append(np.sort(times[sel]))
+    events = _window_events(times, comps, parents, model, -b, horizon, gen)
     meta = {"simulator": "cluster", "seed": seed, "burn_in": b, "horizon": horizon}
     log = EventLog(d, horizon, tuple(events), meta)
     if return_trace:
@@ -299,7 +302,7 @@ def simulate_thinning(
     act_t = np.empty(0)
     act_c = np.empty(0, dtype=np.int64)
     events = [[] for _ in range(d)]
-    accepted = set()
+    last_accepted = -np.inf
 
     def intensities(at: float) -> np.ndarray:
         lam = eta.astype(float).copy()
@@ -344,10 +347,10 @@ def simulate_thinning(
         u = gen.random() * lam_bar
         if u < lam_tot:
             j = int(np.searchsorted(np.cumsum(lam), u, side="right"))
-            if t_cand in accepted:
+            if t_cand == last_accepted:
                 # exact tie: re-draw the waiting time
                 continue
-            accepted.add(t_cand)
+            last_accepted = t_cand
             events[j].append(t_cand)
             act_t = np.append(act_t, t_cand)
             act_c = np.append(act_c, j)
@@ -391,10 +394,13 @@ def write_event_log(log: EventLog, csv_path) -> Path:
     )
     order = np.argsort(merged, kind="stable")
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "time"])
-        for k in order:
-            writer.writerow([int(comps[k]), repr(float(merged[k]))])
+        fh.write("component,time\r\n")
+        # blocks bound the row strings held at once; tolist() because under
+        # numpy 2 a numpy float's repr is "np.float64(...)"
+        for lo in range(0, order.size, _WRITE_BLOCK):
+            k = order[lo:lo + _WRITE_BLOCK]
+            fh.write("".join(f"{c},{t!r}\r\n" for c, t in
+                             zip(comps[k].tolist(), merged[k].tolist())))
     sidecar = csv_path.with_suffix(".json")
     with open(sidecar, "w") as fh:
         json.dump(

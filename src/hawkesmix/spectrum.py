@@ -413,7 +413,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     i, j : int
         Component indices.
     window_a, window_b : pair of floats
-        Endpoints ``(a, b]`` with ``a < b``.
+        Finite endpoints ``(a, b]`` with ``a < b``.
     rel_tol, abs_tol : float
         Tail targets; the tail must fall below ``max(rel_tol * |value so
         far|, abs_tol)``.  Supply ``abs_tol`` when the covariance itself is
@@ -425,8 +425,10 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
         raise ValueError("component index out of range")
     a_lo, a_hi = map(float, window_a)
     b_lo, b_hi = map(float, window_b)
-    if not (a_lo < a_hi and b_lo < b_hi):
-        raise ValueError("windows must have positive length")
+    for name, lo, hi in (("A", a_lo, a_hi), ("B", b_lo, b_hi)):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ValueError(f"window {name} = ({lo}, {hi}] must be finite "
+                             "with positive length")
     len_a = a_hi - a_lo
     len_b = b_hi - b_lo
 

@@ -14,7 +14,6 @@ and the branching-process bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,31 +220,25 @@ _DEFAULT_GRID = np.arange(1, 11) / 10.0
 
 
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
-                    seed: int, simulator: str, threads: int,
-                    row) -> np.ndarray:
+                    seed: int, simulator: str, row) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
-    Replicate ``r`` always draws from the ``r``-th stream spawned from
-    ``seed``, so the result does not depend on ``threads``.  The burn-in
-    depends only on the model and is computed once for all replicates.
+    Replicate ``r`` draws from the ``r``-th stream spawned from ``seed``.
+    The burn-in depends only on the model and is computed once for all
+    replicates.
     """
     burn_in = default_burn_in(model)
-    seeds = spawn_seeds(seed, replicates)
-
-    def one(r: int) -> np.ndarray:
-        return row(simulate(model, horizon, simulator=simulator,
-                            burn_in=burn_in, seed=seeds[r]))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.vstack(list(pool.map(one, range(replicates))))
-    return np.vstack([one(r) for r in range(replicates)])
+    return np.vstack([
+        row(simulate(model, horizon, simulator=simulator, burn_in=burn_in,
+                     seed=s))
+        for s in spawn_seeds(seed, replicates)
+    ])
 
 
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
                 replicates: int, seed: int, beta: float = 3.0,
                 delta: float = 2.0, grid=None, simulator: str = "cluster",
-                level: float = 0.01, threads: int = 1,
+                level: float = 0.01,
                 grid_step: float | None = None) -> HarnessReport:
     """Simulate replicate logs and test the normal and Brownian limits.
 
@@ -271,8 +264,6 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         ``"cluster"`` or ``"thinning"``.
     level : float
         Test level in ``(0, 1)`` for the Kolmogorov-Smirnov critical value.
-    threads : int
-        Worker threads for the replicate loop.
     """
     if replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
@@ -299,7 +290,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     eval_times = np.append(v_times, horizon)
 
     stats = _replicate_rows(
-        model, horizon, replicates, seed, simulator, threads,
+        model, horizon, replicates, seed, simulator,
         lambda log: partial_statistics(log, model, f, eval_times),
     )
     w = stats[:, :-1] / sigma_t
@@ -395,7 +386,6 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
                             seed: int, beta: float | None = None,
                             gamma: float | None = None,
                             simulator: str = "cluster",
-                            threads: int = 1,
                             spectral_abs_tol: float = 1e-9) -> DecayReport:
     """Estimate count covariances across lags and compare with theory.
 
@@ -410,10 +400,11 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0:
         raise ValueError("need at least one lag")
+    if not (np.isfinite(window_len) and window_len > 0.0):
+        raise ValueError(f"window length must be positive and finite, got "
+                         f"{window_len}")
     if np.any(lags <= window_len):
         raise ValueError("lags must exceed the window length")
-    if window_len <= 0.0:
-        raise ValueError("window length must be positive")
     if (beta is None) != (gamma is None):
         raise ValueError("the decay bound needs both beta and gamma, or "
                          f"neither; got beta={beta}, gamma={gamma}")
@@ -427,8 +418,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
             out[1 + t] = log.count(j, lag, lag + window_len)
         return out
 
-    counts = _replicate_rows(model, horizon, replicates, seed, simulator,
-                             threads, row)
+    counts = _replicate_rows(model, horizon, replicates, seed, simulator, row)
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)

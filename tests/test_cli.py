@@ -198,6 +198,19 @@ class TestCltCommand:
         assert report["passed"] is False
         assert (out / "manifest.json").exists()
 
+    def test_threads_flag_is_ignored(self, tmp_path):
+        cfg = write_config(tmp_path, clt={
+            "f": CONST_F, "horizon": 50.0, "replicates": 12, "seed": 9,
+            "grid": [1.0],
+        })
+        assert run("clt-test", cfg, tmp_path / "a") == 0
+        assert run("clt-test", cfg, tmp_path / "b", "--threads", "2") == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes())
+
 
 class TestDecayCommand:
     def test_outputs(self, tmp_path):

@@ -5,6 +5,8 @@ import pytest
 from scipy import stats
 
 import hawkesmix as hm
+from hawkesmix.errors import NumericError
+from hawkesmix.simulate import _window_events
 
 
 class TestEventLog:
@@ -137,6 +139,54 @@ class TestClusterGenealogy:
         # nearly critical: still subcritical, must terminate without error
         log = hm.simulate(model, 5.0, burn_in=1.0, seed=2)
         assert log.horizon == 5.0
+
+
+class TestWindowTies:
+    """Exact ties are redrawn only where the log would carry them."""
+
+    LO, HORIZON = -5.0, 10.0
+
+    def crafted(self):
+        # rows 0-1: burn-in tie; rows 2-3: tie across components; row 4
+        # (immigrant) ties row 2 and rows 6-7 (children of components 1
+        # and 0) tie inside component 1's window
+        times = np.array([-3.0, -3.0, 1.0, 1.0, 1.0, 2.0, 2.5, 2.5])
+        comps = np.array([0, 0, 0, 1, 0, 1, 1, 1])
+        parents = np.array([-1, -1, -1, -1, -1, 2, 5, 2])
+        return times, comps, parents
+
+    def test_same_component_ties_redrawn(self, d2_model):
+        times, comps, parents = self.crafted()
+        events = _window_events(times, comps, parents, d2_model, self.LO,
+                                self.HORIZON, np.random.default_rng(5))
+        # the later row of each tie is redrawn, in row order: the immigrant
+        # uniformly on [lo, horizon], the child by kernel [0][1] from row 2
+        ref = np.random.default_rng(5)
+        assert times[4] == ref.uniform(self.LO, self.HORIZON)
+        assert times[7] == 1.0 + d2_model.kernels[0][1].sample_delays(ref, 1)[0]
+        for j, tj in enumerate(events):
+            assert np.all(np.diff(tj) > 0.0)
+            inside = (comps == j) & (times >= 0.0) & (times <= self.HORIZON)
+            assert np.array_equal(tj, np.sort(times[inside]))
+
+    def test_burn_in_and_cross_component_ties_kept(self, d2_model):
+        times, comps, parents = self.crafted()
+        times, comps, parents = times[:4], comps[:4], parents[:4]
+        before = times.copy()
+        events = _window_events(times, comps, parents, d2_model, self.LO,
+                                self.HORIZON, np.random.default_rng(5))
+        assert np.array_equal(times, before)
+        assert [tj.tolist() for tj in events] == [[1.0], [1.0]]
+
+    def test_unseparable_tie_raises(self, d2_model):
+        class StuckGenerator:
+            def uniform(self, lo, hi):
+                return 1.0
+
+        times, comps, parents = self.crafted()
+        with pytest.raises(NumericError, match="tied event times"):
+            _window_events(times[:5], comps[:5], parents[:5], d2_model,
+                           self.LO, self.HORIZON, StuckGenerator())
 
 
 class TestBurnIn:

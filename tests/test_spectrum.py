@@ -243,6 +243,8 @@ class TestCovCounts:
             hm.cov_counts(d2_model, 0, 0, (1.0, 1.0), (0.0, 2.0))
         with pytest.raises(ValueError):
             hm.cov_counts(d2_model, 2, 0, (0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match=r"window A = \(0.0, inf\]"):
+            hm.cov_counts(d2_model, 0, 0, (0.0, np.inf), (1.0, 2.0))
 
 
 class TestQuadrature:

@@ -150,12 +150,6 @@ class TestCltHarness:
                                seed=14, grid=[0.5, 1.0])
         assert again.to_dict() == small_report.to_dict()
 
-    def test_threads_do_not_change_result(self, d2_model, small_report):
-        f = hm.TestFunction.constant([1.0, 1.0])
-        rep2 = hm.clt_harness(d2_model, f, horizon=200.0, replicates=60,
-                              seed=14, grid=[0.5, 1.0], threads=2)
-        assert rep2.to_dict() == small_report.to_dict()
-
     def test_moment_condition_enforced(self, d2_model):
         f = hm.TestFunction.constant([1.0, 1.0])
         with pytest.raises(HypothesisError):
@@ -240,3 +234,11 @@ class TestDecayDiagnostic:
         with pytest.raises(ValueError):
             hm.mixing_decay_diagnostic(d1_model, 0, 0, -1.0, [3.0],
                                        replicates=50, seed=0)
+
+    def test_nan_window_refused_before_simulation(self, d1_model):
+        # NaN fails every comparison with the lags, so it would otherwise
+        # reach the first replicate as a NaN horizon
+        with pytest.raises(ValueError, match="window length must be "
+                                             "positive and finite, got nan"):
+            hm.mixing_decay_diagnostic(d1_model, 0, 0, float("nan"), [3.0],
+                                       replicates=20, seed=1)
