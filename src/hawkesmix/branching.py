@@ -38,13 +38,16 @@ __all__ = [
 _KSCAN_MAX = 10_000
 
 
+def _laplace_argument(u) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u) & (u >= 0.0)):
+        raise ValueError(f"expected finite nonnegative arguments, got {u}")
+    return u
+
+
 def g_map(m: np.ndarray, u) -> np.ndarray:
     """One step of the Laplace-functional recursion: ``g(u) = M (e^u - 1)``."""
-    m = np.asarray(m, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
-        raise ValueError("g_map expects nonnegative arguments")
-    return m @ np.expm1(u)
+    return np.asarray(m, dtype=float) @ np.expm1(_laplace_argument(u))
 
 
 def _g_iterates(m, u, k):
@@ -73,7 +76,7 @@ def laplace_generation(m: np.ndarray, u, k: int, ancestor: int = 0) -> float:
         raise ValueError("generation index must be >= 0")
     if not 0 <= ancestor < m.shape[0]:
         raise ValueError("ancestor type out of range")
-    it = _g_iterates(m, np.atleast_1d(np.asarray(u, dtype=float)), k)
+    it = _g_iterates(m, np.atleast_1d(_laplace_argument(u)), k)
     return float(np.exp(it[k][ancestor]))
 
 
@@ -197,10 +200,10 @@ def c1_constant(u_i: float, p: float) -> float:
     is dominated termwise by a geometric one; the partial sum is extended by
     that certified geometric tail.
     """
-    if u_i <= 0.0:
-        raise ValueError("needs a strictly positive exponent")
-    if p < 1.0:
-        raise ValueError("needs p >= 1")
+    if not (np.isfinite(u_i) and u_i > 0.0):
+        raise ValueError(f"needs a strictly positive exponent, got {u_i}")
+    if not (np.isfinite(p) and p >= 1.0):
+        raise ValueError(f"needs p >= 1, got {p}")
     ratio = np.exp(-u_i / p)
     head = 0.0
     n = 0
@@ -322,7 +325,7 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float, lags) -> MixingB
     if not 0.0 < gamma < beta:
         raise HypothesisError(f"need 0 < gamma < beta, got gamma={gamma}, beta={beta}")
     lags = np.asarray(lags, dtype=float)
-    if lags.size == 0 or np.any(lags <= 0.0):
+    if lags.size == 0 or not np.all(np.isfinite(lags) & (lags > 0.0)):
         raise ValueError("lags must be nonempty and strictly positive")
     model.validate(beta)
     nu = model.delay_moment(1.0 + beta)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (InfiniteMomentError, check_choice, check_fields,
                      finite_number, require_finite)
@@ -227,22 +227,10 @@ class PowerLawKernel(Kernel):
                 f"power-law moment of order {p} requires theta > {p}, "
                 f"got theta = {self.theta}"
             )
-        # Change of variables s = t / (c + t) maps [0, inf) onto [0, 1) and
-        # turns the integrand into theta * c**p * s**p * (1-s)**(theta-p-1).
-        # The endpoint singularity (integrable for p < theta) goes into the
-        # algebraic weight of the quadrature rule.
-        th, cc = self.theta, self.c
-        val, _ = integrate.quad(
-            lambda s: 1.0,
-            0.0,
-            1.0,
-            weight="alg",
-            wvar=(p, th - p - 1.0),
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return float(th * cc**p * val)
+        # s = t / (c + t) maps [0, inf) onto [0, 1) and turns the integrand
+        # into theta * c**p * s**p * (1-s)**(theta-p-1), a Beta integral
+        return float(self.theta * self.c**p
+                     * special.beta(p + 1.0, self.theta - p))
 
     def _fourier_normalized(self, v: np.ndarray) -> np.ndarray:
         """``F (h/alpha)`` as a function of ``v = 2 pi xi c``, ``v > 0``."""

@@ -69,6 +69,13 @@ class HawkesModel:
     kernels : sequence of sequence of Kernel
         ``kernels[i][j]`` is the kernel through which component ``i`` excites
         component ``j``.
+
+    Attributes
+    ----------
+    active : tuple of tuple of (int, Kernel)
+        ``active[i]`` holds the pairs ``(j, kernels[i][j])`` whose kernel
+        has positive mass, by increasing ``j``.  Only these kernels move
+        events, so every simulator, burn-in and moment reads this table.
     """
 
     def __init__(self, eta, kernels):
@@ -87,6 +94,10 @@ class HawkesModel:
                     raise TypeError("kernel array entries must be Kernel instances")
         self.eta = eta
         self.kernels = tuple(tuple(row) for row in kernels)
+        self.active = tuple(
+            tuple((j, k) for j, k in enumerate(row) if k.l1_norm > 0.0)
+            for row in self.kernels
+        )
         self.d = d
         self._rho = None
         self._mean = None
@@ -153,14 +164,13 @@ class HawkesModel:
     def delay_moment(self, p: float) -> float:
         """Worst normalized delay moment ``sup_ij int t**p h_ij / alpha_ij``.
 
-        Zero kernels transport no events and are skipped; a model with no
-        active kernel returns 0.
+        Only the kernels of :attr:`active` count; a model with no active
+        kernel returns 0.
         """
         worst = 0.0
-        for row in self.kernels:
-            for k in row:
-                if k.l1_norm > 0.0:
-                    worst = max(worst, k.moment(p))
+        for row in self.active:
+            for _, k in row:
+                worst = max(worst, k.moment(p))
         return worst
 
     def to_dict(self) -> dict:

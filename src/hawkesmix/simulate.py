@@ -115,13 +115,12 @@ def default_burn_in(model: HawkesModel) -> float:
     cluster duration proxy (mean kernel delay over the mean number of
     generations ``1 / (1 - rho)``).
     """
-    active = [k for row in model.kernels for k in row if k.l1_norm > 0.0]
-    if not active:
+    if not any(model.active):
         return 0.0
     target = 1e-6 * float(np.min(model.eta))
 
     def tail(b):
-        return sum(k.tail_mass(b) for k in active)
+        return sum(k.tail_mass(b) for row in model.active for _, k in row)
 
     hi = 1.0
     while tail(hi) >= target:
@@ -137,8 +136,7 @@ def default_burn_in(model: HawkesModel) -> float:
             lo = mid
     mass_scale = hi
 
-    mean_delay = max(k.moment(1.0) for k in active)
-    duration_scale = 10.0 * mean_delay / (1.0 - model.rho)
+    duration_scale = 10.0 * model.delay_moment(1.0) / (1.0 - model.rho)
     return max(mass_scale, duration_scale)
 
 
@@ -210,7 +208,6 @@ def simulate_cluster(
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
-    masses = model.reproduction
 
     span = horizon + b
     t_chunks, c_chunks, g_chunks, p_chunks = [], [], [], []
@@ -239,14 +236,12 @@ def simulate_cluster(
                 continue
             pt = cur_t[sel]
             pidx = cur_idx[sel]
-            for j in range(d):
-                if masses[i, j] == 0.0:
-                    continue
-                counts = gen.poisson(masses[i, j], size=pt.size)
+            for j, kern in model.active[i]:
+                counts = gen.poisson(kern.l1_norm, size=pt.size)
                 tot = int(counts.sum())
                 if tot == 0:
                     continue
-                delays = model.kernels[i][j].sample_delays(gen, tot)
+                delays = kern.sample_delays(gen, tot)
                 nxt_t.append(np.repeat(pt, counts) + delays)
                 nxt_c.append(np.full(tot, j, dtype=np.int64))
                 nxt_p.append(np.repeat(pidx, counts))
@@ -290,31 +285,33 @@ def simulate_thinning(
     Every kernel family in the package is nonincreasing in elapsed time, so
     the conditional intensity just after the current time dominates the
     intensity until the next event; the bound is recomputed after each
-    accepted event and tightened after each rejection.
+    accepted event and tightened after each rejection.  The intensity is
+    summed over one time-ordered history of past events per source
+    component, from which events whose excitation has decayed away are
+    pruned periodically.
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
     eta = model.eta
-    # contributions below this level may be pruned from the active set; the
+    # contributions below this level may be pruned from the histories; the
     # induced intensity error is bounded by the pruned total, < 1e-10 * eta
     eps_active = 1e-14 * float(np.min(eta))
 
-    act_t = np.empty(0)
-    act_c = np.empty(0, dtype=np.int64)
+    history = [np.empty(0) for _ in range(d)]
     events = [[] for _ in range(d)]
     last_accepted = -np.inf
 
+    def excitation(i: int, at: float):
+        """Rows ``(j, h_ij(at - s))`` over the component-``i`` history ``s``."""
+        dt = at - history[i]
+        return [(j, kern.evaluate(dt)) for j, kern in model.active[i]]
+
     def intensities(at: float) -> np.ndarray:
-        lam = eta.astype(float).copy()
+        lam = eta.copy()
         for i in range(d):
-            sel = act_c == i
-            if not sel.any():
-                continue
-            dt = at - act_t[sel]
-            for j in range(d):
-                kern = model.kernels[i][j]
-                if kern.l1_norm > 0.0:
-                    lam[j] += float(kern.evaluate(dt).sum())
+            if history[i].size:
+                for j, h in excitation(i, at):
+                    lam[j] += float(h.sum())
         return lam
 
     t = -b
@@ -322,20 +319,12 @@ def simulate_thinning(
     steps = 0
     while True:
         steps += 1
-        if steps % _PRUNE_EVERY == 0 and act_t.size:
-            keep = np.zeros(act_t.size, dtype=bool)
+        if steps % _PRUNE_EVERY == 0:
             for i in range(d):
-                sel = act_c == i
-                if not sel.any():
-                    continue
-                dt = t - act_t[sel]
-                contrib = np.zeros(dt.size)
-                for j in range(d):
-                    kern = model.kernels[i][j]
-                    if kern.l1_norm > 0.0:
-                        contrib += kern.evaluate(dt)
-                keep[sel] = contrib >= eps_active
-            act_t, act_c = act_t[keep], act_c[keep]
+                contrib = np.zeros(history[i].size)
+                for _, h in excitation(i, t):
+                    contrib += h
+                history[i] = history[i][contrib >= eps_active]
 
         t_cand = t + gen.exponential(1.0 / lam_bar)
         if t_cand > horizon:
@@ -351,9 +340,9 @@ def simulate_thinning(
                 # exact tie: re-draw the waiting time
                 continue
             last_accepted = t_cand
-            events[j].append(t_cand)
-            act_t = np.append(act_t, t_cand)
-            act_c = np.append(act_c, j)
+            if t_cand >= 0.0:
+                events[j].append(t_cand)
+            history[j] = np.append(history[j], t_cand)
             t = t_cand
             lam_bar = float(intensities(t).sum())
         else:
@@ -362,12 +351,10 @@ def simulate_thinning(
             t = t_cand
             lam_bar = lam_tot
 
-    out = []
-    for j in range(d):
-        tj = np.asarray(events[j])
-        out.append(np.sort(tj[(tj >= 0.0) & (tj <= horizon)]))
+    # accepted in time order and never past the horizon
+    out = tuple(np.array(e, dtype=float) for e in events)
     meta = {"simulator": "thinning", "seed": seed, "burn_in": b, "horizon": horizon}
-    return EventLog(d, horizon, tuple(out), meta)
+    return EventLog(d, horizon, out, meta)
 
 
 _SIMULATORS = {"cluster": simulate_cluster, "thinning": simulate_thinning}

@@ -161,14 +161,11 @@ def _g_norm_const(model: HawkesModel, xi_from: float) -> float:
     return dn * ah * (2.0 / (1.0 - a0) + a0 / (1.0 - a0) ** 2)
 
 
-def _kernel_timescale(model: HawkesModel) -> float:
-    scales = [
-        k.moment(1.0)
-        for row in model.kernels
-        for k in row
-        if k.l1_norm > 0.0
-    ]
-    return max(scales) if scales else 0.0
+def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    tols = (rel_tol, abs_tol)
+    if not (np.all(np.isfinite(tols)) and min(tols) >= 0.0 and max(tols) > 0.0):
+        raise ValueError("tolerances must be finite, >= 0 and not both 0, "
+                         f"got rel_tol={rel_tol}, abs_tol={abs_tol}")
 
 
 def _panel_points(width: float, start_panel: int, n_panels: int):
@@ -252,6 +249,7 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
         If the tail bound fails to meet the tolerance before the frequency
         cap, with the reached range in the message.
     """
+    _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
     ts = np.asarray(ts, dtype=float)
     if ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0.0)):
@@ -271,7 +269,7 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
         return base
 
     horizon = float(np.max(ts))
-    width = 1.0 / (3.0 * (horizon + _kernel_timescale(model) + 1.0))
+    width = 1.0 / (3.0 * (horizon + model.delay_moment(1.0) + 1.0))
     envs = [f[i].envelope(horizon) for i in range(ncomp)]
     xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
     sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
@@ -317,6 +315,8 @@ def asymptotic_variance_const(model: HawkesModel, weights) -> float:
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (model.d,):
         raise ValueError("weight vector length must equal the model dimension")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(f"weights must be finite, got {weights}")
     gam0 = bartlett_grid(model, 0.0)[0].real
     return float(weights @ gam0 @ weights)
 
@@ -356,8 +356,8 @@ def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
         If ``n_max`` is too small for a certified tail estimate.
     """
     model.validate()
-    if period <= 0.0:
-        raise ValueError("period must be positive")
+    if not (np.isfinite(period) and period > 0.0):
+        raise ValueError(f"period must be positive and finite, got {period}")
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     ncomp = len(f)
@@ -419,6 +419,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
         far|, abs_tol)``.  Supply ``abs_tol`` when the covariance itself is
         tiny, as at large lags.
     """
+    _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
     d = model.d
     if not (0 <= i < d and 0 <= j < d):
@@ -442,7 +443,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     # carrier = center separation; the residual integrand is smooth on the
     # scale of the window lengths and the kernel memory
     carrier = 0.5 * (b_lo + b_hi) - 0.5 * (a_lo + a_hi)
-    bw = len_a + len_b + 4.0 * _kernel_timescale(model) / (1.0 - model.rho)
+    bw = len_a + len_b + 4.0 * model.delay_moment(1.0) / (1.0 - model.rho)
     width = 1.0 / (3.0 * bw)
 
     def block(xis, g, panel, rule=_panel_rule(width, carrier)):

@@ -57,6 +57,8 @@ def partial_statistics(log: EventLog, model: HawkesModel, f: TestFunction,
     one pass over the events.
     """
     ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError("statistic times must be finite and >= 0")
     _check_compatible(log, model, f, float(np.max(ts)) if ts.size else 0.0)
     m = model.mean_intensity
     out = np.zeros(ts.size)
@@ -115,7 +117,7 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
     curve matters here and adjacent grid variances differ at order
     ``sigma_T^2 / n``, far above the quadrature error.
     """
-    if not horizon > 0.0:
+    if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if grid_step is None:
         grid_step = horizon / 1000.0
@@ -217,6 +219,7 @@ class HarnessReport:
 
 
 _DEFAULT_GRID = np.arange(1, 11) / 10.0
+_SPECTRAL_ABS_TOL = 1e-9
 
 
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
@@ -385,15 +388,14 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
                             window_len: float, lags, replicates: int,
                             seed: int, beta: float | None = None,
                             gamma: float | None = None,
-                            simulator: str = "cluster",
-                            spectral_abs_tol: float = 1e-9) -> DecayReport:
+                            simulator: str = "cluster") -> DecayReport:
     """Estimate count covariances across lags and compare with theory.
 
     For each lag ``tau``, estimates ``Cov(N_i((0, w]), N_j((tau, tau + w]))``
     over independent replicates and reports it beside the spectral value
-    from :func:`hawkesmix.spectrum.cov_counts` and, when ``beta`` and
-    ``gamma`` are given (both or neither), the branching covariance-decay
-    bound at the window gap.
+    from :func:`hawkesmix.spectrum.cov_counts` (``abs_tol`` 1e-9, default
+    ``rel_tol``) and, when ``beta`` and ``gamma`` are given (both or
+    neither), the branching covariance-decay bound at the window gap.
     """
     if replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
@@ -431,7 +433,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
 
     spectral = np.array([
         cov_counts(model, i, j, (0.0, window_len),
-                   (lag, lag + window_len), abs_tol=spectral_abs_tol)
+                   (lag, lag + window_len), abs_tol=_SPECTRAL_ABS_TOL)
         for lag in lags
     ])
 

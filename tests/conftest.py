@@ -26,6 +26,18 @@ def d2_model():
 
 
 @pytest.fixture(scope="session")
+def mixed_model():
+    """Two active kernels beside a zero kernel and a massless exponential."""
+    return hm.HawkesModel(
+        [1.0, 1.0],
+        [
+            [hm.ExponentialKernel(0.5, 2.0), hm.ZeroKernel()],
+            [hm.UniformKernel(0.2, 1.0), hm.ExponentialKernel(0.0, 3.0)],
+        ],
+    )
+
+
+@pytest.fixture(scope="session")
 def poisson2_model():
     """Two independent unit-rate Poisson components (no excitation)."""
     return hm.HawkesModel([1.0, 1.0], hm.zero_coupling(2))

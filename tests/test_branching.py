@@ -81,6 +81,10 @@ class TestLaplaceGeneration:
         with pytest.raises(ValueError):
             hm.laplace_generation(M2, np.array([0.1, 0.1]), 1, ancestor=5)
 
+    def test_nan_argument_refused(self):
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            hm.laplace_generation(M2, [np.nan, 0.1], 3)
+
 
 class TestContractionCertificate:
     def test_single_type_reference(self):
@@ -156,6 +160,10 @@ class TestTailConstants:
             hm.c1_constant(0.0, 2.0)
         with pytest.raises(ValueError):
             hm.c1_constant(0.5, 0.5)
+
+    def test_c1_nan_exponent_refused(self):
+        with pytest.raises(ValueError, match="strictly positive exponent"):
+            hm.c1_constant(np.nan, 2.0)
 
     def test_tail_sum_dominates_poisson_tail(self):
         """For generation one the chain bound must cover the exact value."""
@@ -252,6 +260,11 @@ class TestMixingBound:
             hm.mixing_bound(d1_model, 1.0, 0.5, [])
         with pytest.raises(ValueError):
             hm.mixing_bound(d1_model, 1.0, 0.5, [0.0])
+
+    def test_nan_lag_refused(self, d1_model):
+        with pytest.raises(ValueError, match="lags must be nonempty and "
+                                             "strictly positive"):
+            hm.mixing_bound(d1_model, 1.0, 0.5, [np.nan])
 
 
 class TestSimulateGenerations:

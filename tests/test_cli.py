@@ -547,3 +547,18 @@ class TestRejection:
         )
         assert proc.returncode == 0, proc.stderr
         assert "spectral radius 0.7 < 1" in proc.stdout
+
+
+class TestImports:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        # every CLI process pays for what `import hawkesmix.cli` loads
+        code = ("import sys, hawkesmix.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        src = str(Path(hm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -107,6 +107,16 @@ class TestHawkesModel:
     def test_delay_moment_skips_zero_kernels(self, poisson2_model):
         assert poisson2_model.delay_moment(4.0) == 0.0
 
+    def test_active_lists_the_kernels_with_mass(self, mixed_model):
+        k = mixed_model.kernels
+        assert mixed_model.active == (((0, k[0][0]),), ((0, k[1][0]),))
+        # only the two kernels with mass count; the zero kernel's moment()
+        # would raise
+        for p in (1.0, 4.0):
+            assert mixed_model.delay_moment(p) == max(k[0][0].moment(p),
+                                                      k[1][0].moment(p))
+        mixed_model.validate(beta=3.0)
+
     def test_bad_eta(self):
         with pytest.raises(ValueError):
             hm.HawkesModel([1.0, 0.0], hm.zero_coupling(2))

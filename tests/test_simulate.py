@@ -77,6 +77,19 @@ class TestAgainstPoissonLaw:
 
 
 class TestStationaryRates:
+    @pytest.mark.parametrize("simulator", ["cluster", "thinning"])
+    def test_zero_mass_kernels_skipped(self, mixed_model, simulator):
+        horizon = 2000.0
+        log = hm.simulate(mixed_model, horizon, simulator=simulator, seed=11)
+        # Var N_i(T) ~ T gamma_ii(0), the Bartlett density at 0
+        slope = np.diag(hm.bartlett_density(mixed_model, 0.0).value.real)
+        for i, times in enumerate(log.events):
+            assert np.all(np.diff(times) > 0.0)
+            assert times[0] >= 0.0 and times[-1] <= horizon
+            se = np.sqrt(slope[i] / horizon)
+            rate = times.size / horizon
+            assert abs(rate - mixed_model.mean_intensity[i]) < 4.0 * se
+
     def test_cluster_d1(self, d1_model):
         log = hm.simulate(d1_model, 5000.0, seed=0)
         assert log.total() / 5000.0 == pytest.approx(2.0, rel=0.02)

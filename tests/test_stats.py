@@ -242,3 +242,42 @@ class TestDecayDiagnostic:
                                              "positive and finite, got nan"):
             hm.mixing_decay_diagnostic(d1_model, 0, 0, float("nan"), [3.0],
                                        replicates=20, seed=1)
+
+
+def _cov(model, log, f, **tols):
+    return hm.cov_counts(model, 0, 0, (0.0, 1.0), (2.0, 3.0), **tols)
+
+
+BAD_ARGUMENTS = {
+    "partial-nan-time": (lambda m, log, f: hm.partial_statistics(
+        log, m, f, [np.nan]), "statistic times must be finite and >= 0"),
+    "statistic-negative-horizon": (lambda m, log, f: hm.statistic_ST(
+        log, m, f, -5.0), "statistic times must be finite and >= 0"),
+    "time-change-infinite-horizon": (lambda m, log, f: hm.time_change(
+        m, f, np.inf), "horizon must be > 0, got inf"),
+    "periodic-nan-period": (lambda m, log, f: hm.asymptotic_variance_periodic(
+        m, f, np.nan), "period must be positive"),
+    "const-nan-weight": (lambda m, log, f: hm.asymptotic_variance_const(
+        m, [np.nan]), "weights must be finite"),
+    "profile-nan-rel-tol": (lambda m, log, f: hm.variance_profile(
+        m, f, [10.0], rel_tol=np.nan), "tolerances must be finite"),
+    "cov-negative-rel-tol": (lambda m, log, f: _cov(
+        m, log, f, rel_tol=-1.0), "tolerances must be finite"),
+    "cov-zero-tolerances": (lambda m, log, f: _cov(
+        m, log, f, rel_tol=0.0, abs_tol=0.0), "not both 0"),
+}
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("call,message", BAD_ARGUMENTS.values(),
+                             ids=BAD_ARGUMENTS.keys())
+    def test_refused_before_spectral_work(self, d1_model, monkeypatch, call,
+                                          message):
+        def no_spectrum(*args, **kwargs):
+            raise AssertionError("spectral work started")
+
+        monkeypatch.setattr(hm.spectrum, "bartlett_grid", no_spectrum)
+        log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
+        f = hm.TestFunction.constant([1.0])
+        with pytest.raises(ValueError, match=message):
+            call(d1_model, log, f)
