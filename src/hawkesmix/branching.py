@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, NumericError, SubcriticalityError
+from .errors import (HypothesisError, NumericError, SubcriticalityError,
+                     require_integer, to_json)
 from .model import HawkesModel, spectral_radius
 
 __all__ = [
@@ -38,8 +39,11 @@ __all__ = [
 _KSCAN_MAX = 10_000
 
 
-def _laplace_argument(u) -> np.ndarray:
+def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
+    if u.shape != m.shape[:1]:
+        raise ValueError(f"expected one argument per type ({m.shape[0]}), "
+                         f"got shape {u.shape}")
     if not np.all(np.isfinite(u) & (u >= 0.0)):
         raise ValueError(f"expected finite nonnegative arguments, got {u}")
     return u
@@ -47,7 +51,8 @@ def _laplace_argument(u) -> np.ndarray:
 
 def g_map(m: np.ndarray, u) -> np.ndarray:
     """One step of the Laplace-functional recursion: ``g(u) = M (e^u - 1)``."""
-    return np.asarray(m, dtype=float) @ np.expm1(_laplace_argument(u))
+    m = np.asarray(m, dtype=float)
+    return m @ np.expm1(_laplace_argument(m, u))
 
 
 def _g_iterates(m, u, k):
@@ -76,7 +81,7 @@ def laplace_generation(m: np.ndarray, u, k: int, ancestor: int = 0) -> float:
         raise ValueError("generation index must be >= 0")
     if not 0 <= ancestor < m.shape[0]:
         raise ValueError("ancestor type out of range")
-    it = _g_iterates(m, np.atleast_1d(_laplace_argument(u)), k)
+    it = _g_iterates(m, _laplace_argument(m, np.atleast_1d(u)), k)
     return float(np.exp(it[k][ancestor]))
 
 
@@ -97,16 +102,7 @@ class ContractionCert:
     c: float
     k0: int
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "delta": self.delta,
-            "eps": self.eps,
-            "u0": self.u0,
-            "u": self.u.tolist(),
-            "c": self.c,
-            "k0": self.k0,
-        }
+    to_dict = to_json
 
 
 def _linearization_root(delta: float) -> float:
@@ -233,9 +229,10 @@ def arrival_tail_bound(nu: float, beta: float, gen_l: int, horizon: float) -> fl
     """Markov bound on the chance that a generation-``l`` event lands beyond
     ``horizon``: ``min(1, l**(1+beta) nu / horizon**(1+beta))``; zero for the
     ancestor generation, which never travels."""
-    if nu < 0.0 or beta <= 0.0 or horizon <= 0.0:
+    # negated so that NaN fails too
+    if not (nu >= 0.0 and beta > 0.0 and horizon > 0.0):
         raise ValueError("need nu >= 0, beta > 0, horizon > 0")
-    if gen_l < 0:
+    if not gen_l >= 0:
         raise ValueError("generation index must be >= 0")
     if gen_l == 0:
         return 0.0
@@ -274,22 +271,7 @@ class MixingBoundReport:
     bounds: np.ndarray
     truncation: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "p": self.p,
-            "q": self.q,
-            "r": self.r,
-            "nu": self.nu,
-            "c1_p": self.c1_p,
-            "c1_q": self.c1_q,
-            "c1_pair": self.c1_pair,
-            "cert": self.cert.to_dict(),
-            "lags": self.lags.tolist(),
-            "bounds": self.bounds.tolist(),
-            "truncation": self.truncation.tolist(),
-        }
+    to_dict = to_json
 
 
 def mixing_bound(model: HawkesModel, beta: float, gamma: float, lags) -> MixingBoundReport:
@@ -441,6 +423,7 @@ def simulate_generations(m, ancestor: int, k_max: int, n_runs: int, seed=None,
     d = m.shape[0]
     if not 0 <= ancestor < d:
         raise ValueError("ancestor type out of range")
+    require_integer(k_max=k_max, n_runs=n_runs)
     gen = rng if rng is not None else np.random.default_rng(seed)
     out = np.zeros((n_runs, k_max + 1, d), dtype=np.int64)
     out[:, 0, ancestor] = 1

@@ -41,6 +41,9 @@ __all__ = ["main"]
 
 # Every key a command block may hold, mapped to its JSON kind, and the keys
 # it must hold.  Value ranges are checked by the functions that use them.
+# Keys are the parameter names of the library function that each command
+# hands its block to unchanged; only decay's ``window`` is renamed, to
+# ``window_len``.
 _BLOCKS = {
     "validate": ({"beta": "number"}, ()),
     "simulate": ({"horizon": "number", "burn_in": "number", "seed": "integer",
@@ -82,7 +85,8 @@ def _float_repr(x) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
@@ -164,13 +168,7 @@ def _cmd_validate(model: HawkesModel, cfg: dict, args, outdir: Path):
 def _cmd_simulate(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "simulate")
     seed = args.seed if args.seed is not None else block["seed"]
-    log = simulate(
-        model,
-        block["horizon"],
-        burn_in=block.get("burn_in"),
-        seed=seed,
-        simulator=block.get("simulator", "cluster"),
-    )
+    log = simulate(model, **{**block, "seed": seed})
     write_event_log(log, outdir / "events.csv")
     counts = [len(t) for t in log.events]
     _write_json(outdir / "summary.json", {
@@ -245,7 +243,7 @@ def _cmd_variance(model: HawkesModel, cfg: dict, args, outdir: Path):
 
 def _cmd_mixing(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "mixing")
-    report = mixing_bound(model, block["beta"], block["gamma"], block["lags"])
+    report = mixing_bound(model, **block)
     _write_json(outdir / "mixing_bound.json", report.to_dict())
     print("lag -> covariance bound")
     for lag, val in zip(report.lags, report.bounds):
@@ -257,19 +255,7 @@ def _cmd_clt(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "clt")
     seed = args.seed if args.seed is not None else block["seed"]
     f = TestFunction.from_dict(block["f"])
-    report = clt_harness(
-        model,
-        f,
-        block["horizon"],
-        block["replicates"],
-        seed,
-        beta=block.get("beta", 3.0),
-        delta=block.get("delta", 2.0),
-        grid=block.get("grid"),
-        simulator=block.get("simulator", "cluster"),
-        level=block.get("level", 0.01),
-        grid_step=block.get("grid_step"),
-    )
+    report = clt_harness(model, **{**block, "f": f, "seed": seed})
     _write_json(outdir / "clt_report.json", report.to_dict())
     header = ["replicate", "standardized_statistic"] + [
         f"w_{u:g}" for u in report.grid
@@ -289,18 +275,9 @@ def _cmd_clt(model: HawkesModel, cfg: dict, args, outdir: Path):
 def _cmd_decay(model: HawkesModel, cfg: dict, args, outdir: Path):
     block = _require_block(cfg, "decay")
     seed = args.seed if args.seed is not None else block["seed"]
-    report = mixing_decay_diagnostic(
-        model,
-        block["i"],
-        block["j"],
-        block["window"],
-        block["lags"],
-        block["replicates"],
-        seed,
-        beta=block.get("beta"),
-        gamma=block.get("gamma"),
-        simulator=block.get("simulator", "cluster"),
-    )
+    params = {**block, "seed": seed}
+    params["window_len"] = params.pop("window")
+    report = mixing_decay_diagnostic(model, **params)
     _write_json(outdir / "decay.json", report.to_dict())
     header = ["lag", "empirical", "empirical_se", "spectral"]
     cols = [report.lags, report.empirical, report.empirical_se, report.spectral]

@@ -7,15 +7,21 @@ converge raises :class:`NumericError`.  The command line maps the former to
 exit code 2 and everything else to exit code 1.
 
 A JSON spec with an unknown or missing key, or a value of the wrong type,
-raises :class:`ConfigError`.  The helpers at the end of this module are the
+raises :class:`ConfigError`.  The helpers after the exception types are the
 checks that the ``from_dict`` builders and the command line share; ranges
 are left to the constructors and functions that use the values.
+
+:func:`to_json` is the one serializer of the package's dataclasses: an
+object's JSON shape is its dataclass fields, less those declared with
+``metadata={"json": False}``, with arrays written as nested lists and
+nested dataclasses and dicts converted the same way.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -116,3 +122,34 @@ def require_finite(**params) -> None:
     for name, value in params.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_integer(minimum: int = 0, **params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is not an
+    integer ``>= minimum``; booleans and integral floats fail too."""
+    for name, value in params.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < minimum):
+            raise ValueError(f"{name} must be an integer >= {minimum}, "
+                             f"got {value!r}")
+
+
+def to_json(obj) -> dict:
+    """The fields of dataclass ``obj`` as a JSON-ready dict.
+
+    Fields declared with ``metadata={"json": False}`` are left out; arrays
+    become nested lists, and nested dataclasses and dicts are converted
+    the same way.  Dataclasses use it as ``to_dict = to_json``.
+    """
+    return {f.name: _json_value(getattr(obj, f.name))
+            for f in fields(obj) if f.metadata.get("json", True)}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value

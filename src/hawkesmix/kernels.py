@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import (InfiniteMomentError, check_choice, check_fields,
-                     finite_number, require_finite)
+                     finite_number, require_finite, to_json)
 
 __all__ = [
     "Kernel",
@@ -100,7 +100,7 @@ class Kernel:
         return self.delay_from_uniform(u)
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"family": self.family, **to_json(self)}
 
     def __call__(self, t):
         return self.evaluate(t)
@@ -154,9 +154,6 @@ class ExponentialKernel(Kernel):
 
     def delay_from_uniform(self, u):
         return -np.log(_as_uniform(u)) / self.beta
-
-    def to_dict(self) -> dict:
-        return {"family": "exponential", "alpha": self.alpha, "beta": self.beta}
 
 
 # Nodes for the power-law Fourier transform.  After rotating the contour of
@@ -273,14 +270,6 @@ class PowerLawKernel(Kernel):
     def delay_from_uniform(self, u):
         return self.c * (_as_uniform(u) ** (-1.0 / self.theta) - 1.0)
 
-    def to_dict(self) -> dict:
-        return {
-            "family": "powerlaw",
-            "alpha": self.alpha,
-            "c": self.c,
-            "theta": self.theta,
-        }
-
 
 @dataclass(frozen=True)
 class UniformKernel(Kernel):
@@ -325,9 +314,6 @@ class UniformKernel(Kernel):
     def delay_from_uniform(self, u):
         return self.a * _as_uniform(u)
 
-    def to_dict(self) -> dict:
-        return {"family": "uniform", "alpha": self.alpha, "a": self.a}
-
 
 @dataclass(frozen=True)
 class ZeroKernel(Kernel):
@@ -360,16 +346,9 @@ class ZeroKernel(Kernel):
     def delay_from_uniform(self, u):
         raise ValueError("the zero kernel has no delay distribution")
 
-    def to_dict(self) -> dict:
-        return {"family": "zero"}
 
-
-_FAMILIES = {
-    "exponential": (ExponentialKernel, ("alpha", "beta")),
-    "powerlaw": (PowerLawKernel, ("alpha", "c", "theta")),
-    "uniform": (UniformKernel, ("alpha", "a")),
-    "zero": (ZeroKernel, ()),
-}
+_FAMILIES = {cls.family: cls for cls in (ExponentialKernel, PowerLawKernel,
+                                         UniformKernel, ZeroKernel)}
 
 
 def kernel_from_dict(spec: dict) -> Kernel:
@@ -381,6 +360,7 @@ def kernel_from_dict(spec: dict) -> Kernel:
     number raises :class:`~hawkesmix.errors.ConfigError`; parameter ranges
     are checked by the kernel constructors.
     """
-    cls, params = check_choice(spec, "family", _FAMILIES)
+    cls = check_choice(spec, "family", _FAMILIES)
+    params = tuple(f.name for f in fields(cls))
     check_fields(spec, ("family",) + params)
     return cls(**{p: finite_number(spec[p], f"/{p}") for p in params})

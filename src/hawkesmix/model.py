@@ -11,12 +11,12 @@ Perron root of ``M`` is strictly below one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (NumericError, SubcriticalityError, array, check_fields,
-                     config_path, number_list, require_finite)
+                     config_path, number_list, require_finite, to_json)
 from .kernels import Kernel, ZeroKernel, kernel_from_dict
 
 __all__ = [
@@ -38,6 +38,7 @@ def spectral_radius(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
+    require_finite(m=m)
     if np.any(m < 0.0):
         raise ValueError("reproduction matrices are nonnegative")
     return float(np.max(np.abs(np.linalg.eigvals(m))))
@@ -51,12 +52,7 @@ class ModelSummary:
     rho: float
     mean_intensity: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "reproduction": self.reproduction.tolist(),
-            "rho": self.rho,
-            "mean_intensity": self.mean_intensity.tolist(),
-        }
+    to_dict = to_json
 
 
 class HawkesModel:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_jn
 
-from .errors import HypothesisError, NumericError
+from .errors import (HypothesisError, NumericError, require_integer,
+                     to_json)
 from .model import HawkesModel
 from .testfunctions import TestFunction
 
@@ -333,12 +334,7 @@ class PeriodicVariance:
     def __float__(self) -> float:
         return self.value
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tail_estimate": self.tail_estimate,
-            "n_terms": self.n_terms,
-        }
+    to_dict = to_json
 
 
 def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
@@ -353,13 +349,13 @@ def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
         If the components sum to zero mean over the period; the asymptotic
         formula degenerates there.
     ValueError
-        If ``n_max`` is too small for a certified tail estimate.
+        If ``n_max`` is not an integer ``>= 1`` or is too small for a
+        certified tail estimate.
     """
     model.validate()
     if not (np.isfinite(period) and period > 0.0):
         raise ValueError(f"period must be positive and finite, got {period}")
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
+    require_integer(1, n_max=n_max)
     ncomp = len(f)
     if ncomp != model.d:
         raise ValueError("test function dimension does not match the model")

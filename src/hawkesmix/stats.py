@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import kolmogi, kolmogorov, ndtr
 
 from .branching import MixingBoundReport, mixing_bound
-from .errors import HypothesisError, NumericError
+from .errors import HypothesisError, NumericError, to_json
 from .model import HawkesModel
 from .simulate import (EventLog, _simulator, default_burn_in, simulate,
                        spawn_seeds)
@@ -138,12 +138,7 @@ class PathSample:
     values: np.ndarray
     sigma_T: float
 
-    def to_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "sigma_T": self.sigma_T,
-        }
+    to_dict = to_json
 
 
 def path_sample(log: EventLog, model: HawkesModel, f: TestFunction,
@@ -186,36 +181,15 @@ class HarnessReport:
     flags: dict = field(default_factory=dict)
     # raw per-replicate material for CSV export; left out of to_dict so the
     # JSON report stays a summary
-    samples: np.ndarray | None = None
-    w_paths: np.ndarray | None = None
+    samples: np.ndarray | None = field(default=None, metadata={"json": False})
+    w_paths: np.ndarray | None = field(default=None, metadata={"json": False})
 
     @property
     def passed(self) -> bool:
         return all(self.flags.values())
 
     def to_dict(self) -> dict:
-        return {
-            "replicates": self.replicates,
-            "horizon": self.horizon,
-            "simulator": self.simulator,
-            "seed": self.seed,
-            "grid": self.grid.tolist(),
-            "sigma_T": self.sigma_T,
-            "statistic_mean": self.statistic_mean,
-            "statistic_mean_se": self.statistic_mean_se,
-            "ks_stat": self.ks_stat,
-            "ks_pvalue": self.ks_pvalue,
-            "ks_critical": self.ks_critical,
-            "level": self.level,
-            "w_cov": self.w_cov.tolist(),
-            "cov_target": self.cov_target.tolist(),
-            "max_cov_dev": self.max_cov_dev,
-            "cov_tol": self.cov_tol,
-            "var_w1": self.var_w1,
-            "var_w1_tol": self.var_w1_tol,
-            "flags": dict(self.flags),
-            "passed": self.passed,
-        }
+        return {**to_json(self), "passed": self.passed}
 
 
 _DEFAULT_GRID = np.arange(1, 11) / 10.0
@@ -367,21 +341,7 @@ class DecayReport:
     simulator: str
     mixing: MixingBoundReport | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "i": self.i,
-            "j": self.j,
-            "window_len": self.window_len,
-            "lags": self.lags.tolist(),
-            "empirical": self.empirical.tolist(),
-            "empirical_se": self.empirical_se.tolist(),
-            "spectral": self.spectral.tolist(),
-            "bound": None if self.bound is None else self.bound.tolist(),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "simulator": self.simulator,
-            "mixing": None if self.mixing is None else self.mixing.to_dict(),
-        }
+    to_dict = to_json
 
 
 def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,

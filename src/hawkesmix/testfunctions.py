@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (array, check_choice, check_fields, config_path,
-                     finite_number, number_list, require_finite)
+                     finite_number, number_list, require_finite, to_json)
 
 __all__ = [
     "ComponentFunction",
@@ -79,7 +79,7 @@ class ComponentFunction:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"form": self.form, **to_json(self)}
 
     def __call__(self, t):
         return self.value(t)
@@ -109,9 +109,6 @@ class ConstantF(ComponentFunction):
 
     def envelope(self, t: float) -> Envelope:
         return Envelope(abs(self.k) / np.pi, 0.0)
-
-    def to_dict(self) -> dict:
-        return {"form": "constant", "k": self.k}
 
 
 @dataclass(frozen=True)
@@ -148,14 +145,6 @@ class IndicatorF(ComponentFunction):
 
     def envelope(self, t: float) -> Envelope:
         return Envelope(abs(self.amplitude) / np.pi, 0.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "form": "indicator",
-            "a": self.a,
-            "b": self.b,
-            "amplitude": self.amplitude,
-        }
 
 
 @dataclass(frozen=True)
@@ -194,15 +183,6 @@ class ConstPlusIndicatorF(ComponentFunction):
     def envelope(self, t: float) -> Envelope:
         c, ind = self._parts()
         return c.envelope(t) + ind.envelope(t)
-
-    def to_dict(self) -> dict:
-        return {
-            "form": "const_plus_indicator",
-            "k": self.k,
-            "a": self.a,
-            "b": self.b,
-            "amplitude": self.amplitude,
-        }
 
 
 class TrigPolyF(ComponentFunction):

@@ -35,8 +35,17 @@ class TestGMap:
         with pytest.raises(ValueError):
             hm.g_map(M2, np.array([0.1, -0.1]))
 
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="one argument per type"):
+            hm.g_map(M2, [0.1, 0.2, 0.3])
+
 
 class TestLaplaceGeneration:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_wrong_length_rejected(self, k):
+        with pytest.raises(ValueError, match="one argument per type"):
+            hm.laplace_generation(M2, [0.1, 0.2, 0.3], k)
+
     def test_generation_zero(self):
         u = np.array([0.3, 0.7])
         assert hm.laplace_generation(M2, u, 0, ancestor=1) == pytest.approx(
@@ -111,6 +120,10 @@ class TestContractionCertificate:
     def test_delta_max_validated(self):
         with pytest.raises(ValueError):
             hm.contraction_certificate(M2, delta_max=1.0)
+
+    def test_nan_entry_refused(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            hm.contraction_certificate(np.array([[0.5, np.nan], [0.1, 0.2]]))
 
     @pytest.mark.parametrize("m", CERT_MATRICES)
     def test_certified_domination(self, m):
@@ -207,6 +220,16 @@ class TestArrivalTail:
         with pytest.raises(ValueError):
             hm.arrival_tail_bound(1.0, 1.0, -1, 10.0)
 
+    @pytest.mark.parametrize("args, message", [
+        ((np.nan, 1.0, 2, 3.0), "need nu >= 0"),
+        ((1.0, np.nan, 2, 3.0), "need nu >= 0"),
+        ((1.0, 1.0, 2, np.nan), "need nu >= 0"),
+        ((1.0, 1.0, np.nan, 3.0), "generation index"),
+    ])
+    def test_nan_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            hm.arrival_tail_bound(*args)
+
 
 class TestMixingBound:
     def test_pure_power_shape(self, d1_model):
@@ -286,6 +309,14 @@ class TestSimulateGenerations:
         a = hm.simulate_generations(M2, 0, 5, 100, seed=9)
         b = hm.simulate_generations(M2, 0, 5, 100, seed=9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k_max, n_runs, name", [
+        (-1, 5, "k_max"), (2.5, 5, "k_max"), (3, -5, "n_runs"),
+        (3, 5.0, "n_runs"),
+    ])
+    def test_bad_counts_refused(self, k_max, n_runs, name):
+        with pytest.raises(ValueError, match=name):
+            hm.simulate_generations(M2, 0, k_max, n_runs, seed=1)
 
     def test_extinction_under_subcriticality(self):
         runs = hm.simulate_generations(np.array([[0.3]]), 0, 25, 20_000, seed=2)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
-from hawkesmix.cli import main
+from hawkesmix.cli import _write_json, main
 
 MODEL = {
     "eta": [1.0, 1.0],
@@ -547,6 +547,14 @@ class TestRejection:
         )
         assert proc.returncode == 0, proc.stderr
         assert "spectral radius 0.7 < 1" in proc.stdout
+
+
+class TestArtifacts:
+    def test_non_finite_value_refused(self, tmp_path):
+        # a .json artifact holding NaN would not be valid JSON
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", {"v": float("nan")})
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestImports:

@@ -44,6 +44,11 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             hm.spectral_radius(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            hm.spectral_radius(np.array([[0.5, bad], [0.1, 0.2]]))
+
 
 class TestHawkesModel:
     def test_reproduction_matrix(self, d2_model):

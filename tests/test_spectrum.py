@@ -214,6 +214,12 @@ class TestPeriodicVariance:
         with pytest.raises(ValueError):
             hm.asymptotic_variance_periodic(d1_model, f, 1.0, n_max=1)
 
+    @pytest.mark.parametrize("n_max", [8.5, 8.0, 0, -3, True])
+    def test_non_integer_term_count_refused(self, d1_model, n_max):
+        f = hm.TestFunction.constant([1.0])
+        with pytest.raises(ValueError, match="n_max"):
+            hm.asymptotic_variance_periodic(d1_model, f, 1.0, n_max=n_max)
+
 
 class TestCovCounts:
     def test_poisson_overlap(self, poisson2_model):
