@@ -40,6 +40,8 @@ _KSCAN_MAX = 10_000
 
 
 def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"m must be a square matrix, got shape {m.shape}")
     u = np.asarray(u, dtype=float)
     if u.shape != m.shape[:1]:
         raise ValueError(f"expected one argument per type ({m.shape[0]}), "
@@ -77,11 +79,11 @@ def laplace_generation(m: np.ndarray, u, k: int, ancestor: int = 0) -> float:
     ``g(u) = M (e^u - 1)``.
     """
     m = np.asarray(m, dtype=float)
-    if k < 0:
-        raise ValueError("generation index must be >= 0")
+    require_integer(0, k=k)
+    u = _laplace_argument(m, np.atleast_1d(u))
     if not 0 <= ancestor < m.shape[0]:
         raise ValueError("ancestor type out of range")
-    it = _g_iterates(m, _laplace_argument(m, np.atleast_1d(u)), k)
+    it = _g_iterates(m, u, k)
     return float(np.exp(it[k][ancestor]))
 
 

@@ -94,6 +94,14 @@ class TestLaplaceGeneration:
         with pytest.raises(ValueError, match="finite nonnegative"):
             hm.laplace_generation(M2, [np.nan, 0.1], 3)
 
+    def test_non_integer_generation_refused(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            hm.laplace_generation(M2, [0.1, 0.2], 2.5)
+
+    def test_non_square_matrix_refused(self):
+        with pytest.raises(ValueError, match="m must be a square matrix"):
+            hm.laplace_generation(0.1 * np.ones((2, 3)), [0.1, 0.2], 2)
+
 
 class TestContractionCertificate:
     def test_single_type_reference(self):

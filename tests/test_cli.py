@@ -141,6 +141,17 @@ class TestSpectrum:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["min_eigenvalue"] > -1e-10
 
+    def test_large_theta_powerlaw_near_zero(self, tmp_path):
+        model = {"eta": [1.0], "kernels": [[{"family": "powerlaw", "alpha": 0.5,
+                                             "c": 1.0, "theta": 50.0}]]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": model, "spectrum": {
+            "xi_min": 0.0, "xi_max": 1e-5, "count": 11}}))
+        out = tmp_path / "out"
+        assert run("spectrum", cfg, out) == 0
+        rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (11, 3) and np.all(np.isfinite(rows))
+
 
 class TestVariance:
     def test_values_match_library(self, tmp_path, d2_model):

@@ -16,6 +16,14 @@ ALL_KERNELS = [
     hm.UniformKernel(0.2, 1.0),
 ]
 
+_RNG = np.random.default_rng(2024)
+# seeded power laws with theta in (1, 20] and c in [0.05, 20]
+RANDOM_POWERLAWS = [
+    hm.PowerLawKernel(float(_RNG.uniform(0.1, 1.0)), float(_RNG.uniform(0.05, 20.0)),
+                      float(20.0 - 19.0 * _RNG.random()))
+    for _ in range(8)
+]
+
 
 class TestEvaluate:
     def test_exponential_at_zero(self):
@@ -149,6 +157,119 @@ class TestFourier:
         got = hm.PowerLawKernel(alpha, c, theta).fourier(xi)
         assert got == pytest.approx(ref, abs=1e-12)
 
+    # (theta, [(xi, re, im), ...]) for alpha = c = 1, so v = 2 pi xi spans
+    # 1e-11 to 1e5 with points either side of the cut at v = 4; each value is
+    # complex(theta * mp.exp(1j * v) * mp.expint(1 + theta, 1j * v)) at
+    # mp.mp.dps = 40, with v = mp.mpf(2.0 * np.pi * xi)
+    POWERLAW_PINNED = [
+    (1.01, [
+        (1.5915494309189534e-12, 0.9999999999877357, -2.1929110210656837e-10),
+        (1.5915494309189532e-07, 0.9999986239301031, -1.2403022288644835e-05),
+        (0.0015915494309189536, 0.9854084836183427, -0.03966637111538257),
+        (0.07957747154594767, 0.5737464705630498, -0.3366126050682265),
+        (0.3183098861837907, 0.20425180302863785, -0.2909677622772178),
+        (0.6364606174244894, 0.08435367982653136, -0.20040654818610468),
+        (0.6367789273106733, 0.08429200848427548, -0.2003390907843918),
+        (1.5915494309189535, 0.018351985737661686, -0.09579445710056837),
+        (15.915494309189533, 0.0002027656985971432, -0.010093901623907728),
+        (159.15494309189535, 2.0300754972277517e-06, -0.0010099938895217575),
+        (15915.494309189535, 2.030099997549649e-10, -1.0099999993889399e-05),
+    ]),
+    (1.5, [
+        (1.5915494309189534e-12, 0.9999999999999999, -1.9999920733454048e-11),
+        (1.5915494309189532e-07, 0.9999999974973692, -1.997493374229332e-06),
+        (0.0015915494309189536, 0.9978684205241624, -0.017515896284524726),
+        (0.07957747154594767, 0.7317670466153715, -0.3232372933095866),
+        (0.3183098861837907, 0.31565367480124346, -0.36318600400871076),
+        (0.6364606174244894, 0.14173881322501397, -0.27373281658940685),
+        (0.6367789273106733, 0.14164246870649427, -0.27365470564862937),
+        (1.5915494309189535, 0.032970088766913055, -0.13917745976747325),
+        (15.915494309189533, 0.0003744114731560394, -0.014986907327277253),
+        (159.15494309189535, 3.7499409396113497e-06, -0.0014999868753248278),
+        (15915.494309189535, 3.74999999409375e-10, -1.4999999986875e-05),
+    ]),
+    (2.0, [
+        (1.5915494309189534e-12, 1.0, -9.999999999842919e-12),
+        (1.5915494309189532e-07, 0.9999999999867617, -9.999984292179114e-07),
+        (0.0015915494309189536, 0.9995956614172623, -0.009847956078070177),
+        (0.07957747154594767, 0.8318270517828628, -0.28486830856846035),
+        (0.3183098861837907, 0.42181878785067034, -0.4039160456232646),
+        (0.6364606174244894, 0.2052140310438122, -0.3329576034348467),
+        (0.6367789273106733, 0.2050850183722626, -0.3328802233267313),
+        (1.5915494309189535, 0.051146098364519256, -0.18089649898298313),
+        (15.915494309189533, 0.0005988050041050683, -0.019976071600381753),
+        (159.15494309189535, 5.999880005039637e-06, -0.0019999760007199598),
+        (15915.494309189535, 5.999999988e-10, -1.9999999976e-05),
+    ]),
+    (3.0, [
+        (1.5915494309189534e-12, 1.0, -5e-12),
+        (1.5915494309189532e-07, 0.9999999999995, -4.999999999933808e-07),
+        (0.0015915494309189536, 0.9999507602196096, -0.004997978307086311),
+        (0.07957747154594767, 0.9287829228578849, -0.2079567629457157),
+        (0.3183098861837907, 0.5960839543767353, -0.42181878785067034),
+        (0.6364606174244894, 0.3342512719320241, -0.41032545507210244),
+        (0.6367789273106733, 0.33407311323487404, -0.41027257925371136),
+        (1.5915494309189535, 0.09551750508508437, -0.2557304918225963),
+        (15.915494309189533, 0.0011964199809124342, -0.029940250205253417),
+        (159.15494309189535, 1.1999640020158185e-05, -0.0029999400025198185),
+        (15915.494309189535, 1.1999999964e-09, -2.9999999940000002e-05),
+    ]),
+    (3.7, [
+        (1.5915494309189534e-12, 1.0, -3.703703703703703e-12),
+        (1.5915494309189532e-07, 0.9999999999997822, -3.7037037037005913e-07),
+        (0.0015915494309189536, 0.999978236327083, -0.003703409044894498),
+        (0.07957747154594767, 0.9576336377826656, -0.16834674816241055),
+        (0.3183098861837907, 0.6868126759096209, -0.4070508860877854),
+        (0.6364606174244894, 0.4190448556867992, -0.4385121882400826),
+        (0.6367789273106733, 0.4188469032559943, -0.4384855194084277),
+        (1.5915494309189535, 0.13134895564232715, -0.30088613317166635),
+        (15.915494309189533, 0.0017324027936417338, -0.03690138411316548),
+        (159.15494309189535, 1.7389335920385057e-05, -0.003699900882113324),
+        (15915.494309189535, 1.7389999933587593e-09, -3.6999999900877004e-05),
+    ]),
+    (8.0, [
+        (1.5915494309189534e-12, 1.0, -1.4285714285714285e-12),
+        (1.5915494309189532e-07, 0.9999999999999762, -1.4285714285713808e-07),
+        (0.0015915494309189536, 0.9999976190595236, -0.0014285666667063473),
+        (0.07957747154594767, 0.9941194449806182, -0.07084485097870608),
+        (0.3183098861837907, 0.9184530947574518, -0.2551883676746252),
+        (0.6364606174244894, 0.757168220634133, -0.4024053693292302),
+        (0.6367789273106733, 0.7570014664089901, -0.40250101245464387),
+        (1.5915494309189535, 0.3757741340239565, -0.45704385258271296),
+        (15.915494309189533, 0.007122010256638385, -0.07928933505613171),
+        (159.15494309189535, 7.199208123526061e-05, -0.007999280095022708),
+        (15915.494309189535, 7.1999999208000015e-09, -7.999999928e-05),
+    ]),
+    (20.0, [
+        (1.5915494309189534e-12, 1.0, -5.263157894736842e-13),
+        (1.5915494309189532e-07, 0.9999999999999971, -5.2631578947368244e-08),
+        (0.0015915494309189536, 0.9999997076024467, -0.0005263156174751319),
+        (0.07957747154594767, 0.9992696769190124, -0.026294312010631843),
+        (0.3183098861837907, 0.9884728971323755, -0.10390961266522313),
+        (0.6364606174244894, 0.9557984966448416, -0.20014926257603324),
+        (0.6367789273106733, 0.9557566613736848, -0.20023965200338603),
+        (1.5915494309189535, 0.7824635911747911, -0.40222796595878674),
+        (15.915494309189533, 0.03999402629714677, -0.19123920267373654),
+        (159.15494309189535, 0.0004197876074225592, -0.01999076509716719),
+        (15915.494309189535, 4.1999997874800124e-08, -0.0001999999907600005),
+    ]),
+    ]
+
+    @pytest.mark.parametrize("theta,rows", POWERLAW_PINNED,
+                             ids=[str(t) for t, _ in POWERLAW_PINNED])
+    def test_powerlaw_pinned_values(self, theta, rows):
+        xi, re, im = np.array(rows).T
+        got = hm.PowerLawKernel(1.0, 1.0, theta).fourier(xi)
+        ref = re + 1j * im
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+    @pytest.mark.parametrize("theta", [40.0, 50.0, 100.0])
+    def test_powerlaw_large_theta_finite(self, theta):
+        got = hm.PowerLawKernel(0.5, 1.0, theta).fourier(
+            np.geomspace(1e-8, 10.0, 400))
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got) <= 0.5)
+
     def test_powerlaw_small_frequency_branch(self):
         """The first-order expansion joins the contour rule continuously."""
         k = hm.PowerLawKernel(0.4, 1.0, 2.5)
@@ -158,9 +279,9 @@ class TestFourier:
         assert abs(below - k.fourier(9e-14 / (2.0 * np.pi))) < 1e-10
         assert abs(above - 0.4) < 1e-10
 
-    @pytest.mark.parametrize("kernel", ALL_KERNELS)
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + RANDOM_POWERLAWS)
     def test_envelope_certified(self, kernel):
-        xi = np.geomspace(0.05, 500.0, 200)
+        xi = np.geomspace(0.05, 1e4, 300)
         bound = kernel.fourier_envelope() / xi
         assert np.all(np.abs(kernel.fourier(xi)) <= bound * (1.0 + 1e-12))
 
