@@ -209,10 +209,10 @@ class PowerLawKernel(Kernel):
       trapezoid rule of step 0.12, accurate to 1e-12 relative.  The rule
       loses accuracy as ``theta`` grows (7e-10 at ``theta = 50``), which is
       why larger tails use the continued fraction.
-    * ``v < 1e-12``: the first-order expansion ``1 - i v / (theta - 1)``.
-      Its error grows like ``v**theta / (theta - 1)`` as ``theta`` nears 1:
-      it is within 1e-12 relative for ``theta >= 1.1`` but 7e-11 at
-      ``theta = 1.01``.
+    * ``v < 1e-12``: the expansion ``1 - i v / (theta - 1) + theta
+      Gamma(-theta) (iv)**theta``, whose last term is kept for ``theta < 2``,
+      where it outweighs the dropped ``v**2`` terms; it grows like
+      ``v**theta / (theta - 1)`` as ``theta`` nears 1.
     """
 
     alpha: float
@@ -257,6 +257,9 @@ class PowerLawKernel(Kernel):
         out = np.empty(v.shape, dtype=complex)
         small = v < 1e-12
         out[small] = 1.0 - 1j * v[small] / (self.theta - 1.0)
+        if self.theta < 2.0:
+            out[small] += (self.theta * special.gamma(-self.theta)
+                           * (1j * v[small]) ** self.theta)
         cut = _PLW_CUT if self.theta < _PLW_THETA else 0.0
         head = ~small & (v < cut)
         out[head] = self._fourier_rotated(v[head])

@@ -10,8 +10,13 @@ window transforms against ``gamma``.  Writing ``gamma = diag(m) + G``
 splits every such integral into a part that Plancherel evaluates exactly in
 the time domain and a coupling part whose integrand decays fast enough for
 panel quadrature with a certified closed-form tail.  Variances and count
-covariances share one block loop and one Filon-type panel rule, exact for
-the oscillatory carrier of a count covariance and Gauss at carrier 0.
+covariances share one block loop and one Filon-type panel rule, which takes
+a vector of carriers: exact for the oscillatory carrier of a count
+covariance and for the carriers of a variance profile, and Gauss at
+carrier 0.  A profile with constant weights writes its window transform
+``(t sinc(xi t))^2`` as ``(1 - cos 2 pi xi t) / (2 pi^2 xi^2)`` past a short
+head, so one grid of ``G`` serves every time ``t`` as a carrier, and the
+panels there need not resolve ``1 / t``.
 """
 
 from __future__ import annotations
@@ -47,6 +52,10 @@ _TO_LEGENDRE = (
 )[:, None] * np.polynomial.legendre.legvander(_NODES, 7).T * _WEIGHTS[None, :]
 
 _PANELS_PER_BLOCK = 2048
+# the constant-weight profile: panels of the direct head rule, and cells of
+# the (panels, times) carrier arrays of one tail block, about 1 MB each
+_HEAD_PANELS = 256
+_TAIL_CELLS = 64_000
 _XI_CAP = 1e5
 
 
@@ -176,46 +185,55 @@ def _panel_points(width: float, start_panel: int, n_panels: int):
     return xis
 
 
-def _panel_rule(width: float, carrier: float = 0.0):
-    """Filon rule for ``vals(xi) exp(2i pi carrier xi)`` on panels of
-    ``width``: exact carrier moments against each panel's degree-7 Legendre
-    interpolant, which at carrier 0 is the Gauss rule bit for bit.  Returns
-    ``integrate(vals, start_panel)``, twice the real part of the integral
-    over the panels from ``start_panel`` sampled at :func:`_panel_points`."""
+def _panel_rule(width: float, carriers=0.0):
+    """Filon rule for ``vals(xi) exp(2i pi c xi)`` on panels of ``width``,
+    one integral per carrier ``c`` in ``carriers``: exact carrier moments
+    against each panel's degree-7 Legendre interpolant, which at carrier 0
+    is the Gauss rule bit for bit.  Returns ``integrate(vals, start_panel)``,
+    twice the real part of the integrals over the panels from
+    ``start_panel`` sampled at :func:`_panel_points`, shaped like
+    ``carriers``."""
+    shape = np.shape(carriers)
+    carriers = np.ravel(carriers).astype(float)
     half = 0.5 * width
-    c = 2.0 * np.pi * carrier * half
-    moments = 2.0 * (1j ** np.arange(8)) * spherical_jn(np.arange(8), abs(c))
-    weights = _TO_LEGENDRE.T @ (np.conj(moments) if c < 0.0 else moments)
-    if carrier == 0.0:
+    c = np.abs(2.0 * np.pi * carriers * half)
+    order = np.arange(8)[:, None]
+    moments = 2.0 * (1j ** order) * spherical_jn(order, c)
+    moments[:, carriers < 0.0] = np.conj(moments[:, carriers < 0.0])
+    weights = _TO_LEGENDRE.T @ moments
+    oscillating = bool(np.any(carriers != 0.0))
+    if not oscillating:
         weights = np.ascontiguousarray(weights.real)
 
-    def integrate(vals: np.ndarray, start_panel: int) -> float:
+    def integrate(vals: np.ndarray, start_panel: int):
         sums = vals.reshape(-1, 8) @ weights
-        if carrier != 0.0:
-            centers = width * (start_panel + np.arange(sums.size)) + half
-            sums = sums * np.exp(2j * np.pi * carrier * centers)
-        return 2.0 * half * float(sums.sum().real)
+        if oscillating:
+            centers = width * (start_panel + np.arange(sums.shape[0])) + half
+            phases = 2j * np.pi * carriers * centers[:, None]
+            sums *= np.exp(phases, out=phases)
+        return (2.0 * half * sums.sum(axis=0).real).reshape(shape)[()]
 
     return integrate
 
 
 def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
                 xi_min: float, base, block, sums, rel_tol: float,
-                abs_tol: float) -> np.ndarray:
+                abs_tol: float, per_block: int = _PANELS_PER_BLOCK
+                ) -> np.ndarray:
     """``base`` plus the coupling integrals past ``panel``, one per statistic.
 
-    Adds ``block(xis, g, panel)`` over blocks of panels of ``width``, one
-    ``G`` grid each, until past ``xi_min`` the certified tail ``2 kg (s_aa /
-    (2 xi^2) + 2 s_ab / (3 xi^3) + s_bb / (4 xi^4))`` of the envelope sums
-    drops to ``max(rel_tol * min |value|, abs_tol)``; past ``_XI_CAP`` it
-    raises :class:`NumericError`.
+    Adds ``block(xis, g, panel)`` over blocks of ``per_block`` panels of
+    ``width``, one ``G`` grid each, until past ``xi_min`` the certified
+    tail ``2 kg (s_aa / (2 xi^2) + 2 s_ab / (3 xi^3) + s_bb / (4 xi^4))``
+    of the envelope sums drops to ``max(rel_tol * min |value|, abs_tol)``;
+    past ``_XI_CAP`` it raises :class:`NumericError`.
     """
     s_aa, s_ab, s_bb = sums
     total = np.zeros(np.shape(base))
     while True:
-        xis = _panel_points(width, panel, _PANELS_PER_BLOCK)
+        xis = _panel_points(width, panel, per_block)
         total += block(xis, _g_grid(model, xis), panel)
-        panel += _PANELS_PER_BLOCK
+        panel += per_block
         xi = panel * width
         if xi < xi_min:
             continue
@@ -240,9 +258,24 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
 
     The ``diag(m)`` part of the spectrum contributes
     ``sum_i m_i int_0^t f_i^2`` exactly; the coupling part is integrated by
-    composite 8-point Gauss panels whose width resolves the window-transform
-    oscillation, growing the frequency range until a closed-form tail bound
-    drops below ``max(rel_tol * value, abs_tol)`` for every requested ``t``.
+    composite 8-point panels, growing the frequency range until a
+    closed-form tail bound drops below ``max(rel_tol * value, abs_tol)``
+    for every requested ``t``.
+
+    For general components the panel width resolves the window-transform
+    oscillation at the largest ``t``, and each ``t`` has its own windowed
+    transforms.  When every component is constant, one real quadratic form
+    ``q`` of ``G`` serves every ``t``, and the frequency axis is split:
+
+    * head ``[0, xi0]``, the first 256 of those fine panels: the same
+      direct Gauss rule on ``(t sinc(xi t))^2 q`` for each ``t``;
+    * tail past ``xi0``: ``(t sinc(xi t))^2 = (1 - cos 2 pi xi t) / (2 pi^2
+      xi^2)``, so per block one Gauss sum of ``q / (2 pi^2 xi^2)`` and one
+      Filon sum with carriers ``ts`` give every ``t``.  The panels are
+      ``xi0 / n`` wide, for the smallest ``n >= 4`` that makes them at most
+      ``1 / (3 (mean delay + 1))``: they resolve ``1 / xi^2`` and the
+      kernel memory, not the horizon.  Blocks hold 64 panels, fewer past
+      1000 times, which bounds the ``(panels, times)`` carrier arrays.
 
     Raises
     ------
@@ -270,32 +303,56 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
         return base
 
     horizon = float(np.max(ts))
-    width = 1.0 / (3.0 * (horizon + model.delay_moment(1.0) + 1.0))
+    memory = model.delay_moment(1.0) + 1.0
+    width = 1.0 / (3.0 * (horizon + memory))
     envs = [f[i].envelope(horizon) for i in range(ncomp)]
     xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
     sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
             sum(e.b**2 for e in envs))
 
     rule = _panel_rule(width)
-    # fast path: all components share the plain [0, t] window, so one real
-    # quadratic form of G serves every t
     weights = f.constant_weights()
+    if weights is None:
+        def block(xis, g, panel):
+            out = []
+            for t in ts:
+                w = np.array([c.fourier_window(xis, t) for c in f.components],
+                             dtype=complex)
+                quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w),
+                                 optimize=True)
+                out.append(rule(quad.real, panel))
+            return out
 
-    def block(xis, g, panel):
-        if weights is not None:
-            q = np.einsum("i,pij,j->p", weights, g, weights,
-                          optimize=True).real
-            return [rule((t * np.sinc(xis * t)) ** 2 * q, panel) for t in ts]
-        out = []
-        for t in ts:
-            w = np.array([c.fourier_window(xis, t) for c in f.components],
-                         dtype=complex)
-            quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w), optimize=True)
-            out.append(rule(quad.real, panel))
-        return out
+        return _quadrature("variance", model, width, 0, xi_min, base, block,
+                           sums, rel_tol, abs_tol)
 
-    return _quadrature("variance", model, width, 0, xi_min, base, block, sums,
-                       rel_tol, abs_tol)
+    # all components share the plain [0, t] window, so one real quadratic
+    # form q of G serves every t
+    def form(g):
+        return np.einsum("i,pij,j->p", weights, g, weights,
+                         optimize=True).real
+
+    # head [0, xi0]: the direct rule, whose width resolves sinc(xi t)
+    xis = _panel_points(width, 0, _HEAD_PANELS)
+    q = form(_g_grid(model, xis))
+    head = np.array([rule((t * np.sinc(xis * t)) ** 2 * q, 0) for t in ts])
+
+    # tail: (t sinc(xi t))^2 = (1 - cos 2 pi xi t) / (2 pi^2 xi^2), so one
+    # Gauss sum and one Filon sum per carrier t of the smooth q / xi^2,
+    # on panels that resolve only 1 / xi^2 and the kernel memory
+    xi0 = _HEAD_PANELS * width
+    start = max(4, int(np.ceil(3.0 * memory * xi0)))
+    tail_width = xi0 / start
+    flat, waves = _panel_rule(tail_width), _panel_rule(tail_width, ts)
+
+    def tail_block(xis, g, panel):
+        vals = form(g) / (2.0 * np.pi**2 * xis**2)
+        return flat(vals, panel) - waves(vals, panel)
+
+    per_block = max(1, _TAIL_CELLS // max(ts.size, 1000))
+    return _quadrature("variance", model, tail_width, start, xi_min,
+                       base + head, tail_block, sums, rel_tol, abs_tol,
+                       per_block=per_block)
 
 
 def variance_ST(model: HawkesModel, f: TestFunction, horizon: float,

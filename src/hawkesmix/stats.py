@@ -40,6 +40,9 @@ __all__ = [
     "mixing_decay_diagnostic",
 ]
 
+# largest time-change grid, 1000 times the default
+_MAX_GRID = 10**6
+
 
 def _check_compatible(log: EventLog, model: HawkesModel, f: TestFunction,
                       horizon: float) -> None:
@@ -112,7 +115,8 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
     """Build the time change from the spectral variance profile.
 
     The grid step defaults to ``horizon / 1000``; the last grid point is
-    ``horizon`` exactly so that ``v_T(1) = horizon``.  The default profile
+    ``horizon`` exactly so that ``v_T(1) = horizon``.  A step that gives
+    more than ``10**6`` grid times is refused.  The default profile
     tolerance is looser than for a single variance because only the ratio
     curve matters here and adjacent grid variances differ at order
     ``sigma_T^2 / n``, far above the quadrature error.
@@ -123,6 +127,9 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
         grid_step = horizon / 1000.0
     if not 0.0 < grid_step <= horizon:
         raise ValueError("grid step must lie in (0, horizon]")
+    if horizon / grid_step > _MAX_GRID:
+        raise ValueError(f"grid_step {grid_step} gives more than {_MAX_GRID} "
+                         f"grid times on horizon {horizon}")
     n = int(np.ceil(horizon / grid_step))
     ts = np.minimum(grid_step * np.arange(1, n + 1), horizon)
     ts[-1] = horizon

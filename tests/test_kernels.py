@@ -158,11 +158,14 @@ class TestFourier:
         assert got == pytest.approx(ref, abs=1e-12)
 
     # (theta, [(xi, re, im), ...]) for alpha = c = 1, so v = 2 pi xi spans
-    # 1e-11 to 1e5 with points either side of the cut at v = 4; each value is
+    # 1e-13 to 1e5 with points either side of the cut at v = 4; each value is
     # complex(theta * mp.exp(1j * v) * mp.expint(1 + theta, 1j * v)) at
     # mp.mp.dps = 40, with v = mp.mpf(2.0 * np.pi * xi)
     POWERLAW_PINNED = [
     (1.01, [
+        # below v = 1e-12, where the small-v expansion takes over
+        (1.5915494309189536e-14, 0.9999999999998829, -2.544287906706906e-12),
+        (1.432394487827058e-13, 0.9999999999989224, -2.1407905631422407e-11),
         (1.5915494309189534e-12, 0.9999999999877357, -2.1929110210656837e-10),
         (1.5915494309189532e-07, 0.9999986239301031, -1.2403022288644835e-05),
         (0.0015915494309189536, 0.9854084836183427, -0.03966637111538257),
@@ -176,6 +179,8 @@ class TestFourier:
         (15915.494309189535, 2.030099997549649e-10, -1.0099999993889399e-05),
     ]),
     (1.5, [
+        (1.5915494309189536e-14, 1.0, -1.9999992073345406e-13),
+        (1.432394487827058e-13, 1.0, -1.7999978598032591e-12),
         (1.5915494309189534e-12, 0.9999999999999999, -1.9999920733454048e-11),
         (1.5915494309189532e-07, 0.9999999974973692, -1.997493374229332e-06),
         (0.0015915494309189536, 0.9978684205241624, -0.017515896284524726),

@@ -134,6 +134,83 @@ class TestVarianceProfile:
                 hm.variance_ST(d2_model, f2, bad)
 
 
+def clt_exp_model() -> hm.HawkesModel:
+    """The two-component exponential model of the clt-exp benchmark."""
+    return hm.HawkesModel(
+        [1.0, 1.0],
+        [[hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
+         [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)]],
+    )
+
+
+def random_kernel(rng, family: str, alpha: float):
+    if family == "exponential":
+        return hm.ExponentialKernel(alpha, rng.uniform(0.5, 4.0))
+    if family == "uniform":
+        return hm.UniformKernel(alpha, rng.uniform(0.3, 2.0))
+    return hm.PowerLawKernel(alpha, rng.uniform(0.3, 1.0),
+                             rng.uniform(1.5, 4.0))
+
+
+class TestConstantWeightProfile:
+    """Head on the direct rule, tail by one Filon pass over every time."""
+
+    @pytest.mark.parametrize("horizon", [10.0, 200.0, 2000.0])
+    @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+    def test_d1_closed_form_on_fine_grids(self, d1_model, horizon, rel_tol):
+        f = hm.TestFunction.constant([1.0])
+        ts = horizon / 1000.0 * np.arange(1, 1001)
+        got = hm.variance_profile(d1_model, f, ts, rel_tol=rel_tol)
+        assert np.all(np.abs(got / d1_variance_exact(ts) - 1.0) <= rel_tol)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
+    def test_matches_general_path(self, family, d):
+        """Seeded random models against the per-time direct rule, from
+        times far below the inverse head range up to the horizon."""
+        rng = np.random.default_rng([17, d, len(family)])
+        alphas = rng.uniform(0.05, 1.0, (d, d))
+        alphas *= rng.uniform(0.3, 0.7) / max(abs(np.linalg.eigvals(alphas)))
+        model = hm.HawkesModel(
+            rng.uniform(0.5, 1.5, d),
+            [[random_kernel(rng, family, alphas[i, j]) for j in range(d)]
+             for i in range(d)],
+        )
+        signs = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(d)
+        k = signs * rng.uniform(0.3, 1.5, d)
+        fast = hm.TestFunction.constant(k)
+        # a zero-amplitude bump forces the windowed-transform branch
+        slow = hm.TestFunction([hm.ConstPlusIndicatorF(k[0], 1.0, 2.0, 0.0)]
+                               + [hm.ConstantF(x) for x in k[1:]])
+        rel_tol = 1e-5
+        ts = np.geomspace(0.01, 20.0, 8)
+        a = hm.variance_profile(model, fast, ts, rel_tol=rel_tol)
+        b = hm.variance_profile(model, slow, ts, rel_tol=rel_tol)
+        assert np.all(np.abs(a / b - 1.0) <= 2.0 * rel_tol)
+
+    def test_time_change_monotone_on_clt_model(self):
+        f = hm.TestFunction.constant([1.0, 1.0])
+        tc = hm.time_change(clt_exp_model(), f, 2000.0)
+        assert tc.ts.size == 1000
+        assert np.all(np.diff(tc.sigma2) > 0.0)
+
+    def test_grid_size_on_clt_model(self, monkeypatch):
+        """The tail panels do not shrink with the horizon: the default
+        time change at T = 2000 needs under 30,000 G points (the per-time
+        direct rule took 344,064)."""
+        points = []
+        g_grid = spectrum._g_grid
+
+        def counting(model, xis):
+            points.append(xis.size)
+            return g_grid(model, xis)
+
+        monkeypatch.setattr(spectrum, "_g_grid", counting)
+        f = hm.TestFunction.constant([1.0, 1.0])
+        hm.time_change(clt_exp_model(), f, 2000.0)
+        assert 0 < sum(points) <= 30_000
+
+
 class TestAsymptoticVariance:
     def test_d1_slope(self, d1_model):
         assert hm.asymptotic_variance_const(d1_model, [1.0]) == pytest.approx(
@@ -269,6 +346,17 @@ class TestQuadrature:
         exact = 2.0 * (hi * np.sinc(2.0 * carrier * hi)
                        - lo * np.sinc(2.0 * carrier * lo))
         assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
+
+    def test_vector_of_carriers_matches_one_at_a_time(self):
+        width, start = 0.25, 3
+        xis = spectrum._panel_points(width, start, 16)
+        vals = np.cos(xis) / (1.0 + xis**2)
+        carriers = np.array([[0.7, -3.1], [41.3, 1e-3]])
+        got = spectrum._panel_rule(width, carriers)(vals, start)
+        one = [[spectrum._panel_rule(width, c)(vals, start) for c in row]
+               for row in carriers]
+        assert got.shape == carriers.shape
+        assert np.allclose(got, one, rtol=1e-13, atol=1e-15)
 
     def test_non_convergence_names_the_range(self, d2_model, monkeypatch):
         monkeypatch.setattr(spectrum, "_XI_CAP", 1.0)

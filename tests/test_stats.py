@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
+from hawkesmix import stats
 from hawkesmix.errors import HypothesisError, NumericError
 
 
@@ -103,6 +104,16 @@ class TestTimeChange:
         f = hm.TestFunction.constant([1.0])
         with pytest.raises(ValueError):
             hm.time_change(d1_model, f, 10.0, grid_step=11.0)
+
+    @pytest.mark.parametrize("step", [1e-300, 9.9e-6])
+    def test_oversized_grid_refused(self, d1_model, step, monkeypatch):
+        def no_spectral_work(*args, **kwargs):
+            raise AssertionError("variance profile reached")
+
+        monkeypatch.setattr(stats, "variance_profile", no_spectral_work)
+        f = hm.TestFunction.constant([1.0])
+        with pytest.raises(ValueError, match="grid_step"):
+            hm.time_change(d1_model, f, 10.0, grid_step=step)
 
 
 class TestPathSample:
