@@ -44,8 +44,9 @@ def _check_time(t):
 class Kernel:
     """Common interface of all kernel families.
 
-    Subclasses implement pointwise evaluation, exact total mass, normalized
-    delay moments, the Fourier transform, and inverse-CDF delay sampling.
+    Subclasses implement the density :meth:`_density`, exact total mass,
+    normalized delay moments, the Fourier transform, and inverse-CDF delay
+    sampling.
     """
 
     family = "abstract"
@@ -60,6 +61,11 @@ class Kernel:
 
     def evaluate(self, t):
         """Evaluate ``h(t)`` for ``t >= 0`` (scalar or array)."""
+        return self._density(_check_time(t))
+
+    def _density(self, t):
+        """``h(t)`` for a float or float array ``t`` already known to be
+        ``>= 0``; unchecked, for loops that validated ``t`` once."""
         raise NotImplementedError
 
     def moment(self, p: float) -> float:
@@ -132,8 +138,7 @@ class ExponentialKernel(Kernel):
     def l1_norm(self) -> float:
         return self.alpha
 
-    def evaluate(self, t):
-        t = _check_time(t)
+    def _density(self, t):
         return self.alpha * self.beta * np.exp(-self.beta * t)
 
     def moment(self, p: float) -> float:
@@ -233,8 +238,7 @@ class PowerLawKernel(Kernel):
     def l1_norm(self) -> float:
         return self.alpha
 
-    def evaluate(self, t):
-        t = _check_time(t)
+    def _density(self, t):
         return self.alpha * self.theta * self.c**self.theta / (self.c + t) ** (
             1.0 + self.theta
         )
@@ -340,9 +344,8 @@ class UniformKernel(Kernel):
     def l1_norm(self) -> float:
         return self.alpha
 
-    def evaluate(self, t):
-        t = _check_time(t)
-        return (self.alpha / self.a) * ((t >= 0.0) & (t <= self.a)).astype(float)
+    def _density(self, t):
+        return (self.alpha / self.a) * (t <= self.a)
 
     def moment(self, p: float) -> float:
         if p <= 0.0:
@@ -375,8 +378,7 @@ class ZeroKernel(Kernel):
     def l1_norm(self) -> float:
         return 0.0
 
-    def evaluate(self, t):
-        t = _check_time(t)
+    def _density(self, t):
         return np.zeros_like(t, dtype=float)
 
     def moment(self, p: float) -> float:

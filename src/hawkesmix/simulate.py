@@ -6,7 +6,9 @@ Poisson streams at the baseline rates, and every event of component ``i``
 spawns Poisson(``M[i, j]``) children in component ``j`` at i.i.d. kernel
 delays.  The thinning simulator is Ogata's algorithm with a piecewise
 constant dominating intensity, valid because every kernel family here is
-nonincreasing in elapsed time.
+nonincreasing in elapsed time: the intensity at a rejected candidate is the
+next bound, and an accepted event in component ``j`` raises it by the jump
+``sum_k h_jk(0+)``, so each candidate costs one pass over the histories.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -221,10 +223,11 @@ def simulate_cluster(
     cur_t = np.concatenate(t_chunks)
     cur_c = np.concatenate(c_chunks)
     cur_idx = np.arange(cur_t.size)
-    offset = cur_t.size
-    generation = 0
+    immigrants = offset = cur_t.size
+    # the deepest generation holding an event (0: immigrants only)
+    deepest = 0
     while cur_t.size:
-        generation += 1
+        generation = deepest + 1
         if generation > _MAX_GENERATIONS:
             raise NumericError(
                 f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
@@ -255,6 +258,7 @@ def simulate_cluster(
             c_chunks.append(cur_c)
             g_chunks.append(np.full(cur_t.size, generation, dtype=np.int64))
             p_chunks.append(par)
+            deepest = generation
         else:
             break
 
@@ -263,7 +267,8 @@ def simulate_cluster(
     gens = np.concatenate(g_chunks)
     parents = np.concatenate(p_chunks)
     events = _window_events(times, comps, parents, model, -b, horizon, gen)
-    meta = {"simulator": "cluster", "seed": seed, "burn_in": b, "horizon": horizon}
+    meta = {"simulator": "cluster", "seed": seed, "burn_in": b, "horizon": horizon,
+            "immigrants": immigrants, "generations": deepest}
     log = EventLog(d, horizon, tuple(events), meta)
     if return_trace:
         return log, ClusterTrace(times, comps, gens, parents)
@@ -284,67 +289,74 @@ def simulate_thinning(
 
     Every kernel family in the package is nonincreasing in elapsed time, so
     the conditional intensity just after the current time dominates the
-    intensity until the next event; the bound is recomputed after each
-    accepted event and tightened after each rejection.  The intensity is
-    summed over one time-ordered history of past events per source
-    component, from which events whose excitation has decayed away are
-    pruned periodically.
+    intensity until the next event.  Each candidate costs one pass over the
+    histories: after a rejection its intensity is the new, tighter bound,
+    and after an acceptance in component ``j`` the bound is that intensity
+    plus the jump ``sum_k h_jk(0+)`` the new event adds (Ogata 1981).  The
+    intensity is summed over one time-ordered history of past events per
+    source component, from which events whose excitation has decayed away
+    are pruned periodically.  ``meta`` counts the ``candidates`` proposed
+    and the events ``accepted`` on ``[-B, T]``.
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
-    eta = model.eta
+    eta = model.eta.tolist()
     # contributions below this level may be pruned from the histories; the
     # induced intensity error is bounded by the pruned total, < 1e-10 * eta
-    eps_active = 1e-14 * float(np.min(eta))
+    eps_active = 1e-14 * min(eta)
+    # per source i, the densities h_ij of its active kernels, and the jump
+    # an event of i adds to the total intensity
+    rows = [[(j, kern._density) for j, kern in src] for src in model.active]
+    jump = [sum(float(kern.evaluate(0.0)) for _, kern in src)
+            for src in model.active]
 
     history = [np.empty(0) for _ in range(d)]
     events = [[] for _ in range(d)]
     last_accepted = -np.inf
 
-    def excitation(i: int, at: float):
-        """Rows ``(j, h_ij(at - s))`` over the component-``i`` history ``s``."""
-        dt = at - history[i]
-        return [(j, kern.evaluate(dt)) for j, kern in model.active[i]]
-
-    def intensities(at: float) -> np.ndarray:
-        lam = eta.copy()
-        for i in range(d):
-            if history[i].size:
-                for j, h in excitation(i, at):
-                    lam[j] += float(h.sum())
-        return lam
-
     t = -b
-    lam_bar = float(intensities(t).sum())
-    steps = 0
+    lam_bar = sum(eta)
+    steps = candidates = accepted = 0
     while True:
         steps += 1
         if steps % _PRUNE_EVERY == 0:
-            for i in range(d):
-                contrib = np.zeros(history[i].size)
-                for _, h in excitation(i, t):
-                    contrib += h
+            for i, src in enumerate(rows):
+                dt = t - history[i]
+                contrib = np.zeros(dt.size)
+                for _, dens in src:
+                    contrib += dens(dt)
                 history[i] = history[i][contrib >= eps_active]
 
         t_cand = t + gen.exponential(1.0 / lam_bar)
         if t_cand > horizon:
             break
-        lam = intensities(t_cand)
-        lam_tot = float(lam.sum())
+        candidates += 1
+        lam = eta.copy()
+        for i, src in enumerate(rows):
+            if src and history[i].size:
+                dt = t_cand - history[i]
+                for j, dens in src:
+                    lam[j] += float(np.add.reduce(dens(dt)))
+        lam_tot = sum(lam)
         if lam_tot > lam_bar * (1.0 + 1e-9):
             raise NumericError("dominating bound violated in thinning")
         u = gen.random() * lam_bar
         if u < lam_tot:
-            j = int(np.searchsorted(np.cumsum(lam), u, side="right"))
+            # first component whose cumulative intensity exceeds u
+            j, acc = 0, lam[0]
+            while acc <= u and j < d - 1:
+                j += 1
+                acc += lam[j]
             if t_cand == last_accepted:
                 # exact tie: re-draw the waiting time
                 continue
             last_accepted = t_cand
+            accepted += 1
             if t_cand >= 0.0:
                 events[j].append(t_cand)
             history[j] = np.append(history[j], t_cand)
             t = t_cand
-            lam_bar = float(intensities(t).sum())
+            lam_bar = lam_tot + jump[j]
         else:
             # no event at t_cand, and intensities only decay until the next
             # one, so the freshly computed level is a valid tighter bound
@@ -353,7 +365,8 @@ def simulate_thinning(
 
     # accepted in time order and never past the horizon
     out = tuple(np.array(e, dtype=float) for e in events)
-    meta = {"simulator": "thinning", "seed": seed, "burn_in": b, "horizon": horizon}
+    meta = {"simulator": "thinning", "seed": seed, "burn_in": b, "horizon": horizon,
+            "candidates": candidates, "accepted": accepted}
     return EventLog(d, horizon, out, meta)
 
 

@@ -1,5 +1,7 @@
 """Galton-Watson Laplace recursion, contraction certificates, mixing bounds."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -171,6 +173,15 @@ class TestTailConstants:
         got = hm.c1_constant(np.log(2.0), 1.0)
         assert got == pytest.approx(1.6066951524152917, rel=1e-10)
         assert got >= 1.6066951524152917
+
+    def test_c1_dominates_long_partial_sum(self):
+        n = np.arange(1, 100_001)
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            u, p = rng.uniform(0.05, 3.0), rng.uniform(1.0, 4.0)
+            with np.errstate(over="ignore"):
+                terms = np.expm1(u * n) ** (-1.0 / p)
+            assert hm.c1_constant(u, p) >= math.fsum(terms)
 
     def test_c1_monotone_in_exponent(self):
         # larger p means slower decay of each term, hence a larger sum

@@ -49,6 +49,13 @@ class TestEvaluate:
         t = np.linspace(0.0, 3.0, 7)
         assert np.array_equal(k(t), k.evaluate(t))
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [hm.ZeroKernel()])
+    def test_unchecked_density_is_evaluate(self, kernel):
+        """Thinning takes the jump ``h(0+)`` and its sums from ``_density``."""
+        assert kernel._density(0.0) == kernel.evaluate(0.0)
+        t = np.linspace(0.0, 3.0, 13)
+        assert np.array_equal(kernel._density(t), kernel.evaluate(t))
+
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_mass_matches_quadrature(self, kernel):
         """The declared total mass equals the integral of the density."""

@@ -6,7 +6,7 @@ from scipy import stats
 
 import hawkesmix as hm
 from hawkesmix.errors import NumericError
-from hawkesmix.simulate import _window_events
+from hawkesmix.simulate import _PRUNE_EVERY, _window_events
 
 
 class TestEventLog:
@@ -76,19 +76,35 @@ class TestAgainstPoissonLaw:
         assert stats.kstest(2.0 * gaps, "expon").pvalue > 0.01
 
 
+def assert_stationary_rates(model, log):
+    """Each component's rate is within 4 SE of its mean intensity."""
+    horizon = log.horizon
+    # Var N_i(T) ~ T gamma_ii(0), the Bartlett density at 0
+    slope = np.diag(hm.bartlett_density(model, 0.0).value.real)
+    for i, times in enumerate(log.events):
+        assert np.all(np.diff(times) > 0.0)
+        assert times[0] >= 0.0 and times[-1] <= horizon
+        se = np.sqrt(slope[i] / horizon)
+        rate = times.size / horizon
+        assert abs(rate - model.mean_intensity[i]) < 4.0 * se
+
+
 class TestStationaryRates:
     @pytest.mark.parametrize("simulator", ["cluster", "thinning"])
     def test_zero_mass_kernels_skipped(self, mixed_model, simulator):
-        horizon = 2000.0
-        log = hm.simulate(mixed_model, horizon, simulator=simulator, seed=11)
-        # Var N_i(T) ~ T gamma_ii(0), the Bartlett density at 0
-        slope = np.diag(hm.bartlett_density(mixed_model, 0.0).value.real)
-        for i, times in enumerate(log.events):
-            assert np.all(np.diff(times) > 0.0)
-            assert times[0] >= 0.0 and times[-1] <= horizon
-            se = np.sqrt(slope[i] / horizon)
-            rate = times.size / horizon
-            assert abs(rate - mixed_model.mean_intensity[i]) < 4.0 * se
+        log = hm.simulate(mixed_model, 2000.0, simulator=simulator, seed=11)
+        assert_stationary_rates(mixed_model, log)
+
+    @pytest.mark.parametrize("model", [
+        hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]]),
+        "d2_model",
+    ], ids=["powerlaw-d1", "d2-uniform-jump"])
+    def test_thinning_rates(self, model, request):
+        """Thinning on a heavy tail, and on a kernel with a jump at ``a``."""
+        if isinstance(model, str):
+            model = request.getfixturevalue(model)
+        log = hm.simulate(model, 2000.0, simulator="thinning", seed=11)
+        assert_stationary_rates(model, log)
 
     def test_cluster_d1(self, d1_model):
         log = hm.simulate(d1_model, 5000.0, seed=0)
@@ -108,7 +124,52 @@ class TestStationaryRates:
         assert np.mean(rates) < 2.0
 
 
+class TestThinningMechanism:
+    def test_rising_kernel_breaks_bound(self):
+        """The dominating-bound check sees the bound carried past an
+        acceptance, which a kernel growing in elapsed time exceeds."""
+
+        class RisingKernel(hm.ExponentialKernel):
+            def _density(self, t):
+                return self.alpha * self.beta * (1.0 - np.exp(-self.beta * t))
+
+        model = hm.HawkesModel([1.0], [[RisingKernel(0.5, 2.0)]])
+        with pytest.raises(NumericError, match="dominating bound violated"):
+            hm.simulate(model, 50.0, simulator="thinning", burn_in=0.0, seed=1)
+
+    def test_one_density_pass_per_candidate(self, d2_model, monkeypatch):
+        calls = []
+        for cls in (hm.ExponentialKernel, hm.UniformKernel):
+            def counted(self, t, density=cls._density):
+                calls.append(1)
+                return density(self, t)
+            monkeypatch.setattr(cls, "_density", counted)
+        log = hm.simulate(d2_model, 300.0, simulator="thinning", seed=12)
+        n_active = sum(len(row) for row in d2_model.active)
+        candidates = log.meta["candidates"]
+        prunes = (candidates + 1) // _PRUNE_EVERY
+        assert log.meta["accepted"] > candidates / 2
+        # one pass per candidate, one per prune, and one for the jumps; a
+        # second pass after each acceptance would need ~1.8 times as many
+        assert candidates < len(calls) <= n_active * (candidates + 1 + prunes)
+
+    def test_meta_counts(self, d2_model):
+        log = hm.simulate(d2_model, 200.0, simulator="thinning", burn_in=0.0,
+                          seed=4)
+        assert log.meta["accepted"] == log.total()
+        assert log.meta["accepted"] <= log.meta["candidates"]
+        again = hm.simulate(d2_model, 200.0, simulator="thinning",
+                            burn_in=0.0, seed=4)
+        assert again.meta == log.meta
+
+
 class TestClusterGenealogy:
+    def test_meta_counts(self, d2_model):
+        log, trace = hm.simulate_cluster(d2_model, 50.0, seed=9,
+                                         return_trace=True)
+        assert log.meta["immigrants"] == int(np.sum(trace.gens == 0))
+        assert log.meta["generations"] == int(trace.gens.max())
+
     def test_trace_structure(self, d2_model):
         log, trace = hm.simulate_cluster(d2_model, 50.0, seed=9, return_trace=True)
         roots = trace.roots()

@@ -358,6 +358,27 @@ class TestQuadrature:
         assert got.shape == carriers.shape
         assert np.allclose(got, one, rtol=1e-13, atol=1e-15)
 
+    def test_g_norm_const_dominates_spectral_norm(self):
+        """``kg / xi`` bounds ``||G(xi)||_2`` on random models of every
+        family, d <= 3, from twice the envelope constant up to 1e4."""
+        rng = np.random.default_rng(77)
+        families = ("exponential", "uniform", "powerlaw", "zero")
+        for _ in range(40):
+            d = int(rng.integers(1, 4))
+            fam = rng.choice(families, size=(d, d))
+            fam[rng.integers(d), rng.integers(d)] = "exponential"
+            raw = np.where(fam == "zero", 0.0, rng.uniform(0.1, 1.0, (d, d)))
+            raw *= rng.uniform(0.2, 0.9) / hm.spectral_radius(raw)
+            kernels = [[hm.ZeroKernel() if fam[i, j] == "zero"
+                        else random_kernel(rng, fam[i, j], raw[i, j])
+                        for j in range(d)] for i in range(d)]
+            model = hm.HawkesModel(rng.uniform(0.2, 2.0, d), kernels)
+            ah, _ = spectrum._envelope_consts(model)
+            for xi in np.exp(rng.uniform(np.log(2.0 * ah), np.log(1e4), 8)):
+                g = spectrum._g_grid(model, np.array([xi]))[0]
+                bound = spectrum._g_norm_const(model, xi) / xi
+                assert np.linalg.norm(g, 2) <= bound
+
     def test_non_convergence_names_the_range(self, d2_model, monkeypatch):
         monkeypatch.setattr(spectrum, "_XI_CAP", 1.0)
         f = hm.TestFunction.constant([1.0, 1.0])
