@@ -10,7 +10,8 @@ from .model import (HawkesModel, ModelSummary, load_model, model_from_dict,
                     spectral_radius, zero_coupling)
 from .simulate import (ClusterTrace, EventLog, default_burn_in,
                        read_event_log, simulate, simulate_cluster,
-                       simulate_thinning, spawn_seeds, write_event_log)
+                       simulate_cluster_batch, simulate_thinning,
+                       spawn_seeds, write_event_log)
 from .testfunctions import (ComponentFunction, ConstantF, ConstPlusIndicatorF,
                             IndicatorF, SampledPeriodicF, TestFunction,
                             TrigPolyF, component_from_dict)
@@ -36,8 +37,8 @@ __all__ = [
     "HawkesModel", "ModelSummary", "spectral_radius", "model_from_dict",
     "load_model", "zero_coupling",
     "EventLog", "ClusterTrace", "default_burn_in", "simulate",
-    "simulate_cluster", "simulate_thinning", "spawn_seeds",
-    "read_event_log", "write_event_log",
+    "simulate_cluster", "simulate_cluster_batch", "simulate_thinning",
+    "spawn_seeds", "read_event_log", "write_event_log",
     "ComponentFunction", "ConstantF", "IndicatorF", "ConstPlusIndicatorF",
     "TrigPolyF", "SampledPeriodicF", "TestFunction", "component_from_dict",
     "ContractionCert", "MixingBoundReport", "g_map", "laplace_generation",

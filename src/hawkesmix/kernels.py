@@ -41,6 +41,19 @@ def _check_time(t):
     return t
 
 
+def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """``u``, drawn by ``rng.random``, with its exact zeros redrawn in place.
+
+    ``rng.random`` has range ``[0, 1)``; this remaps it into the open
+    interval the inverse CDFs need.
+    """
+    while True:
+        bad = u <= 0.0
+        if not bad.any():
+            return u
+        u[bad] = rng.random(int(bad.sum()))
+
+
 class Kernel:
     """Common interface of all kernel families.
 
@@ -96,14 +109,7 @@ class Kernel:
 
     def sample_delays(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. delays from the normalized density ``h / alpha``."""
-        u = rng.random(n)
-        # rng.random has range [0, 1); remap exact zeros into the open interval
-        while True:
-            bad = u <= 0.0
-            if not bad.any():
-                break
-            u[bad] = rng.random(int(bad.sum()))
-        return self.delay_from_uniform(u)
+        return self.delay_from_uniform(redraw_zeros(rng, rng.random(n)))
 
     def to_dict(self) -> dict:
         return {"family": self.family, **to_json(self)}

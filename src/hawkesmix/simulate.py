@@ -10,12 +10,21 @@ nonincreasing in elapsed time: the intensity at a rejected candidate is the
 next bound, and an accepted event in component ``j`` raises it by the jump
 ``sum_k h_jk(0+)``, so each candidate costs one pass over the histories.
 
+The cluster simulator also draws many independent replicates in one set
+of arrays, each event tagged with its replicate
+(:func:`simulate_cluster_batch`); a single log is the one-replicate case.
+Every replicate draws from its own generator exactly what a simulation of
+it alone would, so batching changes no log.  This is how the Monte Carlo
+harnesses simulate small replicates, whose cost would otherwise be
+per-call overhead.
+
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
 a stationary window.  Exact time ties (probability zero, but possible in
-floating point) are checked per component inside the window ``[0, T]`` and
-resolved by re-drawing the later event, so each log carries strictly
-increasing times per component.
+floating point) are checked per replicate and component inside the window
+``[0, T]`` and resolved by re-drawing the later event, so each log carries
+strictly increasing times per component; ``meta["tie_redraws"]`` counts
+the re-draws.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericError
+from .kernels import redraw_zeros
 from .model import HawkesModel
 
 __all__ = [
@@ -35,6 +45,7 @@ __all__ = [
     "ClusterTrace",
     "default_burn_in",
     "simulate_cluster",
+    "simulate_cluster_batch",
     "simulate_thinning",
     "simulate",
     "spawn_seeds",
@@ -77,14 +88,15 @@ class ClusterTrace:
     """Genealogy of a cluster simulation, including events outside the window.
 
     Arrays are aligned: event ``k`` has time ``times[k]``, component
-    ``comps[k]``, generation ``gens[k]`` (0 for immigrants) and parent row
-    index ``parents[k]`` (-1 for immigrants).
+    ``comps[k]``, generation ``gens[k]`` (0 for immigrants), parent row
+    index ``parents[k]`` (-1 for immigrants) and replicate ``tags[k]``.
     """
 
     times: np.ndarray
     comps: np.ndarray
     gens: np.ndarray
     parents: np.ndarray
+    tags: np.ndarray
 
     def roots(self) -> np.ndarray:
         """Immigrant row index of every event's cluster."""
@@ -142,46 +154,263 @@ def default_burn_in(model: HawkesModel) -> float:
     return max(mass_scale, duration_scale)
 
 
-def _prepare(model: HawkesModel, horizon: float, burn_in, seed, rng):
-    """Checked burn-in (default per :func:`default_burn_in`) and generator
-    of a simulation; refuses a non-finite or out-of-range window."""
+def _burn_in(model: HawkesModel, horizon: float, burn_in) -> float:
+    """Checked burn-in of a simulation (default per :func:`default_burn_in`);
+    refuses a non-finite or out-of-range window."""
     model.validate()
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if not (np.isfinite(b) and b >= 0.0):
         raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
+    return b
+
+
+def _prepare(model: HawkesModel, horizon: float, burn_in, seed, rng):
+    """Checked burn-in and generator of a simulation."""
+    b = _burn_in(model, horizon, burn_in)
     return b, rng if rng is not None else np.random.default_rng(_seed(seed))
 
 
-def _window_events(times, comps, parents, model, lo, horizon, rng):
-    """Sorted event times of each component inside ``[0, horizon]``.
+def _window_events(times, comps, parents, tags, model, lo, horizon, gens):
+    """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
-    The later row of each exact tie within one of these arrays is redrawn in
-    place (an immigrant uniformly on ``[lo, horizon]``, a child by a new
-    delay from its parent) until none is left.
+    Row ``k`` belongs to replicate ``tags[k]``, whose generator is
+    ``gens[tags[k]]``.  Returns ``(events, redraws)``: ``events[r][j]``
+    holds replicate ``r``'s component-``j`` times and ``redraws[r]`` counts
+    the rows of replicate ``r`` that were redrawn.  The later row of each
+    exact tie within one (replicate, component) is redrawn in place, in row
+    order (an immigrant uniformly on ``[lo, horizon]``, a child by a new
+    delay from its parent), until none is left.
     """
+    reps = len(gens)
+    redraws = np.zeros(reps, dtype=np.int64)
+    bounds = np.arange(reps + 1)
     for _ in range(100):
-        events, tied = [], []
+        events = [[] for _ in range(reps)]
+        tied = []
         for j in range(model.d):
             sel = (comps == j) & (times >= 0.0) & (times <= horizon)
-            tj = np.sort(times[sel])
-            events.append(tj)
-            same = np.diff(tj) == 0.0
+            # one replicate needs no grouping by tag, and one sort of the
+            # times is cheaper than the two stable argsorts below
+            if reps == 1:
+                tj = np.sort(times[sel])
+                same = tj[1:] == tj[:-1]
+                if same.any():
+                    rows = np.flatnonzero(sel)
+                    order = np.argsort(times[rows], kind="stable")
+                    tied.append(rows[order[1:][same]])
+                events[0].append(tj)
+                continue
+            # by time with ties in row order, then stably by replicate
+            rows = np.flatnonzero(sel)
+            rows = rows[np.argsort(times[rows], kind="stable")]
+            rows = rows[np.argsort(tags[rows], kind="stable")]
+            tj, rj = times[rows], tags[rows]
+            same = (tj[1:] == tj[:-1]) & (rj[1:] == rj[:-1])
             if same.any():
-                rows = np.flatnonzero(sel)
-                order = np.argsort(times[rows], kind="stable")
-                tied.append(rows[order[1:][same]])
+                tied.append(rows[1:][same])
+            cuts = np.searchsorted(rj, bounds).tolist()
+            for r in range(reps):
+                events[r].append(tj[cuts[r]:cuts[r + 1]])
         if not tied:
-            return events
-        for k in np.sort(np.concatenate(tied)):
+            return [tuple(e) for e in events], redraws
+        tied = np.sort(np.concatenate(tied))
+        redraws += np.bincount(tags[tied], minlength=reps)
+        for k in tied:
+            gen = gens[tags[k]]
             p = parents[k]
             if p < 0:
-                times[k] = rng.uniform(lo, horizon)
+                times[k] = gen.uniform(lo, horizon)
             else:
                 kern = model.kernels[comps[p]][comps[k]]
-                times[k] = times[p] + kern.sample_delays(rng, 1)[0]
+                times[k] = times[p] + kern.sample_delays(gen, 1)[0]
     raise NumericError("could not separate tied event times")
+
+
+def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
+             return_trace: bool):
+    """Cluster simulation of one replicate per generator in ``gens``.
+
+    Every event carries its replicate's tag, and replicate ``r`` draws
+    from ``gens[r]`` exactly what a simulation of it alone would draw, in
+    the same order: the rows of one replicate keep that simulation's row
+    order, and each generation's draws are made replicate by replicate.
+    ``seeds[r]`` goes to the ``meta`` of replicate ``r``'s log.
+    """
+    d = model.d
+    reps = len(gens)
+    span = horizon + b
+    # the smallest unsigned type holding every tag keeps the tag arrays
+    # small and their stable sorts radix sorts
+    tag_type = np.min_scalar_type(reps - 1)
+
+    sizes = np.empty((reps, d), dtype=np.int64)
+    t_chunks = []
+    for r, gen in enumerate(gens):
+        for j in range(d):
+            n = gen.poisson(model.eta[j] * span)
+            sizes[r, j] = n
+            t_chunks.append(gen.uniform(-b, horizon, size=n))
+    immigrants = sizes.sum(axis=1)
+    cur_t = np.concatenate(t_chunks)
+    cur_c = np.repeat(np.tile(np.arange(d), reps), sizes.ravel())
+    # a single replicate needs no tags, which spares long single logs the
+    # tag arrays
+    tagged = reps > 1
+    cur_r = np.repeat(np.arange(reps, dtype=tag_type), immigrants)
+    cur_idx = np.arange(cur_t.size)
+    t_chunks, c_chunks, r_chunks = [cur_t], [cur_c], [cur_r]
+    g_sizes = [cur_t.size]
+    p_chunks = [np.full(cur_t.size, -1, dtype=np.int64)]
+    offset = cur_t.size
+    # per replicate, the deepest generation holding an event (0: immigrants
+    # only)
+    deepest = np.zeros(reps, dtype=np.int64)
+    generation = 0
+    while cur_t.size:
+        generation += 1
+        if generation > _MAX_GENERATIONS:
+            raise NumericError(
+                f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
+            )
+        nxt_t, nxt_c, nxt_p, nxt_r = [], [], [], []
+        for i in range(d):
+            sel = cur_c == i
+            if not sel.any():
+                continue
+            pt = cur_t[sel]
+            pidx = cur_idx[sel]
+            if tagged:
+                # the frontier is grouped by replicate: the generator and
+                # the number of component-i parents of each replicate that
+                # has any, and where its rows start
+                pr = cur_r[sel]
+                sizes = np.bincount(pr, minlength=reps)
+                groups = [(gens[r], n) for r, n in enumerate(sizes.tolist())
+                          if n]
+                starts = np.cumsum(sizes[sizes > 0]) - sizes[sizes > 0]
+            for j, kern in model.active[i]:
+                if tagged:
+                    counts = np.concatenate([gen.poisson(kern.l1_norm, size=n)
+                                             for gen, n in groups])
+                    tots = np.add.reduceat(counts, starts).tolist()
+                    u = [(gen, gen.random(tot))
+                         for (gen, _), tot in zip(groups, tots) if tot]
+                    if not u:
+                        continue
+                    u = _open_uniforms(u)
+                else:
+                    counts = gens[0].poisson(kern.l1_norm, size=pt.size)
+                    tot = int(counts.sum())
+                    if tot == 0:
+                        continue
+                    u = redraw_zeros(gens[0], gens[0].random(tot))
+                delays = kern.delay_from_uniform(u)
+                nxt_t.append(np.repeat(pt, counts) + delays)
+                nxt_c.append(np.full(delays.size, j, dtype=np.int64))
+                nxt_p.append(np.repeat(pidx, counts))
+                if tagged:
+                    nxt_r.append(np.repeat(pr, counts))
+        if not nxt_t:
+            break
+        cur_t = np.concatenate(nxt_t)
+        cur_c = np.concatenate(nxt_c)
+        par = np.concatenate(nxt_p)
+        if tagged:
+            cur_r = np.concatenate(nxt_r)
+            if len(nxt_t) > 1:
+                # regroup by replicate, each replicate's rows in order
+                order = np.argsort(cur_r, kind="stable")
+                cur_t, cur_c, cur_r, par = (cur_t[order], cur_c[order],
+                                            cur_r[order], par[order])
+            deepest[cur_r] = generation
+        else:
+            deepest[0] = generation
+        cur_idx = offset + np.arange(cur_t.size)
+        offset += cur_t.size
+        t_chunks.append(cur_t)
+        c_chunks.append(cur_c)
+        if tagged:
+            r_chunks.append(cur_r)
+        g_sizes.append(cur_t.size)
+        p_chunks.append(par)
+
+    times = np.concatenate(t_chunks)
+    comps = np.concatenate(c_chunks)
+    parents = np.concatenate(p_chunks)
+    tags = (np.concatenate(r_chunks) if tagged
+            else np.zeros(times.size, dtype=tag_type))
+    events, redraws = _window_events(times, comps, parents, tags, model, -b,
+                                     horizon, gens)
+    logs = [
+        EventLog(d, horizon, events[r],
+                 {"simulator": "cluster", "seed": seeds[r], "burn_in": b,
+                  "horizon": horizon, "immigrants": int(immigrants[r]),
+                  "generations": int(deepest[r]),
+                  "tie_redraws": int(redraws[r])})
+        for r in range(reps)
+    ]
+    trace = None
+    if return_trace:
+        trace = ClusterTrace(times, comps,
+                             np.repeat(np.arange(len(g_sizes)), g_sizes),
+                             parents, tags)
+    return logs, trace
+
+
+def _open_uniforms(draws) -> np.ndarray:
+    """The ``rng.random`` arrays of ``draws``, a list of ``(rng, u)``, joined
+    after their exact zeros are redrawn from each array's own generator,
+    as :meth:`~hawkesmix.kernels.Kernel.sample_delays` does."""
+    u = np.concatenate([u for _, u in draws]) if len(draws) > 1 else draws[0][1]
+    if (u <= 0.0).any():
+        u = np.concatenate([redraw_zeros(gen, u) for gen, u in draws])
+    return u
+
+
+def simulate_cluster_batch(
+    model: HawkesModel,
+    horizon: float,
+    seeds,
+    burn_in: float | None = None,
+    return_trace: bool = False,
+):
+    """Simulate independent replicates by the Poisson cluster representation.
+
+    Replicate ``r`` draws from its own generator, made from ``seeds[r]`` (a
+    seed or a :class:`numpy.random.Generator`), and its log is bit for bit
+    the one :func:`simulate_cluster` returns for that seed.  The replicates
+    share one set of arrays, each event tagged with its replicate and
+    children inheriting their parent's tag, so the array work and the call
+    overhead are paid once per batch instead of once per replicate.
+
+    Parameters
+    ----------
+    model : HawkesModel
+        Must be subcritical; validated before any randomness is drawn.
+    horizon : float
+        Right end ``T`` of the observation window ``[0, T]``.
+    seeds : sequence
+        One seed or generator per replicate, at least one.
+    burn_in : float, optional
+        Length ``B`` of the pre-window ``[-B, 0)``; default per
+        :func:`default_burn_in`.
+    return_trace : bool
+        Also return the tagged :class:`ClusterTrace` of the whole batch.
+
+    Returns
+    -------
+    list of EventLog
+        One log per seed, in order.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one replicate seed")
+    b = _burn_in(model, horizon, burn_in)
+    gens = [np.random.default_rng(_seed(s)) for s in seeds]
+    logs, trace = _cluster(model, horizon, b, gens, seeds, return_trace)
+    return (logs, trace) if return_trace else logs
 
 
 def simulate_cluster(
@@ -209,70 +438,8 @@ def simulate_cluster(
         Also return the :class:`ClusterTrace` genealogy.
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
-    d = model.d
-
-    span = horizon + b
-    t_chunks, c_chunks, g_chunks, p_chunks = [], [], [], []
-    for j in range(d):
-        n = gen.poisson(model.eta[j] * span)
-        t_chunks.append(gen.uniform(-b, horizon, size=n))
-        c_chunks.append(np.full(n, j, dtype=np.int64))
-        g_chunks.append(np.zeros(n, dtype=np.int64))
-        p_chunks.append(np.full(n, -1, dtype=np.int64))
-
-    cur_t = np.concatenate(t_chunks)
-    cur_c = np.concatenate(c_chunks)
-    cur_idx = np.arange(cur_t.size)
-    immigrants = offset = cur_t.size
-    # the deepest generation holding an event (0: immigrants only)
-    deepest = 0
-    while cur_t.size:
-        generation = deepest + 1
-        if generation > _MAX_GENERATIONS:
-            raise NumericError(
-                f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
-            )
-        nxt_t, nxt_c, nxt_p = [], [], []
-        for i in range(d):
-            sel = cur_c == i
-            if not sel.any():
-                continue
-            pt = cur_t[sel]
-            pidx = cur_idx[sel]
-            for j, kern in model.active[i]:
-                counts = gen.poisson(kern.l1_norm, size=pt.size)
-                tot = int(counts.sum())
-                if tot == 0:
-                    continue
-                delays = kern.sample_delays(gen, tot)
-                nxt_t.append(np.repeat(pt, counts) + delays)
-                nxt_c.append(np.full(tot, j, dtype=np.int64))
-                nxt_p.append(np.repeat(pidx, counts))
-        if nxt_t:
-            cur_t = np.concatenate(nxt_t)
-            cur_c = np.concatenate(nxt_c)
-            par = np.concatenate(nxt_p)
-            cur_idx = offset + np.arange(cur_t.size)
-            offset += cur_t.size
-            t_chunks.append(cur_t)
-            c_chunks.append(cur_c)
-            g_chunks.append(np.full(cur_t.size, generation, dtype=np.int64))
-            p_chunks.append(par)
-            deepest = generation
-        else:
-            break
-
-    times = np.concatenate(t_chunks)
-    comps = np.concatenate(c_chunks)
-    gens = np.concatenate(g_chunks)
-    parents = np.concatenate(p_chunks)
-    events = _window_events(times, comps, parents, model, -b, horizon, gen)
-    meta = {"simulator": "cluster", "seed": seed, "burn_in": b, "horizon": horizon,
-            "immigrants": immigrants, "generations": deepest}
-    log = EventLog(d, horizon, tuple(events), meta)
-    if return_trace:
-        return log, ClusterTrace(times, comps, gens, parents)
-    return log
+    (log,), trace = _cluster(model, horizon, b, [gen], [seed], return_trace)
+    return (log, trace) if return_trace else log
 
 
 _PRUNE_EVERY = 2048
@@ -295,14 +462,20 @@ def simulate_thinning(
     plus the jump ``sum_k h_jk(0+)`` the new event adds (Ogata 1981).  The
     intensity is summed over one time-ordered history of past events per
     source component, from which events whose excitation has decayed away
-    are pruned periodically.  ``meta`` counts the ``candidates`` proposed
-    and the events ``accepted`` on ``[-B, T]``.
+    are pruned periodically.  ``meta`` counts the ``candidates`` proposed,
+    the events ``accepted`` on ``[-B, T]`` and the ``tie_redraws`` of a
+    candidate equal to the last accepted time.
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
     eta = model.eta.tolist()
-    # contributions below this level may be pruned from the histories; the
-    # induced intensity error is bounded by the pruned total, < 1e-10 * eta
+    # a history event is pruned once its summed contribution to the
+    # intensities has fallen below this level; contributions only decay
+    # after that, so each dropped event adds less than eps_active to any
+    # later intensity.  The total error grows with the number of events
+    # pruned, which this does not bound.  A power-law tail stays above the
+    # level for ~1e4 time units (PowerLawKernel(0.4, 1, 2.5)), so power-law
+    # histories are effectively never pruned.
     eps_active = 1e-14 * min(eta)
     # per source i, the densities h_ij of its active kernels, and the jump
     # an event of i adds to the total intensity
@@ -316,7 +489,7 @@ def simulate_thinning(
 
     t = -b
     lam_bar = sum(eta)
-    steps = candidates = accepted = 0
+    steps = candidates = accepted = tie_redraws = 0
     while True:
         steps += 1
         if steps % _PRUNE_EVERY == 0:
@@ -349,6 +522,7 @@ def simulate_thinning(
                 acc += lam[j]
             if t_cand == last_accepted:
                 # exact tie: re-draw the waiting time
+                tie_redraws += 1
                 continue
             last_accepted = t_cand
             accepted += 1
@@ -366,7 +540,8 @@ def simulate_thinning(
     # accepted in time order and never past the horizon
     out = tuple(np.array(e, dtype=float) for e in events)
     meta = {"simulator": "thinning", "seed": seed, "burn_in": b, "horizon": horizon,
-            "candidates": candidates, "accepted": accepted}
+            "candidates": candidates, "accepted": accepted,
+            "tie_redraws": tie_redraws}
     return EventLog(d, horizon, out, meta)
 
 

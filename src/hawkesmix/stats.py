@@ -23,7 +23,7 @@ from .branching import MixingBoundReport, mixing_bound
 from .errors import HypothesisError, NumericError, to_json
 from .model import HawkesModel
 from .simulate import (EventLog, _simulator, default_burn_in, simulate,
-                       spawn_seeds)
+                       simulate_cluster_batch, spawn_seeds)
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
 
@@ -203,20 +203,44 @@ _DEFAULT_GRID = np.arange(1, 11) / 10.0
 _SPECTRAL_ABS_TOL = 1e-9
 
 
+# expected events per cluster batch.  Replicates expected to hold fewer
+# share one set of arrays, so the per-call overhead of the simulator is paid
+# once per batch; the tagged arrays cost more per event, which makes a
+# batch of two break even at ~4k events per replicate and lose ~20% at ~8k
+# (2-d exponential model, 2-core x86-64).  At 2**13 no batch is slower than
+# its replicates simulated one by one.
+_BATCH_EVENTS = 1 << 13
+
+
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
                     seed: int, simulator: str, row) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
     Replicate ``r`` draws from the ``r``-th stream spawned from ``seed``.
-    The burn-in depends only on the model and is computed once for all
-    replicates.
+    Cluster replicates are simulated in batches of
+    ``max(1, floor(_BATCH_EVENTS / n))`` by
+    :func:`~hawkesmix.simulate.simulate_cluster_batch`, where
+    ``n = sum(mean_intensity) * (horizon + burn_in)`` is the expected event
+    count of one replicate; a batch gives each replicate the log of its own
+    stream, so the rows do not depend on the batch size.  Thinning, and a
+    batch size of 1, make one :func:`~hawkesmix.simulate.simulate` call per
+    replicate.  The burn-in depends only on the model and is computed once
+    for all replicates.
     """
     burn_in = default_burn_in(model)
-    return np.vstack([
-        row(simulate(model, horizon, simulator=simulator, burn_in=burn_in,
-                     seed=s))
-        for s in spawn_seeds(seed, replicates)
-    ])
+    seeds = spawn_seeds(seed, replicates)
+    size = 1
+    if simulator == "cluster":
+        expected = float(np.sum(model.mean_intensity)) * (horizon + burn_in)
+        size = max(1, int(_BATCH_EVENTS // expected))
+    if size == 1:
+        logs = (simulate(model, horizon, simulator=simulator, burn_in=burn_in,
+                         seed=s) for s in seeds)
+    else:
+        logs = (log for k in range(0, replicates, size)
+                for log in simulate_cluster_batch(
+                    model, horizon, seeds[k:k + size], burn_in=burn_in))
+    return np.vstack([row(log) for log in logs])
 
 
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
@@ -351,6 +375,29 @@ class DecayReport:
     to_dict = to_json
 
 
+def _decay_row(i: int, j: int, window_len: float, lags: np.ndarray):
+    """The counts ``N_i((0, w])`` and ``N_j((lag, lag + w])`` of one log,
+    one per lag, as a function of the log.
+
+    Windows are half-open, so each count is the difference of two
+    right-sided ``searchsorted`` positions, as in :meth:`EventLog.count`;
+    one search per component covers every window edge.
+    """
+    n = lags.size
+    edges = np.concatenate([[0.0, window_len], lags, lags + window_len])
+
+    def row(log: EventLog) -> np.ndarray:
+        at_i = np.searchsorted(log.events[i], edges, side="right")
+        at_j = (at_i if j == i
+                else np.searchsorted(log.events[j], edges, side="right"))
+        out = np.empty(n + 1)
+        out[0] = at_i[1] - at_i[0]
+        out[1:] = at_j[2 + n:] - at_j[2:2 + n]
+        return out
+
+    return row
+
+
 def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
                             window_len: float, lags, replicates: int,
                             seed: int, beta: float | None = None,
@@ -378,16 +425,13 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
         raise ValueError("the decay bound needs both beta and gamma, or "
                          f"neither; got beta={beta}, gamma={gamma}")
     model.validate()
+    for c in (i, j):
+        if not 0 <= c < model.d:
+            raise ValueError(f"component index {c} out of range")
     horizon = float(np.max(lags)) + window_len
 
-    def row(log: EventLog) -> np.ndarray:
-        out = np.empty(lags.size + 1)
-        out[0] = log.count(i, 0.0, window_len)
-        for t, lag in enumerate(lags):
-            out[1 + t] = log.count(j, lag, lag + window_len)
-        return out
-
-    counts = _replicate_rows(model, horizon, replicates, seed, simulator, row)
+    counts = _replicate_rows(model, horizon, replicates, seed, simulator,
+                             _decay_row(i, j, window_len, lags))
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)

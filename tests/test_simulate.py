@@ -153,6 +153,31 @@ class TestThinningMechanism:
         # second pass after each acceptance would need ~1.8 times as many
         assert candidates < len(calls) <= n_active * (candidates + 1 + prunes)
 
+    def test_tie_redraws_counted(self, d1_model):
+        class ZeroWaits:
+            """A generator whose every other waiting time is exactly 0, so
+            a candidate can repeat the last accepted time."""
+
+            def __init__(self, seed):
+                self.gen = np.random.default_rng(seed)
+                self.calls = 0
+
+            def exponential(self, scale):
+                self.calls += 1
+                if self.calls % 2 == 0:
+                    return 0.0
+                return self.gen.exponential(scale)
+
+            def random(self):
+                return self.gen.random()
+
+        log = hm.simulate_thinning(d1_model, 100.0, burn_in=0.0,
+                                   rng=ZeroWaits(2))
+        assert log.meta["tie_redraws"] > 0
+        assert np.all(np.diff(log.events[0]) > 0.0)
+        plain = hm.simulate_thinning(d1_model, 100.0, burn_in=0.0, seed=2)
+        assert plain.meta["tie_redraws"] == 0
+
     def test_meta_counts(self, d2_model):
         log = hm.simulate(d2_model, 200.0, simulator="thinning", burn_in=0.0,
                           seed=4)
@@ -215,6 +240,74 @@ class TestClusterGenealogy:
         assert log.horizon == 5.0
 
 
+class TestClusterBatch:
+    def test_batch_of_one_is_simulate_cluster(self, d2_model):
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        (log,), trace = hm.simulate_cluster_batch(d2_model, 80.0, [rng_a],
+                                                  return_trace=True)
+        ref, ref_trace = hm.simulate_cluster(d2_model, 80.0, rng=rng_b,
+                                             return_trace=True)
+        for a, b in zip(log.events, ref.events):
+            assert a.tobytes() == b.tobytes()
+        assert {**log.meta, "seed": None} == ref.meta
+        assert np.array_equal(trace.times, ref_trace.times)
+        assert np.all(trace.tags == 0)
+        # both generators were left in the same state
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["d2", "sparse"])
+    def test_replicates_are_their_own_simulations(self, d2_model, sparse):
+        # the sparse model leaves replicates without events or children
+        model = (hm.HawkesModel([0.02], [[hm.ExponentialKernel(0.3, 1.0)]])
+                 if sparse else d2_model)
+        seeds = hm.spawn_seeds(6, 40)
+        logs = hm.simulate_cluster_batch(model, 30.0, seeds)
+        assert len(logs) == 40
+        for s, log in zip(seeds, logs):
+            ref = hm.simulate_cluster(model, 30.0, seed=s)
+            for a, b in zip(log.events, ref.events):
+                assert a.tobytes() == b.tobytes()
+            assert log.meta == ref.meta
+
+    def test_single_replicate_stream_pinned(self, d2_model):
+        # the draws of the per-replicate simulator before replicate tags
+        log = hm.simulate_cluster(d2_model, 20.0, seed=5)
+        assert [len(t) for t in log.events] == [50, 60]
+        assert log.events[0][:3].tolist() == [
+            1.2275644793530087, 1.4506289840162017, 1.4596859513593472]
+        assert log.events[1][:3].tolist() == [
+            0.343258993722138, 0.5539626608379109, 0.8501408790032556]
+        assert (log.meta["immigrants"], log.meta["generations"]) == (113, 9)
+
+    @pytest.mark.parametrize("sparse", [False, True],
+                             ids=["d2", "sparse"])
+    def test_tags_follow_the_genealogy(self, d2_model, sparse):
+        model = (hm.HawkesModel([0.02], [[hm.ExponentialKernel(0.3, 1.0)]])
+                 if sparse else d2_model)
+        logs, trace = hm.simulate_cluster_batch(model, 30.0,
+                                                hm.spawn_seeds(8, 40),
+                                                return_trace=True)
+        children = trace.parents >= 0
+        assert np.array_equal(trace.tags[children],
+                              trace.tags[trace.parents[children]])
+        assert np.array_equal(trace.tags, trace.tags[trace.roots()])
+        gens = [log.meta["generations"] for log in logs]
+        if sparse:
+            assert 0 in gens and max(gens) > 0
+        for r, log in enumerate(logs):
+            mine = trace.tags == r
+            assert log.meta["immigrants"] == int(np.sum(mine & ~children))
+            assert gens[r] == int(trace.gens[mine].max(initial=0))
+            for j, tj in enumerate(log.events):
+                inside = (mine & (trace.comps == j) & (trace.times >= 0.0)
+                          & (trace.times <= 30.0))
+                assert np.array_equal(tj, np.sort(trace.times[inside]))
+
+    def test_replicate_count_checked(self, d1_model):
+        with pytest.raises(ValueError, match="at least one replicate"):
+            hm.simulate_cluster_batch(d1_model, 10.0, [])
+
+
 class TestWindowTies:
     """Exact ties are redrawn only where the log would carry them."""
 
@@ -229,10 +322,17 @@ class TestWindowTies:
         parents = np.array([-1, -1, -1, -1, -1, 2, 5, 2])
         return times, comps, parents
 
+    @staticmethod
+    def untagged(times):
+        return np.zeros(times.size, dtype=np.uint8)
+
     def test_same_component_ties_redrawn(self, d2_model):
         times, comps, parents = self.crafted()
-        events = _window_events(times, comps, parents, d2_model, self.LO,
-                                self.HORIZON, np.random.default_rng(5))
+        [events], redraws = _window_events(times, comps, parents,
+                                           self.untagged(times), d2_model,
+                                           self.LO, self.HORIZON,
+                                           [np.random.default_rng(5)])
+        assert redraws.tolist() == [2]
         # the later row of each tie is redrawn, in row order: the immigrant
         # uniformly on [lo, horizon], the child by kernel [0][1] from row 2
         ref = np.random.default_rng(5)
@@ -247,10 +347,33 @@ class TestWindowTies:
         times, comps, parents = self.crafted()
         times, comps, parents = times[:4], comps[:4], parents[:4]
         before = times.copy()
-        events = _window_events(times, comps, parents, d2_model, self.LO,
-                                self.HORIZON, np.random.default_rng(5))
+        [events], redraws = _window_events(times, comps, parents,
+                                           self.untagged(times), d2_model,
+                                           self.LO, self.HORIZON,
+                                           [np.random.default_rng(5)])
+        assert redraws.tolist() == [0]
         assert np.array_equal(times, before)
         assert [tj.tolist() for tj in events] == [[1.0], [1.0]]
+
+    def test_ties_checked_per_replicate(self, d2_model):
+        # rows 0-1: equal times in different replicates, kept; row 2 ties
+        # row 1 inside replicate 1 and is redrawn by replicate 1's generator
+        times = np.array([1.0, 1.0, 1.0, 2.0])
+        comps = np.array([0, 0, 0, 1])
+        parents = np.full(4, -1)
+        tags = np.array([0, 1, 1, 0], dtype=np.uint8)
+        gens = [np.random.default_rng(5), np.random.default_rng(6)]
+        events, redraws = _window_events(times, comps, parents, tags,
+                                         d2_model, self.LO, self.HORIZON,
+                                         gens)
+        assert times[2] == np.random.default_rng(6).uniform(self.LO,
+                                                            self.HORIZON)
+        assert gens[0].random() == np.random.default_rng(5).random()
+        assert redraws.tolist() == [0, 1]
+        assert [tj.tolist() for tj in events[0]] == [[1.0], [2.0]]
+        mine = (tags == 1) & (comps == 0) & (times >= 0.0)
+        assert np.array_equal(events[1][0], np.sort(times[mine]))
+        assert events[1][1].size == 0
 
     def test_unseparable_tie_raises(self, d2_model):
         class StuckGenerator:
@@ -259,8 +382,9 @@ class TestWindowTies:
 
         times, comps, parents = self.crafted()
         with pytest.raises(NumericError, match="tied event times"):
-            _window_events(times[:5], comps[:5], parents[:5], d2_model,
-                           self.LO, self.HORIZON, StuckGenerator())
+            _window_events(times[:5], comps[:5], parents[:5],
+                           self.untagged(times[:5]), d2_model, self.LO,
+                           self.HORIZON, [StuckGenerator()])
 
 
 class TestBurnIn:

@@ -255,6 +255,106 @@ class TestDecayDiagnostic:
                                        replicates=20, seed=1)
 
 
+POWERLAW = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+
+
+def _batch_size(model, horizon):
+    expected = np.sum(model.mean_intensity) * (
+        horizon + hm.default_burn_in(model))
+    return max(1, int(stats._BATCH_EVENTS // expected))
+
+
+class TestReplicateBatches:
+    def test_decay_row_matches_count(self):
+        lags = np.array([2.0, 3.5, 6.0])
+        row_ii = stats._decay_row(0, 0, 1.5, lags)
+        row_ij = stats._decay_row(0, 1, 1.5, lags)
+        edges = np.array([0.0, 1.5, 2.0, 3.5, 5.0, 6.0, 7.5])
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            # random events plus a random subset of the window edges
+            events = tuple(
+                np.unique(np.concatenate([
+                    rng.uniform(0.0, 7.5, rng.integers(0, 12)),
+                    edges[rng.random(edges.size) < 0.5]]))
+                for _ in range(2))
+            log = hm.EventLog(2, 7.5, events)
+            for row, j in ((row_ii, 0), (row_ij, 1)):
+                want = [log.count(0, 0.0, 1.5)] + [
+                    log.count(j, lag, lag + 1.5) for lag in lags]
+                assert row(log).tolist() == want
+
+    def test_batched_counts_match_spectral_values(self):
+        """Window counts of batched replicates have the stationary mean and
+        the spectral variance, and replicates sharing a batch are
+        uncorrelated."""
+        horizon, w, replicates = 11.0, 1.0, 4000
+        size = _batch_size(POWERLAW, horizon)
+        assert 1 < size < replicates // 10
+        counts = stats._replicate_rows(
+            POWERLAW, horizon, replicates, 12, "cluster",
+            lambda log: [log.count(0, 0.0, w)])[:, 0]
+
+        def within(values, target):
+            se = np.std(values, ddof=1) / np.sqrt(values.size)
+            return abs(np.mean(values) - target) < 4.0 * se
+
+        mean = POWERLAW.mean_intensity[0] * w
+        var = hm.cov_counts(POWERLAW, 0, 0, (0.0, w), (0.0, w))
+        assert within(counts, mean)
+        assert within((counts - mean) ** 2, var)
+        # neighbours inside one batch; the last of a batch starts the next
+        dev = counts - mean
+        same = (np.arange(replicates - 1) + 1) % size != 0
+        assert within((dev[:-1] * dev[1:])[same], 0.0)
+
+    @pytest.mark.parametrize("batch_events", [1, stats._BATCH_EVENTS],
+                             ids=["one", "default"])
+    def test_clt_harness_is_a_loop_over_spawned_seeds(self, d1_model,
+                                                      monkeypatch,
+                                                      batch_events):
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", batch_events)
+        if batch_events > 1:
+            assert _batch_size(d1_model, 60.0) > 1
+        f = hm.TestFunction.constant([1.0])
+        grid = [0.5, 1.0]
+        rep = hm.clt_harness(d1_model, f, 60.0, 12, seed=5, grid=grid)
+        tc = hm.time_change(d1_model, f, 60.0)
+        times = np.append(tc(np.array(grid)), 60.0)
+        burn_in = hm.default_burn_in(d1_model)
+        manual = np.vstack([
+            hm.partial_statistics(
+                hm.simulate(d1_model, 60.0, burn_in=burn_in, seed=s),
+                d1_model, f, times)
+            for s in hm.spawn_seeds(5, 12)])
+        assert np.array_equal(rep.samples, manual[:, -1] / rep.sigma_T)
+        assert np.array_equal(rep.w_paths, manual[:, :-1] / rep.sigma_T)
+
+    def test_decay_diagnostic_independent_of_batch_size(self, monkeypatch):
+        args = (POWERLAW, 0, 0, 1.0, [2.0, 4.0], 150)
+        batched = hm.mixing_decay_diagnostic(*args, seed=2)
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1)
+        single = hm.mixing_decay_diagnostic(*args, seed=2)
+        assert batched.empirical.tobytes() == single.empirical.tobytes()
+        assert batched.empirical_se.tobytes() == single.empirical_se.tobytes()
+
+    def test_decay_diagnostic_batches_simulator_calls(self, monkeypatch):
+        calls = []
+        batch = stats.simulate_cluster_batch
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[2]))
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "simulate_cluster_batch", counted)
+        replicates = 4000
+        rep = hm.mixing_decay_diagnostic(POWERLAW, 0, 0, 1.0, [5.0, 10.0],
+                                         replicates, seed=3)
+        size = _batch_size(POWERLAW, 11.0)
+        assert sum(calls) == replicates == rep.replicates
+        assert len(calls) <= -(-replicates // size) + 1
+
+
 def _cov(model, log, f, **tols):
     return hm.cov_counts(model, 0, 0, (0.0, 1.0), (2.0, 3.0), **tols)
 
