@@ -23,7 +23,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .branching import mixing_bound
@@ -147,7 +146,6 @@ def _manifest(outdir: Path, command: str, config_path: str, seed) -> None:
         "versions": {
             "hawkesmix": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     })

@@ -16,11 +16,12 @@ h(u) du``.  Kernel objects are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import special
 
+from ._special import beta
 from .errors import (InfiniteMomentError, check_choice, check_fields,
                      finite_number, require_finite, to_json)
 
@@ -150,7 +151,7 @@ class ExponentialKernel(Kernel):
     def moment(self, p: float) -> float:
         if p <= 0.0:
             raise ValueError("moment order must be positive")
-        return float(special.gamma(p + 1.0) / self.beta**p)
+        return float(math.gamma(p + 1.0) / self.beta**p)
 
     def fourier(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -260,7 +261,7 @@ class PowerLawKernel(Kernel):
         # s = t / (c + t) maps [0, inf) onto [0, 1) and turns the integrand
         # into theta * c**p * s**p * (1-s)**(theta-p-1), a Beta integral
         return float(self.theta * self.c**p
-                     * special.beta(p + 1.0, self.theta - p))
+                     * beta(p + 1.0, self.theta - p))
 
     def _fourier_normalized(self, v: np.ndarray) -> np.ndarray:
         """``F (h/alpha)`` as a function of ``v = 2 pi xi c``, ``v > 0``."""
@@ -268,7 +269,7 @@ class PowerLawKernel(Kernel):
         small = v < 1e-12
         out[small] = 1.0 - 1j * v[small] / (self.theta - 1.0)
         if self.theta < 2.0:
-            out[small] += (self.theta * special.gamma(-self.theta)
+            out[small] += (self.theta * math.gamma(-self.theta)
                            * (1j * v[small]) ** self.theta)
         cut = _PLW_CUT if self.theta < _PLW_THETA else 0.0
         head = ~small & (v < cut)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import spherical_jn
 
+from ._special import spherical_jn
 from .errors import (HypothesisError, NumericError, require_integer,
                      to_json)
 from .model import HawkesModel
@@ -78,8 +78,10 @@ def fourier_matrix(model: HawkesModel, xi) -> np.ndarray:
 def _transfer_grid(model: HawkesModel, xis: np.ndarray) -> np.ndarray:
     """Batched ``(I - Ht(xi)^T)^{-1}``; invertible whenever the model is
     subcritical since the entrywise modulus of ``Ht`` is dominated by the
-    reproduction matrix."""
+    reproduction matrix.  For ``d = 1`` it is ``1 / (1 - Ht)``."""
     ht = fourier_matrix(model, xis)
+    if model.d == 1:
+        return 1.0 / (1.0 - ht)
     eye = np.eye(model.d)
     return np.linalg.inv(eye[None, :, :] - np.swapaxes(ht, -1, -2))
 
@@ -89,6 +91,8 @@ def bartlett_grid(model: HawkesModel, xis) -> np.ndarray:
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     a = _transfer_grid(model, xis)
     m = model.mean_intensity
+    if model.d == 1:
+        return (m[0] * (a.real**2 + a.imag**2)).astype(complex)
     return (a * m[None, None, :]) @ np.conj(np.swapaxes(a, -1, -2))
 
 
@@ -198,7 +202,7 @@ def _panel_rule(width: float, carriers=0.0):
     half = 0.5 * width
     c = np.abs(2.0 * np.pi * carriers * half)
     order = np.arange(8)[:, None]
-    moments = 2.0 * (1j ** order) * spherical_jn(order, c)
+    moments = 2.0 * (1j ** order) * spherical_jn(7, c)
     moments[:, carriers < 0.0] = np.conj(moments[:, carriers < 0.0])
     weights = _TO_LEGENDRE.T @ moments
     oscillating = bool(np.any(carriers != 0.0))

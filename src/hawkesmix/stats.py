@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogi, kolmogorov, ndtr
 
+from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
 from .errors import HypothesisError, NumericError, to_json
 from .model import HawkesModel

@@ -102,7 +102,7 @@ class TestSimulate:
         assert man["seed"] == 5
         digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
         assert man["config_sha256"] == digest
-        assert set(man["versions"]) == {"hawkesmix", "numpy", "scipy", "python"}
+        assert set(man["versions"]) == {"hawkesmix", "numpy", "python"}
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["counts"]) == 2
         assert (out / "events.csv").read_text().splitlines()[0] == "component,time"
@@ -569,10 +569,9 @@ class TestArtifacts:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_scipy_integrate(self):
+    @staticmethod
+    def _fresh_import(code: str) -> str:
         # every CLI process pays for what `import hawkesmix.cli` loads
-        code = ("import sys, hawkesmix.cli; "
-                "print('scipy.integrate' in sys.modules)")
         src = str(Path(hm.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -580,4 +579,15 @@ class TestImports:
                               capture_output=True, text=True, env=env,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        return proc.stdout.strip()
+
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        code = ("import sys, hawkesmix.cli; "
+                "print('scipy.integrate' in sys.modules)")
+        assert self._fresh_import(code) == "False"
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, hawkesmix.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        assert self._fresh_import(code) == "[]"

@@ -68,6 +68,34 @@ class TestBartlettDensity:
             got = hm.bartlett_grid(d2_model, xi)[0]
             assert np.allclose(got, direct, atol=1e-12)
 
+    D1_KERNELS = [hm.PowerLawKernel(0.4, 1.0, 2.5),
+                  hm.ExponentialKernel(0.5, 2.0), hm.UniformKernel(0.6, 1.5)]
+    D1_IDS = ["powerlaw", "exponential", "uniform"]
+    # dense around 0, geometric out to the quadrature cap, both signs
+    XIS = np.concatenate([np.linspace(-5.0, 5.0, 4001),
+                          np.geomspace(1e-8, 1e5, 2000),
+                          -np.geomspace(1e-8, 1e5, 2000)])
+
+    @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
+    def test_d1_transfer_matches_matrix_inverse(self, kernel):
+        model = hm.HawkesModel([1.0], [[kernel]])
+        ht = hm.fourier_matrix(model, self.XIS)
+        inv = np.linalg.inv(np.eye(1)[None] - np.swapaxes(ht, -1, -2))
+        got = spectrum._transfer_grid(model, self.XIS)
+        assert got.shape == inv.shape
+        assert np.all(np.abs(got - inv) <= 1e-15 * np.abs(inv))
+
+    @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
+    def test_d1_bartlett_matches_matrix_product(self, kernel):
+        model = hm.HawkesModel([1.0], [[kernel]])
+        a = spectrum._transfer_grid(model, self.XIS)
+        m = model.mean_intensity
+        product = (a * m[None, None, :]) @ np.conj(np.swapaxes(a, -1, -2))
+        got = hm.bartlett_grid(model, self.XIS)
+        assert got.shape == product.shape and got.dtype == complex
+        assert np.all(got.imag == 0.0)
+        assert np.all(np.abs(got - product) <= 1e-15 * np.abs(product))
+
     def test_spectrum_matrix_helpers(self, d2_model):
         s = hm.bartlett_density(d2_model, 0.8)
         assert s.hermitian_defect() < 1e-12
