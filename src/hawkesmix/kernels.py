@@ -42,6 +42,14 @@ def _check_time(t):
     return t
 
 
+def _check_freq(xi):
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("Fourier transforms need finite frequencies; "
+                         "got a non-finite xi")
+    return xi
+
+
 def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     """``u``, drawn by ``rng.random``, with its exact zeros redrawn in place.
 
@@ -154,7 +162,7 @@ class ExponentialKernel(Kernel):
         return float(math.gamma(p + 1.0) / self.beta**p)
 
     def fourier(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = _check_freq(xi)
         out = self.alpha * self.beta / (self.beta + 2j * np.pi * xi)
         return out if out.ndim else complex(out)
 
@@ -168,25 +176,27 @@ class ExponentialKernel(Kernel):
         return -np.log(_as_uniform(u)) / self.beta
 
 
-# Nodes for the power-law Fourier transform below _PLW_CUT.  After rotating
-# the contour of int_0^inf (1+x)^(-1-theta) exp(-i v x) dx onto the negative
-# imaginary axis and substituting x = exp(w)/v, the integrand decays doubly
-# exponentially on the right and like exp(w) on the left, so a fixed
-# trapezoid grid in w gives near machine precision uniformly over
-# 1e-12 <= v < _PLW_CUT.  The left endpoint -58 keeps the truncated mass
-# below 1e-13 relative to the smallest admissible v.  The factor
-# (1 - i e^w / v)^(-1-theta) turns 1 + theta times faster than e^w, so the
-# step sets the largest theta the rule resolves.
-_PLW_STEP = 0.12
-_PLW = np.arange(-58.0, 3.8 + 0.5 * _PLW_STEP, _PLW_STEP)
-_PLW_EXP = np.exp(_PLW)
-_PLW_WEIGHT = np.exp(-_PLW_EXP) * _PLW_EXP * _PLW_STEP
-# The continued fraction converges at every v > 0.  Its depth grows like 1/v
-# for small theta, so the quadrature above takes v below _PLW_CUT; from
-# _PLW_THETA on, the depth stays below 8 + 600 / theta at every v.
-_PLW_CUT = 4.0
-_PLW_THETA = 20.0
-_PLW_ROWS = 4096
+# zeta(2) .. zeta(18), the Taylor coefficients of lgamma(1 - e) / e
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381,
+         1.03692775514337, 1.0173430619844492, 1.008349277381923,
+         1.0040773561979444, 1.0020083928260821, 1.000994575127818,
+         1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+         1.0000612481350588, 1.000030588236307, 1.0000152822594086,
+         1.0000076371976379, 1.000003817293265)
+
+
+def _pole_shift(n: int, e: float) -> float:
+    """``lgamma(1-e)/e - sum_{j<=n} log1p(e/j)/e``, to relative accuracy
+    near ``e = 0`` (where it tends to ``gamma - H_n``).  Below ``|e| = 0.1``
+    the first ratio is its Taylor series ``gamma + sum_k zeta(k) e^(k-1) / k``
+    (DLMF 5.7.3), since ``math.lgamma(1-e)`` is only absolutely accurate."""
+    if abs(e) < 0.1:
+        ratio = np.euler_gamma + sum(zeta * e ** (k - 1) / k
+                                     for k, zeta in enumerate(_ZETA, 2))
+    else:
+        ratio = math.lgamma(1.0 - e) / e
+    return ratio - sum(math.log1p(e / j) / e if e else 1.0 / j
+                       for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -207,24 +217,23 @@ class PowerLawKernel(Kernel):
     Delay moments of order ``p`` exist exactly for ``p < theta``.  With
     ``v = 2 pi xi c``, the normalized transform is ``F (h/alpha) = theta
     e^{iv} E_{1+theta}(iv)``, where ``E_p`` is the generalized exponential
-    integral.  It is computed by one of three rules, chosen by ``v`` and
-    ``theta``:
+    integral.  It is computed by one of two rules, chosen by ``v`` alone:
 
-    * ``v >= 4``, or every ``v >= 1e-12`` when ``theta >= 20``: the
-      continued fraction of ``E_p`` (DLMF 8.19.17, even form as in
-      Numerical Recipes 6.3), evaluated by backward recurrence to depth
-      ``ceil(8 + min(160 / v, 600 / theta))`` for the smallest ``v`` of the
-      call.  Against 40-digit values it is within 2e-15 relative for
-      ``theta`` up to 200.
-    * ``1e-12 <= v < 4`` when ``theta < 20``: exact contour rotation onto
-      the negative imaginary axis followed by a fixed double-exponential
-      trapezoid rule of step 0.12, accurate to 1e-12 relative.  The rule
-      loses accuracy as ``theta`` grows (7e-10 at ``theta = 50``), which is
-      why larger tails use the continued fraction.
-    * ``v < 1e-12``: the expansion ``1 - i v / (theta - 1) + theta
-      Gamma(-theta) (iv)**theta``, whose last term is kept for ``theta < 2``,
-      where it outweighs the dropped ``v**2`` terms; it grows like
-      ``v**theta / (theta - 1)`` as ``theta`` nears 1.
+    * ``v < 2``: the convergent series of ``E_p`` (DLMF 8.19.10), summed as
+      ``1 + (expm1(iv) - theta e^{iv} S)`` with ``S = sum_{k>=1} (-iv)**k /
+      (k! (k - theta)) - Gamma(-theta) (iv)**theta``.  With ``n =
+      round(theta)`` and ``e = theta - n``, the ``k = n`` term and the
+      Gamma term each have a pole at ``e = 0``; their difference is the
+      analytic ``(-iv)**n / n! expm1(e L) / e``, ``(-iv)**n / n! L`` at ``e
+      = 0`` (DLMF 8.19.8), with ``L = log(iv) + lgamma(1-e)/e -
+      sum_{j<=n} log1p(e/j)/e``.
+    * ``v >= 2``: the continued fraction of ``E_p`` (DLMF 8.19.17, even
+      form as in Numerical Recipes 6.3) by backward recurrence to depth
+      ``ceil(8 + 160 / v)`` for the smallest ``v`` of the call, at most 88.
+
+    Against 40-digit values both are within 4e-14 relative for ``theta``
+    up to 200 and ``v`` from 1e-13 up, ``theta`` within 1e-8 of an integer
+    included.
     """
 
     alpha: float
@@ -266,39 +275,36 @@ class PowerLawKernel(Kernel):
     def _fourier_normalized(self, v: np.ndarray) -> np.ndarray:
         """``F (h/alpha)`` as a function of ``v = 2 pi xi c``, ``v > 0``."""
         out = np.empty(v.shape, dtype=complex)
-        small = v < 1e-12
-        out[small] = 1.0 - 1j * v[small] / (self.theta - 1.0)
-        if self.theta < 2.0:
-            out[small] += (self.theta * math.gamma(-self.theta)
-                           * (1j * v[small]) ** self.theta)
-        cut = _PLW_CUT if self.theta < _PLW_THETA else 0.0
-        head = ~small & (v < cut)
-        out[head] = self._fourier_rotated(v[head])
-        tail = ~small & (v >= cut)
-        if tail.any():
-            out[tail] = self._fourier_fraction(v[tail])
+        head = v < 2.0
+        out[head] = self._fourier_series(v[head])
+        if not head.all():
+            out[~head] = self._fourier_fraction(v[~head])
         return out
 
-    def _fourier_rotated(self, v: np.ndarray) -> np.ndarray:
-        """Double-exponential rule on the rotated contour, for small ``v``."""
-        vals = np.empty(v.shape, dtype=complex)
-        # chunk so the (n_v, n_nodes) work array stays small; the power is
-        # taken in log form, as the complex power overflows to NaN for
-        # large theta at small v
-        for lo in range(0, v.size, _PLW_ROWS):
-            chunk = v[lo : lo + _PLW_ROWS, None]
-            z = np.exp(-(1.0 + self.theta)
-                       * np.log(1.0 - 1j * _PLW_EXP[None, :] / chunk))
-            vals[lo : lo + _PLW_ROWS] = z @ _PLW_WEIGHT
-        return -1j * self.theta / v * vals
+    def _fourier_series(self, v: np.ndarray) -> np.ndarray:
+        """The series rule of the class notes, for ``0 < v < 2``."""
+        n = round(self.theta)
+        e = self.theta - n
+        z = 1j * v
+        term = np.ones_like(z)
+        total = np.zeros_like(z)
+        # at v < 2 every term past k = 27, a pair included, is below 1e-18
+        for k in range(1, 28):
+            term *= -z / k
+            if k == n:
+                big_l = np.log(v) + (0.5j * np.pi + _pole_shift(n, e))
+                total += term * (np.expm1(e * big_l) / e if e else big_l)
+            else:
+                total += term / (k - self.theta)
+        return 1.0 + (np.expm1(z) - self.theta * np.exp(z) * total)
 
     def _fourier_fraction(self, v: np.ndarray) -> np.ndarray:
         """``theta / (iv + p - 1 p / (iv + p + 2 - 2 (p+1) / (iv + p + 4 -
         ...)))`` with ``p = 1 + theta``, the continued fraction of ``theta
         e^{iv} E_p(iv)``, by backward recurrence from a depth set by the
-        smallest ``v`` and by ``theta``."""
+        smallest ``v``."""
         p = 1.0 + self.theta
-        depth = int(np.ceil(8.0 + min(160.0 / v.min(), 600.0 / self.theta)))
+        depth = int(np.ceil(8.0 + 160.0 / v.min()))
         z = 1j * v
         t = z + (p + 2.0 * depth)
         for k in range(depth, 0, -1):
@@ -308,7 +314,7 @@ class PowerLawKernel(Kernel):
         return self.theta / t
 
     def fourier(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = _check_freq(xi)
         scalar = xi.ndim == 0
         xi = np.atleast_1d(xi)
         v = 2.0 * np.pi * np.abs(xi) * self.c
@@ -360,7 +366,7 @@ class UniformKernel(Kernel):
         return self.a**p / (p + 1.0)
 
     def fourier(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = _check_freq(xi)
         # exact: alpha * exp(-i pi xi a) * sin(pi xi a) / (pi xi a)
         out = self.alpha * np.exp(-1j * np.pi * xi * self.a) * np.sinc(xi * self.a)
         return out if out.ndim else complex(out)
@@ -392,7 +398,7 @@ class ZeroKernel(Kernel):
         raise InfiniteMomentError("the zero kernel has no delay distribution")
 
     def fourier(self, xi):
-        xi = np.asarray(xi, dtype=float)
+        xi = _check_freq(xi)
         out = np.zeros(xi.shape, dtype=complex)
         return out if out.ndim else 0j
 

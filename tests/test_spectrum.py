@@ -96,6 +96,13 @@ class TestBartlettDensity:
         assert np.all(got.imag == 0.0)
         assert np.all(np.abs(got - product) <= 1e-15 * np.abs(product))
 
+    @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
+    def test_nonfinite_frequency_refused(self, kernel):
+        """A NaN frequency is refused, not read as xi = 0."""
+        model = hm.HawkesModel([1.0], [[kernel]])
+        with pytest.raises(ValueError, match="finite frequencies"):
+            hm.bartlett_density(model, np.nan)
+
     def test_spectrum_matrix_helpers(self, d2_model):
         s = hm.bartlett_density(d2_model, 0.8)
         assert s.hermitian_defect() < 1e-12
