@@ -72,6 +72,7 @@ def _g_iterates(m, u, k):
             )
     return out
 
+
 def laplace_generation(m: np.ndarray, u, k: int, ancestor: int = 0) -> float:
     """``E exp(u . Z_k)`` for generation ``k`` from one type-``ancestor`` individual.
 

@@ -30,8 +30,8 @@ from .errors import (ConfigError, HypothesisError, check_fields, config_path,
                      finite_number, number_list)
 from .model import HawkesModel, model_from_dict
 from .simulate import simulate, write_event_log
-from .spectrum import (asymptotic_variance_const, bartlett_grid,
-                       variance_profile)
+from .spectrum import (SpectrumMatrix, asymptotic_variance_const,
+                       bartlett_grid, variance_profile)
 from .spectrum import variance_ST  # noqa: F401 - bench/tracing.py wraps it
 from .stats import clt_harness, mixing_decay_diagnostic
 from .testfunctions import TestFunction
@@ -203,17 +203,14 @@ def _cmd_spectrum(model: HawkesModel, cfg: dict, args, outdir: Path):
                 row += [gam[p, i, j].real, gam[p, i, j].imag]
         rows.append(row)
     _write_csv(outdir / "spectrum.csv", header, rows)
-    sym = 0.5 * (gam + np.conj(np.swapaxes(gam, -1, -2)))
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
-    hermitian_defect = float(
-        np.max(np.abs(gam - np.conj(np.swapaxes(gam, -1, -2))))
-    )
+    grid = SpectrumMatrix(xis, gam)
+    min_eig = grid.min_eigenvalue()
     _write_json(outdir / "summary.json", {
         "count": int(block["count"]),
         "xi_min": block["xi_min"],
         "xi_max": block["xi_max"],
         "min_eigenvalue": min_eig,
-        "hermitian_defect": hermitian_defect,
+        "hermitian_defect": grid.hermitian_defect(),
     })
     print(f"spectral grid written; smallest eigenvalue {min_eig:.3g}")
     return None, 0

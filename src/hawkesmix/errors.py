@@ -13,15 +13,16 @@ are left to the constructors and functions that use the values.
 
 :func:`to_json` is the one serializer of the package's dataclasses: an
 object's JSON shape is its dataclass fields, less those declared with
-``metadata={"json": False}``, with arrays written as nested lists and
-nested dataclasses and dicts converted the same way.
+``metadata={"json": False}``, with arrays and tuples written as nested
+lists and nested dataclasses and dicts converted the same way.
+:func:`from_fields` reads a kernel or weight-form spec by the same rule.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 
@@ -86,16 +87,6 @@ def check_fields(spec, required, optional=()) -> None:
         raise ConfigError("", f"unknown fields {unknown}")
 
 
-def check_choice(spec, key: str, choices):
-    """Return ``choices[spec[key]]`` for an object naming a known choice."""
-    check_fields(spec, (key,), spec)  # the caller checks the other keys
-    name = spec[key]
-    if not isinstance(name, str) or name not in choices:
-        raise ConfigError(f"/{key}", f"unknown {key} {name!r}, expected one of "
-                                     f"{sorted(choices)}")
-    return choices[name]
-
-
 def finite_number(value, pointer: str = "") -> float:
     """``value`` as a float; booleans, strings and non-finite values fail."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -115,6 +106,31 @@ def number_list(value, pointer: str = "") -> list[float]:
     """``value`` as a list of floats, each checked by :func:`finite_number`."""
     return [finite_number(v, f"{pointer}/{n}")
             for n, v in enumerate(array(value, pointer))]
+
+
+def from_fields(spec, key: str, classes):
+    """Build ``classes[spec[key]]`` from a spec shaped as :func:`to_json`
+    writes it, plus the tag ``key``.
+
+    The spec holds one key per dataclass field, required unless the field
+    has a default.  A field annotated ``tuple`` is read by
+    :func:`number_list`, every other field by :func:`finite_number`.
+    """
+    check_fields(spec, (key,), spec)  # the other keys are checked below
+    name = spec[key]
+    if not isinstance(name, str) or name not in classes:
+        raise ConfigError(f"/{key}", f"unknown {key} {name!r}, expected one of "
+                                     f"{sorted(classes)}")
+    cls = classes[name]
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    optional = [f.name for f in fields(cls) if f.default is not MISSING]
+    check_fields(spec, [key, *required], optional)
+    values = {}
+    for f in fields(cls):
+        if f.name in spec:
+            read = number_list if f.type in ("tuple", tuple) else finite_number
+            values[f.name] = read(spec[f.name], f"/{f.name}")
+    return cls(**values)
 
 
 def require_finite(**params) -> None:
@@ -138,8 +154,8 @@ def to_json(obj) -> dict:
     """The fields of dataclass ``obj`` as a JSON-ready dict.
 
     Fields declared with ``metadata={"json": False}`` are left out; arrays
-    become nested lists, and nested dataclasses and dicts are converted
-    the same way.  Dataclasses use it as ``to_dict = to_json``.
+    and tuples become nested lists, and nested dataclasses and dicts are
+    converted the same way.  Dataclasses use it as ``to_dict = to_json``.
     """
     return {f.name: _json_value(getattr(obj, f.name))
             for f in fields(obj) if f.metadata.get("json", True)}
@@ -152,4 +168,6 @@ def _json_value(value):
         return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
     return value

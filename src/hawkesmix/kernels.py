@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._special import beta
-from .errors import (InfiniteMomentError, check_choice, check_fields,
-                     finite_number, require_finite, to_json)
+from .errors import (InfiniteMomentError, from_fields, require_finite,
+                     to_json)
 
 __all__ = [
     "Kernel",
@@ -42,14 +42,6 @@ def _check_time(t):
     return t
 
 
-def _check_freq(xi):
-    xi = np.asarray(xi, dtype=float)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("Fourier transforms need finite frequencies; "
-                         "got a non-finite xi")
-    return xi
-
-
 def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
     """``u``, drawn by ``rng.random``, with its exact zeros redrawn in place.
 
@@ -66,20 +58,24 @@ def redraw_zeros(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
 class Kernel:
     """Common interface of all kernel families.
 
-    Subclasses implement the density :meth:`_density`, exact total mass,
-    normalized delay moments, the Fourier transform, and inverse-CDF delay
-    sampling.
+    Subclasses are frozen dataclasses whose first field is the total mass
+    ``alpha``.  They implement the unchecked density :meth:`_density`,
+    delay moments :meth:`_moment` and transform :meth:`_fourier`, whose
+    arguments the public methods check once here, plus the tail mass, the
+    transform envelope and inverse-CDF delay sampling.
     """
 
     family = "abstract"
 
     def __post_init__(self):
         require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        if self.alpha < 0.0:
+            raise ValueError("alpha must be >= 0")
 
     @property
     def l1_norm(self) -> float:
         """Total mass ``int_0^inf h(t) dt``, exact."""
-        raise NotImplementedError
+        return self.alpha
 
     def evaluate(self, t):
         """Evaluate ``h(t)`` for ``t >= 0`` (scalar or array)."""
@@ -98,10 +94,30 @@ class Kernel:
         InfiniteMomentError
             If the moment of order ``p`` does not exist for this family.
         """
+        if p <= 0.0:
+            raise ValueError("moment order must be positive")
+        return self._moment(p)
+
+    def _moment(self, p: float) -> float:
+        """The moment of order ``p > 0``."""
         raise NotImplementedError
 
     def fourier(self, xi):
-        """Fourier transform ``int_0^inf exp(-2 i pi xi t) h(t) dt``."""
+        """Fourier transform ``int_0^inf exp(-2 i pi xi t) h(t) dt``.
+
+        A scalar ``xi`` gives a Python ``complex``, an array ``xi`` an
+        array of its shape.
+        """
+        xi = np.asarray(xi, dtype=float)
+        if not np.all(np.isfinite(xi)):
+            raise ValueError("Fourier transforms need finite frequencies; "
+                             "got a non-finite xi")
+        out = self._fourier(np.atleast_1d(xi))
+        return out if xi.ndim else complex(out[0])
+
+    def _fourier(self, xi: np.ndarray) -> np.ndarray:
+        """The transform at a finite float array ``xi`` of one or more
+        dimensions; unchecked."""
         raise NotImplementedError
 
     def fourier_envelope(self) -> float:
@@ -144,27 +160,17 @@ class ExponentialKernel(Kernel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
         if self.beta <= 0.0:
             raise ValueError("beta must be > 0")
-
-    @property
-    def l1_norm(self) -> float:
-        return self.alpha
 
     def _density(self, t):
         return self.alpha * self.beta * np.exp(-self.beta * t)
 
-    def moment(self, p: float) -> float:
-        if p <= 0.0:
-            raise ValueError("moment order must be positive")
+    def _moment(self, p: float) -> float:
         return float(math.gamma(p + 1.0) / self.beta**p)
 
-    def fourier(self, xi):
-        xi = _check_freq(xi)
-        out = self.alpha * self.beta / (self.beta + 2j * np.pi * xi)
-        return out if out.ndim else complex(out)
+    def _fourier(self, xi):
+        return self.alpha * self.beta / (self.beta + 2j * np.pi * xi)
 
     def fourier_envelope(self) -> float:
         return self.alpha * self.beta / (2.0 * np.pi)
@@ -243,25 +249,17 @@ class PowerLawKernel(Kernel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
         if self.c <= 0.0:
             raise ValueError("c must be > 0")
         if self.theta <= 1.0:
             raise ValueError("theta must be > 1 so delays have a finite mean")
-
-    @property
-    def l1_norm(self) -> float:
-        return self.alpha
 
     def _density(self, t):
         return self.alpha * self.theta * self.c**self.theta / (self.c + t) ** (
             1.0 + self.theta
         )
 
-    def moment(self, p: float) -> float:
-        if p <= 0.0:
-            raise ValueError("moment order must be positive")
+    def _moment(self, p: float) -> float:
         if p >= self.theta:
             raise InfiniteMomentError(
                 f"power-law moment of order {p} requires theta > {p}, "
@@ -313,10 +311,7 @@ class PowerLawKernel(Kernel):
             t += p + 2.0 * (k - 1)
         return self.theta / t
 
-    def fourier(self, xi):
-        xi = _check_freq(xi)
-        scalar = xi.ndim == 0
-        xi = np.atleast_1d(xi)
+    def _fourier(self, xi):
         v = 2.0 * np.pi * np.abs(xi) * self.c
         res = np.ones(xi.shape, dtype=complex)
         nz = v > 0.0
@@ -324,7 +319,7 @@ class PowerLawKernel(Kernel):
             res[nz] = self._fourier_normalized(v[nz])
         res[xi < 0.0] = np.conj(res[xi < 0.0])
         res *= self.alpha
-        return complex(res[0]) if scalar else res
+        return res
 
     def fourier_envelope(self) -> float:
         # integration by parts: |F h| <= (h(0+) + TV(h)) / (2 pi |xi|), and
@@ -348,28 +343,18 @@ class UniformKernel(Kernel):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
         if self.a <= 0.0:
             raise ValueError("a must be > 0")
-
-    @property
-    def l1_norm(self) -> float:
-        return self.alpha
 
     def _density(self, t):
         return (self.alpha / self.a) * (t <= self.a)
 
-    def moment(self, p: float) -> float:
-        if p <= 0.0:
-            raise ValueError("moment order must be positive")
+    def _moment(self, p: float) -> float:
         return self.a**p / (p + 1.0)
 
-    def fourier(self, xi):
-        xi = _check_freq(xi)
+    def _fourier(self, xi):
         # exact: alpha * exp(-i pi xi a) * sin(pi xi a) / (pi xi a)
-        out = self.alpha * np.exp(-1j * np.pi * xi * self.a) * np.sinc(xi * self.a)
-        return out if out.ndim else complex(out)
+        return self.alpha * np.exp(-1j * np.pi * xi * self.a) * np.sinc(xi * self.a)
 
     def fourier_envelope(self) -> float:
         return self.alpha / (np.pi * self.a)
@@ -386,21 +371,16 @@ class ZeroKernel(Kernel):
     """The identically zero kernel (no influence)."""
 
     family = "zero"
-
-    @property
-    def l1_norm(self) -> float:
-        return 0.0
+    alpha = 0.0  # a class constant, not a field: the kernel has no parameter
 
     def _density(self, t):
         return np.zeros_like(t, dtype=float)
 
-    def moment(self, p: float) -> float:
+    def _moment(self, p: float) -> float:
         raise InfiniteMomentError("the zero kernel has no delay distribution")
 
-    def fourier(self, xi):
-        xi = _check_freq(xi)
-        out = np.zeros(xi.shape, dtype=complex)
-        return out if out.ndim else 0j
+    def _fourier(self, xi):
+        return np.zeros(xi.shape, dtype=complex)
 
     def fourier_envelope(self) -> float:
         return 0.0
@@ -425,7 +405,4 @@ def kernel_from_dict(spec: dict) -> Kernel:
     number raises :class:`~hawkesmix.errors.ConfigError`; parameter ranges
     are checked by the kernel constructors.
     """
-    cls = check_choice(spec, "family", _FAMILIES)
-    params = tuple(f.name for f in fields(cls))
-    check_fields(spec, ("family",) + params)
-    return cls(**{p: finite_number(spec[p], f"/{p}") for p in params})
+    return from_fields(spec, "family", _FAMILIES)

@@ -71,7 +71,7 @@ def fourier_matrix(model: HawkesModel, xi) -> np.ndarray:
     out = np.empty((pts.size, d, d), dtype=complex)
     for i in range(d):
         for j in range(d):
-            out[:, i, j] = np.atleast_1d(model.kernels[i][j].fourier(pts))
+            out[:, i, j] = model.kernels[i][j].fourier(pts)
     return out[0] if scalar else out
 
 
@@ -98,17 +98,23 @@ def bartlett_grid(model: HawkesModel, xis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumMatrix:
-    """Value of the Bartlett density at one frequency."""
+    """Value of the Bartlett density at one frequency, or a stack of them:
+    ``xi`` of shape ``(n,)`` with ``value`` of shape ``(n, d, d)``."""
 
-    xi: float
+    xi: float | np.ndarray
     value: np.ndarray
 
+    def _adjoint(self) -> np.ndarray:
+        return self.value.conj().swapaxes(-1, -2)
+
     def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.value - self.value.conj().T)))
+        """Largest entry of ``|value - value^H|`` over the stack."""
+        return float(np.max(np.abs(self.value - self._adjoint())))
 
     def min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.value + self.value.conj().T)
-        return float(np.linalg.eigvalsh(sym)[0])
+        """Smallest eigenvalue of the Hermitian parts over the stack."""
+        sym = 0.5 * (self.value + self._adjoint())
+        return float(np.min(np.linalg.eigvalsh(sym)))
 
     def to_dict(self) -> dict:
         return {

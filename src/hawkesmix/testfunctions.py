@@ -1,9 +1,10 @@
 """Weight functions for linear statistics of event counts.
 
-A :class:`TestFunction` holds one scalar weight per component.  Four forms
+A :class:`TestFunction` holds one scalar weight per component.  Five forms
 are supported: constants, finite-interval indicators, a constant plus an
 indicator, trigonometric polynomials, and periodic functions given by
-samples over one period (interpolated piecewise linearly).
+samples over one period (interpolated piecewise linearly).  Each form is a
+frozen dataclass whose fields are its JSON keys.
 
 Every form exposes exact pointwise evaluation, exact running integrals, and
 the windowed Fourier transform ``F (f 1_[0,T]) (xi) = int_0^T f(t)
@@ -14,12 +15,11 @@ quadrature tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import (array, check_choice, check_fields, config_path,
-                     finite_number, number_list, require_finite, to_json)
+from .errors import array, config_path, from_fields, require_finite, to_json
 
 __all__ = [
     "ComponentFunction",
@@ -41,6 +41,12 @@ def _window_phase(xi, left, right):
     return length * np.exp(-1j * np.pi * xi * (left + right)) * np.sinc(xi * length)
 
 
+def _freeze(obj, **attrs) -> None:
+    """Set attributes of a frozen dataclass from its ``__post_init__``."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Certified bound ``|F(f 1_[0,T])(xi)| <= a/xi + b/xi**2, xi >= xi_min``."""
@@ -55,9 +61,16 @@ class Envelope:
 
 
 class ComponentFunction:
-    """Scalar weight applied to one component's events."""
+    """Scalar weight applied to one component's events.
+
+    Subclasses are frozen dataclasses; every field is checked finite here,
+    and the subclasses check ranges.
+    """
 
     form = "abstract"
+
+    def __post_init__(self):
+        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
 
     def value(self, t):
         raise NotImplementedError
@@ -92,9 +105,6 @@ class ConstantF(ComponentFunction):
     k: float
     form = "constant"
 
-    def __post_init__(self):
-        require_finite(k=self.k)
-
     def value(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.k)
 
@@ -121,7 +131,7 @@ class IndicatorF(ComponentFunction):
     form = "indicator"
 
     def __post_init__(self):
-        require_finite(a=self.a, b=self.b, amplitude=self.amplitude)
+        super().__post_init__()
         if not self.b > self.a:
             raise ValueError("indicator needs b > a")
 
@@ -185,47 +195,49 @@ class ConstPlusIndicatorF(ComponentFunction):
         return c.envelope(t) + ind.envelope(t)
 
 
+@dataclass(frozen=True)
 class TrigPolyF(ComponentFunction):
     """Trigonometric polynomial with a given period.
 
-    ``f(t) = a0 + sum_n cos_coeffs[n-1] cos(2 pi n t / period)
-                + sum_n sin_coeffs[n-1] sin(2 pi n t / period)``
+    ``f(t) = a0 + sum_n cos[n-1] cos(2 pi n t / period)
+                + sum_n sin[n-1] sin(2 pi n t / period)``
 
     All Fourier and integral formulas are exact; the windowed transform is a
     finite sum of shifted Dirichlet factors.
     """
 
+    period: float
+    a0: float
+    cos: tuple = ()
+    sin: tuple = ()
     form = "trigpoly"
 
-    def __init__(self, period: float, a0: float, cos_coeffs=(), sin_coeffs=()):
-        require_finite(period=period, a0=a0, cos_coeffs=cos_coeffs,
-                       sin_coeffs=sin_coeffs)
-        if period <= 0.0:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.period <= 0.0:
             raise ValueError("period must be positive")
-        self.period = float(period)
-        self.a0 = float(a0)
-        self.cos_coeffs = tuple(float(c) for c in cos_coeffs)
-        self.sin_coeffs = tuple(float(s) for s in sin_coeffs)
-        n = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        self.degree = n
+        period, a0 = float(self.period), float(self.a0)
+        cos = tuple(float(c) for c in self.cos)
+        sin = tuple(float(s) for s in self.sin)
+        n = max(len(cos), len(sin))
         # complex coefficients c_m for m = -n .. n
         cm = np.zeros(2 * n + 1, dtype=complex)
-        cm[n] = self.a0
+        cm[n] = a0
         for j in range(1, n + 1):
-            aj = self.cos_coeffs[j - 1] if j <= len(self.cos_coeffs) else 0.0
-            bj = self.sin_coeffs[j - 1] if j <= len(self.sin_coeffs) else 0.0
+            aj = cos[j - 1] if j <= len(cos) else 0.0
+            bj = sin[j - 1] if j <= len(sin) else 0.0
             cm[n + j] = 0.5 * (aj - 1j * bj)
             cm[n - j] = 0.5 * (aj + 1j * bj)
-        self._cm = cm
-        self._freqs = np.arange(-n, n + 1) / self.period
+        _freeze(self, period=period, a0=a0, cos=cos, sin=sin, _cm=cm,
+                _freqs=np.arange(-n, n + 1) / period)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
         w = 2.0 * np.pi * t / self.period
         out = np.full(t.shape, self.a0)
-        for j, aj in enumerate(self.cos_coeffs, start=1):
+        for j, aj in enumerate(self.cos, start=1):
             out += aj * np.cos(j * w)
-        for j, bj in enumerate(self.sin_coeffs, start=1):
+        for j, bj in enumerate(self.sin, start=1):
             out += bj * np.sin(j * w)
         return out
 
@@ -233,9 +245,9 @@ class TrigPolyF(ComponentFunction):
         t = np.asarray(t, dtype=float)
         w = 2.0 * np.pi * t / self.period
         out = self.a0 * t.astype(float)
-        for j, aj in enumerate(self.cos_coeffs, start=1):
+        for j, aj in enumerate(self.cos, start=1):
             out += aj * self.period / (2.0 * np.pi * j) * np.sin(j * w)
-        for j, bj in enumerate(self.sin_coeffs, start=1):
+        for j, bj in enumerate(self.sin, start=1):
             out += bj * self.period / (2.0 * np.pi * j) * (1.0 - np.cos(j * w))
         return out
 
@@ -243,7 +255,7 @@ class TrigPolyF(ComponentFunction):
         # full periods contribute exactly via Parseval; the tail partial
         # period is a low-degree trig polynomial, so 64-node Gauss is exact
         mean_sq = self.a0**2 + 0.5 * (
-            sum(c * c for c in self.cos_coeffs) + sum(s * s for s in self.sin_coeffs)
+            sum(c * c for c in self.cos) + sum(s * s for s in self.sin)
         )
         full, rem = divmod(t, self.period)
         total = mean_sq * self.period * full
@@ -264,19 +276,12 @@ class TrigPolyF(ComponentFunction):
     def envelope(self, t: float) -> Envelope:
         # beyond twice the top frequency, |xi - nu| >= xi/2 for every line
         total = float(np.sum(np.abs(self._cm)))
-        xi_min = 2.0 * max(self.degree, 1) / self.period
+        degree = max(len(self.cos), len(self.sin))
+        xi_min = 2.0 * max(degree, 1) / self.period
         return Envelope(2.0 * total / np.pi, 0.0, xi_min)
 
-    def to_dict(self) -> dict:
-        return {
-            "form": "trigpoly",
-            "period": self.period,
-            "a0": self.a0,
-            "cos": list(self.cos_coeffs),
-            "sin": list(self.sin_coeffs),
-        }
 
-
+@dataclass(frozen=True)
 class SampledPeriodicF(ComponentFunction):
     """Periodic weight given by samples on one period.
 
@@ -286,30 +291,29 @@ class SampledPeriodicF(ComponentFunction):
     one-period transform with the Dirichlet factor for the whole periods.
     """
 
+    period: float
+    samples: tuple
     form = "periodic_samples"
 
-    def __init__(self, period: float, samples):
-        require_finite(period=period)
-        if period <= 0.0:
+    def __post_init__(self):
+        super().__post_init__()
+        if self.period <= 0.0:
             raise ValueError("period must be positive")
-        samples = np.asarray(samples, dtype=float)
+        samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("need at least two samples per period")
-        require_finite(samples=samples)
-        self.period = float(period)
-        self.samples = samples
-        n = samples.size
-        self._knots = np.linspace(0.0, self.period, n + 1)
-        self._vals = np.concatenate([samples, samples[:1]])
-        seg = np.diff(self._vals)
-        width = self.period / n
-        self._slopes = seg / width
+        period, n = float(self.period), samples.size
+        vals = np.concatenate([samples, samples[:1]])
+        width = period / n
         # per-segment exact integrals of f and f^2, then prefix sums
-        v0, v1 = self._vals[:-1], self._vals[1:]
+        v0, v1 = vals[:-1], vals[1:]
         seg_int = 0.5 * (v0 + v1) * width
         seg_sq = width * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0
-        self._cum_int = np.concatenate([[0.0], np.cumsum(seg_int)])
-        self._cum_sq = np.concatenate([[0.0], np.cumsum(seg_sq)])
+        _freeze(self, period=period, samples=tuple(samples.tolist()),
+                _knots=np.linspace(0.0, period, n + 1), _vals=vals,
+                _slopes=np.diff(vals) / width,
+                _cum_int=np.concatenate([[0.0], np.cumsum(seg_int)]),
+                _cum_sq=np.concatenate([[0.0], np.cumsum(seg_sq)]))
 
     def _wrap(self, t):
         t = np.asarray(t, dtype=float)
@@ -322,7 +326,7 @@ class SampledPeriodicF(ComponentFunction):
         idx = np.clip(
             np.searchsorted(self._knots, rem, side="right") - 1,
             0,
-            self.samples.size - 1,
+            len(self.samples) - 1,
         )
         t0 = self._knots[idx]
         v0 = self._vals[idx]
@@ -349,7 +353,7 @@ class SampledPeriodicF(ComponentFunction):
         """Exact transform of the interpolant over ``[0, period]``."""
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.zeros(xi.shape, dtype=complex)
-        for k in range(self.samples.size):
+        for k in range(len(self.samples)):
             t0, t1 = self._knots[k], self._knots[k + 1]
             v0, s = self._vals[k], self._slopes[k]
             out += self._linear_segment(xi, t0, t1, v0, s)
@@ -401,7 +405,7 @@ class SampledPeriodicF(ComponentFunction):
         if rem > 0.0:
             shift = np.exp(-2j * np.pi * xi * (full * self.period))
             partial = np.zeros(xi.shape, dtype=complex)
-            for k in range(self.samples.size):
+            for k in range(len(self.samples)):
                 t0 = self._knots[k]
                 if t0 >= rem:
                     break
@@ -422,27 +426,9 @@ class SampledPeriodicF(ComponentFunction):
         b = (2.0 * smax + periods * jumps) / (4.0 * np.pi**2)
         return Envelope(a, b)
 
-    def to_dict(self) -> dict:
-        return {
-            "form": "periodic_samples",
-            "period": self.period,
-            "samples": self.samples.tolist(),
-        }
 
-
-# form -> (builder, required fields, optional fields); every field holds one
-# number except those in _ARRAY_FIELDS, which hold an array of numbers
-_FORMS = {
-    "constant": (ConstantF, ("k",), ()),
-    "indicator": (IndicatorF, ("a", "b"), ("amplitude",)),
-    "const_plus_indicator": (ConstPlusIndicatorF, ("k", "a", "b"),
-                             ("amplitude",)),
-    "trigpoly": (lambda period, a0, cos=(), sin=():
-                 TrigPolyF(period, a0, cos, sin),
-                 ("period", "a0"), ("cos", "sin")),
-    "periodic_samples": (SampledPeriodicF, ("period", "samples"), ()),
-}
-_ARRAY_FIELDS = ("cos", "sin", "samples")
+_FORMS = {cls.form: cls for cls in (ConstantF, IndicatorF, ConstPlusIndicatorF,
+                                    TrigPolyF, SampledPeriodicF)}
 
 
 def component_from_dict(spec: dict) -> ComponentFunction:
@@ -453,14 +439,7 @@ def component_from_dict(spec: dict) -> ComponentFunction:
     :class:`~hawkesmix.errors.ConfigError`; ranges are checked by the
     constructors.
     """
-    build, required, optional = check_choice(spec, "form", _FORMS)
-    check_fields(spec, ("form",) + required, optional)
-    values = {}
-    for key, value in spec.items():
-        if key != "form":
-            check = number_list if key in _ARRAY_FIELDS else finite_number
-            values[key] = check(value, f"/{key}")
-    return build(**values)
+    return from_fields(spec, "form", _FORMS)
 
 
 class TestFunction:

@@ -107,8 +107,9 @@ class TestMoments:
             hm.ZeroKernel().moment(1.0)
 
     def test_nonpositive_order_rejected(self):
-        with pytest.raises(ValueError):
-            hm.ExponentialKernel(0.5, 2.0).moment(0.0)
+        for kernel in ALL_KERNELS + [hm.ZeroKernel()]:
+            with pytest.raises(ValueError, match="order must be positive"):
+                kernel.moment(0.0)
 
 
 class TestFourier:
@@ -417,6 +418,19 @@ class TestFourier:
         finally:
             tracemalloc.stop()
         assert peak < 16 * out.nbytes
+
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [hm.ZeroKernel()])
+    def test_scalar_and_array_calls_agree(self, kernel):
+        """A scalar gives a Python complex, an array keeps its shape, and
+        each array entry is the scalar call's value."""
+        xi = np.array([[-7.0, -0.2, 0.0], [0.1, 0.5, 7.0]])
+        assert type(kernel.fourier(0.3)) is complex
+        got = kernel.fourier(xi)
+        assert got.shape == xi.shape and got.dtype == complex
+        # the power-law continued fraction takes its depth from the
+        # smallest frequency of the call, so allow rounding
+        each = [[kernel.fourier(x) for x in row] for row in xi]
+        assert np.allclose(got, each, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS + [hm.ZeroKernel()])
     @pytest.mark.parametrize("xi", [np.nan, np.inf, -np.inf])

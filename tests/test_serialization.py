@@ -6,12 +6,15 @@ shows up as a failure rather than as a silent change to the artifacts.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import hawkesmix as hm
+from hawkesmix.kernels import _FAMILIES
 from hawkesmix.stats import DecayReport, HarnessReport, PathSample
+from hawkesmix.testfunctions import _FORMS
 
 A = np.array([1.0, 2.0])
 
@@ -169,3 +172,32 @@ def test_test_function_bytes():
     ])
     assert json.dumps(f.to_dict(), sort_keys=True) == SAVED_FORMS
     assert hm.TestFunction.from_dict(f.to_dict()).to_dict() == f.to_dict()
+
+
+SPECS = [
+    hm.ExponentialKernel(0.3, 2.0), hm.PowerLawKernel(0.1, 1.5, 2.5),
+    hm.UniformKernel(0.2, 0.75), hm.ZeroKernel(),
+    hm.ConstantF(2.0), hm.IndicatorF(1.0, 3.0),
+    hm.ConstPlusIndicatorF(1.0, 0.0, 2.0, -0.5),
+    hm.TrigPolyF(5.0, 1.0, [0.5]), hm.TrigPolyF(5.0, 1.0, sin=[0.25, 0.125]),
+    hm.SampledPeriodicF(4.0, [1.0, 2.0, 0.5]),
+]
+
+
+def test_specs_cover_every_family_and_form():
+    assert ({type(s) for s in SPECS}
+            == set(_FAMILIES.values()) | set(_FORMS.values()))
+
+
+@pytest.mark.parametrize("obj", SPECS, ids=lambda s: type(s).__name__)
+def test_spec_keys_are_fields(obj):
+    """A spec holds its tag and one key per dataclass field, and builds the
+    object back, also after a trip through JSON text."""
+    if isinstance(obj, hm.Kernel):
+        tag, build = "family", hm.kernel_from_dict
+    else:
+        tag, build = "form", hm.component_from_dict
+    payload = obj.to_dict()
+    assert set(payload) == {tag} | {f.name for f in fields(obj)}
+    assert build(payload) == obj
+    assert build(json.loads(json.dumps(payload))) == obj

@@ -110,6 +110,17 @@ class TestBartlettDensity:
         payload = s.to_dict()
         assert set(payload) >= {"xi", "real", "imag"}
 
+    def test_spectrum_matrix_helpers_on_a_stack(self, d2_model):
+        """Over a ``(n, d, d)`` stack the helpers give the extreme value of
+        the single-frequency ones."""
+        xis = np.array([-1.0, 0.0, 0.8])
+        stack = hm.SpectrumMatrix(xis, hm.bartlett_grid(d2_model, xis))
+        singles = [hm.bartlett_density(d2_model, xi) for xi in xis]
+        assert stack.min_eigenvalue() == pytest.approx(
+            min(s.min_eigenvalue() for s in singles), rel=1e-12)
+        assert stack.hermitian_defect() == pytest.approx(
+            max(s.hermitian_defect() for s in singles), rel=1e-12, abs=1e-15)
+
 
 class TestVarianceProfile:
     def test_d1_closed_form(self, d1_model):
@@ -277,7 +288,7 @@ class TestPeriodicVariance:
     def test_trig_reference_value(self, d1_model):
         # f(t) = 1 + cos(2 pi t): slope = gamma(0) + gamma(1) / 2
         f = hm.TestFunction([
-            hm.TrigPolyF(period=1.0, a0=1.0, cos_coeffs=[1.0])
+            hm.TrigPolyF(period=1.0, a0=1.0, cos=[1.0])
         ])
         got = hm.asymptotic_variance_periodic(d1_model, f, 1.0)
         assert got.value == pytest.approx(9.074113569095573, rel=1e-9)
@@ -297,7 +308,7 @@ class TestPeriodicVariance:
 
     def test_term_count_converged(self, d1_model):
         f = hm.TestFunction([
-            hm.TrigPolyF(period=1.0, a0=1.0, cos_coeffs=[0.5], sin_coeffs=[0.2])
+            hm.TrigPolyF(period=1.0, a0=1.0, cos=[0.5], sin=[0.2])
         ])
         lo = hm.asymptotic_variance_periodic(d1_model, f, 1.0, n_max=64)
         hi = hm.asymptotic_variance_periodic(d1_model, f, 1.0, n_max=128)
@@ -306,7 +317,7 @@ class TestPeriodicVariance:
 
     def test_matches_long_window_slope(self, d1_model):
         f = hm.TestFunction([
-            hm.TrigPolyF(period=1.0, a0=1.0, cos_coeffs=[1.0])
+            hm.TrigPolyF(period=1.0, a0=1.0, cos=[1.0])
         ])
         slope = hm.asymptotic_variance_periodic(d1_model, f, 1.0).value
         t = 1000.0
@@ -316,7 +327,7 @@ class TestPeriodicVariance:
 
     def test_zero_mean_rejected(self, d1_model):
         f = hm.TestFunction([
-            hm.TrigPolyF(period=1.0, a0=0.0, cos_coeffs=[1.0])
+            hm.TrigPolyF(period=1.0, a0=0.0, cos=[1.0])
         ])
         with pytest.raises(HypothesisError):
             hm.asymptotic_variance_periodic(d1_model, f, 1.0)
