@@ -8,19 +8,22 @@ exit code 2 and everything else to exit code 1.
 
 A JSON spec with an unknown or missing key, or a value of the wrong type,
 raises :class:`ConfigError`.  The helpers after the exception types are the
-checks that the ``from_dict`` builders and the command line share; ranges
-are left to the constructors and functions that use the values.
+readers that the constructors, the ``from_dict`` builders and the command
+line share; ranges are left to the code that uses the values.  Kernels and
+weight forms read their own fields by :func:`read_fields`, so Python and
+JSON construction raise the same :class:`ConfigError`.
 
 :func:`to_json` is the one serializer of the package's dataclasses: an
 object's JSON shape is its dataclass fields, less those declared with
 ``metadata={"json": False}``, with arrays and tuples written as nested
 lists and nested dataclasses and dicts converted the same way.
-:func:`from_fields` reads a kernel or weight-form spec by the same rule.
+:func:`from_fields` checks kernel and weight-form spec keys by that rule.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 
@@ -88,16 +91,17 @@ def check_fields(spec, required, optional=()) -> None:
 
 
 def finite_number(value, pointer: str = "") -> float:
-    """``value`` as a float; booleans, strings and non-finite values fail."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
+    """``value`` as a float: any real number but a boolean, and finite."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value)):
         raise ConfigError(pointer, f"expected a finite number, got {value!r}")
     return float(value)
 
 
-def array(value, pointer: str = "") -> list:
-    """``value`` itself, which must be a JSON array."""
-    if not isinstance(value, list):
+def array(value, pointer: str = ""):
+    """``value`` itself, which must be a list, a tuple or a 1-d array."""
+    if not (isinstance(value, (list, tuple))
+            or isinstance(value, np.ndarray) and value.ndim == 1):
         raise ConfigError(pointer, f"expected an array, got {value!r}")
     return value
 
@@ -108,13 +112,27 @@ def number_list(value, pointer: str = "") -> list[float]:
             for n, v in enumerate(array(value, pointer))]
 
 
+def read_fields(obj) -> None:
+    """Replace each field of the frozen dataclass ``obj`` by its value read
+    by its annotation: :func:`number_list`, as a tuple, for a ``tuple``
+    field, :func:`finite_number` otherwise; a bad value raises
+    :class:`ConfigError` at ``/<field>``."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in ("tuple", tuple):
+            value = tuple(number_list(value, f"/{f.name}"))
+        else:
+            value = finite_number(value, f"/{f.name}")
+        object.__setattr__(obj, f.name, value)
+
+
 def from_fields(spec, key: str, classes):
     """Build ``classes[spec[key]]`` from a spec shaped as :func:`to_json`
     writes it, plus the tag ``key``.
 
     The spec holds one key per dataclass field, required unless the field
-    has a default.  A field annotated ``tuple`` is read by
-    :func:`number_list`, every other field by :func:`finite_number`.
+    has a default.  The values go to the class as they are; its
+    constructor reads them by :func:`read_fields`.
     """
     check_fields(spec, (key,), spec)  # the other keys are checked below
     name = spec[key]
@@ -125,19 +143,7 @@ def from_fields(spec, key: str, classes):
     required = [f.name for f in fields(cls) if f.default is MISSING]
     optional = [f.name for f in fields(cls) if f.default is not MISSING]
     check_fields(spec, [key, *required], optional)
-    values = {}
-    for f in fields(cls):
-        if f.name in spec:
-            read = number_list if f.type in ("tuple", tuple) else finite_number
-            values[f.name] = read(spec[f.name], f"/{f.name}")
-    return cls(**values)
-
-
-def require_finite(**params) -> None:
-    """Raise ``ValueError`` naming the first parameter with a non-finite entry."""
-    for name, value in params.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    return cls(**{k: v for k, v in spec.items() if k != key})
 
 
 def require_integer(minimum: int = 0, **params) -> None:

@@ -17,13 +17,12 @@ h(u) du``.  Kernel objects are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._special import beta
-from .errors import (InfiniteMomentError, from_fields, require_finite,
-                     to_json)
+from .errors import InfiniteMomentError, from_fields, read_fields, to_json
 
 __all__ = [
     "Kernel",
@@ -59,16 +58,17 @@ class Kernel:
     """Common interface of all kernel families.
 
     Subclasses are frozen dataclasses whose first field is the total mass
-    ``alpha``.  They implement the unchecked density :meth:`_density`,
-    delay moments :meth:`_moment` and transform :meth:`_fourier`, whose
-    arguments the public methods check once here, plus the tail mass, the
-    transform envelope and inverse-CDF delay sampling.
+    ``alpha``; their fields are read here by ``errors.read_fields``.  They
+    implement the unchecked density :meth:`_density`, delay moments
+    :meth:`_moment` and transform :meth:`_fourier`, whose arguments the
+    public methods check once here, plus the tail mass, the transform
+    envelope and inverse-CDF delay sampling.
     """
 
     family = "abstract"
 
     def __post_init__(self):
-        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        read_fields(self)
         if self.alpha < 0.0:
             raise ValueError("alpha must be >= 0")
 
@@ -401,8 +401,8 @@ def kernel_from_dict(spec: dict) -> Kernel:
 
     The expected shape is ``{"family": name, **params}``, e.g.
     ``{"family": "exponential", "alpha": 0.5, "beta": 2.0}``.  An unknown
-    family, a missing or unknown field, or a parameter that is not a finite
-    number raises :class:`~hawkesmix.errors.ConfigError`; parameter ranges
-    are checked by the kernel constructors.
+    family or a missing or unknown field raises
+    :class:`~hawkesmix.errors.ConfigError`, and so does the constructor for
+    a parameter that is not a finite number; it also checks the ranges.
     """
     return from_fields(spec, "family", _FAMILIES)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NumericError, SubcriticalityError, array, check_fields,
-                     config_path, number_list, require_finite, to_json)
+                     config_path, number_list, to_json)
 from .kernels import Kernel, ZeroKernel, kernel_from_dict
 
 __all__ = [
@@ -38,7 +38,8 @@ def spectral_radius(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    require_finite(m=m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"m must be finite, got {m!r}")
     if np.any(m < 0.0):
         raise ValueError("reproduction matrices are nonnegative")
     return float(np.max(np.abs(np.linalg.eigvals(m))))
@@ -60,7 +61,7 @@ class HawkesModel:
 
     Parameters
     ----------
-    eta : array_like
+    eta : list, tuple or 1-d array of float
         Strictly positive baseline rates, length ``d``.
     kernels : sequence of sequence of Kernel
         ``kernels[i][j]`` is the kernel through which component ``i`` excites
@@ -75,19 +76,18 @@ class HawkesModel:
     """
 
     def __init__(self, eta, kernels):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim != 1 or eta.size == 0:
+        eta = np.array(number_list(eta, "/eta"))
+        if eta.size == 0:
             raise ValueError("eta must be a nonempty vector")
-        require_finite(eta=eta)
         if np.any(eta <= 0.0):
             raise ValueError("baseline rates must be strictly positive")
         d = eta.size
+        kernels = [array(row, f"/kernels/{i}")
+                   for i, row in enumerate(array(kernels, "/kernels"))]
         if len(kernels) != d or any(len(row) != d for row in kernels):
             raise ValueError(f"kernel array must be {d} x {d}")
-        for row in kernels:
-            for k in row:
-                if not isinstance(k, Kernel):
-                    raise TypeError("kernel array entries must be Kernel instances")
+        if not all(isinstance(k, Kernel) for row in kernels for k in row):
+            raise TypeError("kernel array entries must be Kernel instances")
         self.eta = eta
         self.kernels = tuple(tuple(row) for row in kernels)
         self.active = tuple(
@@ -188,14 +188,13 @@ def model_from_dict(spec: dict) -> HawkesModel:
     with a JSON pointer into ``spec``, such as ``/kernels/0/1/beta``.
     """
     check_fields(spec, ("eta", "kernels"))
-    eta = number_list(spec["eta"], "/eta")
     kernels = []
     for i, row in enumerate(array(spec["kernels"], "/kernels")):
         kernels.append([])
         for j, k in enumerate(array(row, f"/kernels/{i}")):
             with config_path("kernels", i, j):
                 kernels[i].append(kernel_from_dict(k))
-    return HawkesModel(eta, kernels)
+    return HawkesModel(spec["eta"], kernels)
 
 
 def load_model(path) -> HawkesModel:

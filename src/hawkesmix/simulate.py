@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require_integer
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -74,6 +74,7 @@ class EventLog:
         """Number of component-``i`` events in the half-open interval ``(a, b]``."""
         if not 0 <= i < self.d:
             raise ValueError(f"component index {i} out of range")
+        require_integer(i=i)
         if not (0.0 <= a <= b <= self.horizon):
             raise ValueError("interval must satisfy 0 <= a <= b <= horizon")
         t = self.events[i]

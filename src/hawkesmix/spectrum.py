@@ -487,6 +487,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     d = model.d
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("component index out of range")
+    require_integer(i=i, j=j)
     a_lo, a_hi = map(float, window_a)
     b_lo, b_hi = map(float, window_b)
     for name, lo, hi in (("A", a_lo, a_hi), ("B", b_lo, b_hi)):

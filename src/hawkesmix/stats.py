@@ -20,7 +20,7 @@ import numpy as np
 
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
-from .errors import HypothesisError, NumericError, to_json
+from .errors import HypothesisError, NumericError, require_integer, to_json
 from .model import HawkesModel
 from .simulate import (EventLog, _simulator, default_burn_in, simulate,
                        simulate_cluster_batch, spawn_seeds)
@@ -428,6 +428,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     for c in (i, j):
         if not 0 <= c < model.d:
             raise ValueError(f"component index {c} out of range")
+    require_integer(i=i, j=j)
     horizon = float(np.max(lags)) + window_len
 
     counts = _replicate_rows(model, horizon, replicates, seed, simulator,

@@ -4,7 +4,8 @@ A :class:`TestFunction` holds one scalar weight per component.  Five forms
 are supported: constants, finite-interval indicators, a constant plus an
 indicator, trigonometric polynomials, and periodic functions given by
 samples over one period (interpolated piecewise linearly).  Each form is a
-frozen dataclass whose fields are its JSON keys.
+frozen dataclass whose fields are its JSON keys; it reads them itself, so
+Python and JSON construction raise the same ``ConfigError``.
 
 Every form exposes exact pointwise evaluation, exact running integrals, and
 the windowed Fourier transform ``F (f 1_[0,T]) (xi) = int_0^T f(t)
@@ -15,11 +16,11 @@ quadrature tails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import array, config_path, from_fields, require_finite, to_json
+from .errors import array, config_path, from_fields, read_fields, to_json
 
 __all__ = [
     "ComponentFunction",
@@ -63,14 +64,14 @@ class Envelope:
 class ComponentFunction:
     """Scalar weight applied to one component's events.
 
-    Subclasses are frozen dataclasses; every field is checked finite here,
-    and the subclasses check ranges.
+    Subclasses are frozen dataclasses; every field is read here by
+    :func:`~hawkesmix.errors.read_fields`, and the subclasses check ranges.
     """
 
     form = "abstract"
 
     def __post_init__(self):
-        require_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        read_fields(self)
 
     def value(self, t):
         raise NotImplementedError
@@ -168,31 +169,27 @@ class ConstPlusIndicatorF(ComponentFunction):
     form = "const_plus_indicator"
 
     def __post_init__(self):
-        self._parts()  # the parts' constructors check the parameters
-
-    def _parts(self):
-        return ConstantF(self.k), IndicatorF(self.a, self.b, self.amplitude)
+        super().__post_init__()
+        # the bump's constructor checks its interval
+        _freeze(self, _c=ConstantF(self.k),
+                _ind=IndicatorF(self.a, self.b, self.amplitude))
 
     def value(self, t):
-        c, ind = self._parts()
-        return c.value(t) + ind.value(t)
+        return self._c.value(t) + self._ind.value(t)
 
     def integral(self, t):
-        c, ind = self._parts()
-        return c.integral(t) + ind.integral(t)
+        return self._c.integral(t) + self._ind.integral(t)
 
     def squared_integral(self, t: float) -> float:
-        c, ind = self._parts()
-        cross = 2.0 * self.k * float(ind.integral(t))
-        return c.squared_integral(t) + cross + ind.squared_integral(t)
+        cross = 2.0 * self.k * float(self._ind.integral(t))
+        return (self._c.squared_integral(t) + cross
+                + self._ind.squared_integral(t))
 
     def fourier_window(self, xi, t: float):
-        c, ind = self._parts()
-        return c.fourier_window(xi, t) + ind.fourier_window(xi, t)
+        return self._c.fourier_window(xi, t) + self._ind.fourier_window(xi, t)
 
     def envelope(self, t: float) -> Envelope:
-        c, ind = self._parts()
-        return c.envelope(t) + ind.envelope(t)
+        return self._c.envelope(t) + self._ind.envelope(t)
 
 
 @dataclass(frozen=True)
@@ -216,20 +213,16 @@ class TrigPolyF(ComponentFunction):
         super().__post_init__()
         if self.period <= 0.0:
             raise ValueError("period must be positive")
-        period, a0 = float(self.period), float(self.a0)
-        cos = tuple(float(c) for c in self.cos)
-        sin = tuple(float(s) for s in self.sin)
-        n = max(len(cos), len(sin))
+        n = max(len(self.cos), len(self.sin))
         # complex coefficients c_m for m = -n .. n
         cm = np.zeros(2 * n + 1, dtype=complex)
-        cm[n] = a0
+        cm[n] = self.a0
         for j in range(1, n + 1):
-            aj = cos[j - 1] if j <= len(cos) else 0.0
-            bj = sin[j - 1] if j <= len(sin) else 0.0
+            aj = self.cos[j - 1] if j <= len(self.cos) else 0.0
+            bj = self.sin[j - 1] if j <= len(self.sin) else 0.0
             cm[n + j] = 0.5 * (aj - 1j * bj)
             cm[n - j] = 0.5 * (aj + 1j * bj)
-        _freeze(self, period=period, a0=a0, cos=cos, sin=sin, _cm=cm,
-                _freqs=np.arange(-n, n + 1) / period)
+        _freeze(self, _cm=cm, _freqs=np.arange(-n, n + 1) / self.period)
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -299,18 +292,16 @@ class SampledPeriodicF(ComponentFunction):
         super().__post_init__()
         if self.period <= 0.0:
             raise ValueError("period must be positive")
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
+        n = len(self.samples)
+        if n < 2:
             raise ValueError("need at least two samples per period")
-        period, n = float(self.period), samples.size
-        vals = np.concatenate([samples, samples[:1]])
-        width = period / n
+        vals = np.array(self.samples + self.samples[:1])
+        width = self.period / n
         # per-segment exact integrals of f and f^2, then prefix sums
         v0, v1 = vals[:-1], vals[1:]
         seg_int = 0.5 * (v0 + v1) * width
         seg_sq = width * (v0 * v0 + v0 * v1 + v1 * v1) / 3.0
-        _freeze(self, period=period, samples=tuple(samples.tolist()),
-                _knots=np.linspace(0.0, period, n + 1), _vals=vals,
+        _freeze(self, _knots=np.linspace(0.0, self.period, n + 1), _vals=vals,
                 _slopes=np.diff(vals) / width,
                 _cum_int=np.concatenate([[0.0], np.cumsum(seg_int)]),
                 _cum_sq=np.concatenate([[0.0], np.cumsum(seg_sq)]))
@@ -434,10 +425,10 @@ _FORMS = {cls.form: cls for cls in (ConstantF, IndicatorF, ConstPlusIndicatorF,
 def component_from_dict(spec: dict) -> ComponentFunction:
     """Build one component weight from ``{"form": name, **fields}``.
 
-    An unknown form, a missing or unknown field, or a value of the wrong
-    type (including non-finite numbers) raises
-    :class:`~hawkesmix.errors.ConfigError`; ranges are checked by the
-    constructors.
+    An unknown form or a missing or unknown field raises
+    :class:`~hawkesmix.errors.ConfigError`, and so does the constructor for
+    a value of the wrong type (including non-finite numbers); it also
+    checks the ranges.
     """
     return from_fields(spec, "form", _FORMS)
 
@@ -457,7 +448,7 @@ class TestFunction:
 
     @classmethod
     def constant(cls, weights) -> "TestFunction":
-        return cls([ConstantF(float(k)) for k in np.atleast_1d(weights)])
+        return cls([ConstantF(k) for k in np.atleast_1d(weights)])
 
     def __getitem__(self, i: int) -> ComponentFunction:
         return self.components[i]

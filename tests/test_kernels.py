@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 import hawkesmix as hm
-from hawkesmix.errors import InfiniteMomentError
+from hawkesmix.errors import ConfigError, InfiniteMomentError
 
 ALL_KERNELS = [
     hm.ExponentialKernel(0.5, 2.0),
@@ -524,6 +524,17 @@ class TestSerialization:
             hm.kernel_from_dict({"family": "gaussian", "alpha": 0.5})
 
 
+# each constructor call mapped to the pointer of its non-finite field
+NONFINITE_PARAMETERS = {
+    lambda: hm.ExponentialKernel(0.5, np.inf): "/beta",
+    lambda: hm.ExponentialKernel(np.nan, 1.0): "/alpha",
+    lambda: hm.PowerLawKernel(0.4, 1.0, np.inf): "/theta",
+    lambda: hm.PowerLawKernel(0.4, np.nan, 2.5): "/c",
+    lambda: hm.UniformKernel(np.inf, 1.0): "/alpha",
+    lambda: hm.UniformKernel(0.5, np.inf): "/a",
+}
+
+
 class TestValidation:
     def test_parameter_checks(self):
         with pytest.raises(ValueError):
@@ -537,14 +548,8 @@ class TestValidation:
         with pytest.raises(ValueError):
             hm.UniformKernel(0.5, -1.0)
 
-    @pytest.mark.parametrize("make", [
-        lambda: hm.ExponentialKernel(0.5, np.inf),
-        lambda: hm.ExponentialKernel(np.nan, 1.0),
-        lambda: hm.PowerLawKernel(0.4, 1.0, np.inf),
-        lambda: hm.PowerLawKernel(0.4, np.nan, 2.5),
-        lambda: hm.UniformKernel(np.inf, 1.0),
-        lambda: hm.UniformKernel(0.5, np.inf),
-    ])
+    @pytest.mark.parametrize("make", list(NONFINITE_PARAMETERS))
     def test_nonfinite_parameters_rejected(self, make):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ConfigError, match="expected a finite number") as exc:
             make()
+        assert exc.value.pointer == NONFINITE_PARAMETERS[make]

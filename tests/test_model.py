@@ -129,12 +129,19 @@ class TestHawkesModel:
             hm.HawkesModel([], [])
 
     def test_nonfinite_eta_rejected(self):
-        with pytest.raises(ValueError, match="eta must be finite"):
+        with pytest.raises(ConfigError, match="expected a finite number") as exc:
             hm.HawkesModel([np.nan], [[hm.ZeroKernel()]])
+        assert exc.value.pointer == "/eta/0"
 
     def test_nonfinite_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha must be finite"):
+        with pytest.raises(ConfigError, match="expected a finite number") as exc:
             hm.HawkesModel([1.0], [[hm.ExponentialKernel(np.nan, 1.0)]])
+        assert exc.value.pointer == "/alpha"
+
+    def test_flat_kernel_array_rejected(self):
+        with pytest.raises(ConfigError, match="expected an array") as exc:
+            hm.HawkesModel([1.0], [hm.ZeroKernel()])
+        assert exc.value.pointer == "/kernels/0"
 
     def test_validate_beta_must_be_positive(self, d2_model):
         with pytest.raises(ValueError, match="beta must be > 0"):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
+from hawkesmix.errors import ConfigError
 from hawkesmix.kernels import _FAMILIES
 from hawkesmix.stats import DecayReport, HarnessReport, PathSample
 from hawkesmix.testfunctions import _FORMS
@@ -201,3 +202,73 @@ def test_spec_keys_are_fields(obj):
     assert set(payload) == {tag} | {f.name for f in fields(obj)}
     assert build(payload) == obj
     assert build(json.loads(json.dumps(payload))) == obj
+
+
+# every family and form built from Python ints, tuples, numpy scalars and
+# 1-d arrays instead of floats and lists
+PYTHON_BUILT = [
+    hm.ExponentialKernel(1, np.float32(2.5)),
+    hm.PowerLawKernel(np.int64(0), 2, 3),
+    hm.UniformKernel(np.float64(0.25), 1),
+    hm.ZeroKernel(),
+    hm.ConstantF(np.int64(2)),
+    hm.IndicatorF(1, 3),
+    hm.ConstPlusIndicatorF(1, 0, np.float32(0.5), -2),
+    hm.TrigPolyF(5, 1, (1, np.float64(0.5)), np.array([0.25, 2])),
+    hm.SampledPeriodicF(np.int32(4), np.array([1, 2, 3])),
+]
+
+
+def test_python_built_covers_every_family_and_form():
+    assert ({type(s) for s in PYTHON_BUILT}
+            == set(_FAMILIES.values()) | set(_FORMS.values()))
+
+
+@pytest.mark.parametrize("obj", PYTHON_BUILT, ids=lambda s: type(s).__name__)
+def test_python_built_saves_as_read_back(obj):
+    """An object built in Python saves the bytes of the same object read
+    back from its own JSON: every field is stored as a float."""
+    text = json.dumps(obj.to_dict(), sort_keys=True)
+    build = (hm.kernel_from_dict if isinstance(obj, hm.Kernel)
+             else hm.component_from_dict)
+    assert json.dumps(build(json.loads(text)).to_dict(), sort_keys=True) == text
+    numbers = [x for key, v in obj.to_dict().items()
+               if key not in ("family", "form")
+               for x in (v if isinstance(v, list) else [v])]
+    assert all(type(x) is float for x in numbers)
+
+
+def test_python_built_model_saves_as_read_back():
+    model = hm.HawkesModel(np.array([1, 2]), (PYTHON_BUILT[:2],
+                                              PYTHON_BUILT[2:4]))
+    text = json.dumps(model.to_dict(), sort_keys=True)
+    rebuilt = hm.model_from_dict(json.loads(text))
+    assert json.dumps(rebuilt.to_dict(), sort_keys=True) == text
+
+
+BAD_FIELDS = {
+    "samples-ragged": (lambda: hm.SampledPeriodicF(1.0, [[1.0, 2.0], [3.0]]),
+                       "/samples/0"),
+    "samples-2d": (lambda: hm.SampledPeriodicF(1.0, np.ones((2, 2))),
+                   "/samples"),
+    "cos-nested": (lambda: hm.TrigPolyF(1.0, 1.0, [[0.5, 0.2]]), "/cos/0"),
+    "sin-string": (lambda: hm.TrigPolyF(1.0, 1.0, (), "ab"), "/sin"),
+    "k-string": (lambda: hm.ConstantF("x"), "/k"),
+    "alpha-string": (lambda: hm.ExponentialKernel("x", 1.0), "/alpha"),
+    "alpha-bool": (lambda: hm.ExponentialKernel(True, 1.0), "/alpha"),
+    "amplitude-numpy-bool": (lambda: hm.IndicatorF(0.0, 1.0, np.bool_(True)),
+                             "/amplitude"),
+    "eta-string": (lambda: hm.HawkesModel(["a"], [[hm.ZeroKernel()]]),
+                   "/eta/0"),
+    "eta-bool": (lambda: hm.HawkesModel([False], [[hm.ZeroKernel()]]),
+                 "/eta/0"),
+}
+
+
+@pytest.mark.parametrize("make, pointer", BAD_FIELDS.values(),
+                         ids=BAD_FIELDS.keys())
+def test_python_construction_refuses_bad_fields(make, pointer):
+    """Python construction raises the ConfigError a JSON spec raises."""
+    with pytest.raises(ConfigError) as exc:
+        make()
+    assert exc.value.pointer == pointer

@@ -392,3 +392,24 @@ class TestBadArguments:
         f = hm.TestFunction.constant([1.0])
         with pytest.raises(ValueError, match=message):
             call(d1_model, log, f)
+
+
+NON_INTEGER_INDEX = {
+    "cov-counts": lambda m, log: hm.cov_counts(m, 0.5, 0, (0.0, 1.0),
+                                               (2.0, 3.0)),
+    "decay-diagnostic": lambda m, log: hm.mixing_decay_diagnostic(
+        m, 0, 0.5, 1.0, [3.0], 20, 1),
+    "event-log-count": lambda m, log: log.count(0.5, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGER_INDEX.values(),
+                         ids=NON_INTEGER_INDEX.keys())
+def test_non_integer_component_index_refused(d1_model, monkeypatch, call):
+    def no_replicates(*args, **kwargs):
+        raise AssertionError("replicates simulated")
+
+    monkeypatch.setattr(stats, "_replicate_rows", no_replicates)
+    log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
+    with pytest.raises(ValueError, match="must be an integer >= 0, got 0.5"):
+        call(d1_model, log)

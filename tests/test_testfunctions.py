@@ -101,6 +101,16 @@ class TestWindowedTransform:
         assert s.xi_min == max(a.xi_min, b.xi_min)
 
 
+# each constructor call mapped to the pointer of its non-finite field
+NONFINITE_PARAMETERS = {
+    lambda: hm.ConstantF(np.nan): "/k",
+    lambda: hm.IndicatorF(0.0, 1.0, np.inf): "/amplitude",
+    lambda: hm.ConstPlusIndicatorF(np.nan, 0.0, 1.0): "/k",
+    lambda: hm.TrigPolyF(1.0, 1.0, [np.inf]): "/cos/0",
+    lambda: hm.SampledPeriodicF(1.0, [1.0, np.nan]): "/samples/1",
+}
+
+
 class TestTestFunction:
     def test_constant_weights_detection(self):
         f = hm.TestFunction.constant([1.0, -2.0])
@@ -142,16 +152,11 @@ class TestTestFunction:
             hm.TestFunction.from_dict(specs)
         assert info.value.pointer == "/1/cos/1"
 
-    @pytest.mark.parametrize("make", [
-        lambda: hm.ConstantF(np.nan),
-        lambda: hm.IndicatorF(0.0, 1.0, np.inf),
-        lambda: hm.ConstPlusIndicatorF(np.nan, 0.0, 1.0),
-        lambda: hm.TrigPolyF(1.0, 1.0, [np.inf]),
-        lambda: hm.SampledPeriodicF(1.0, [1.0, np.nan]),
-    ])
+    @pytest.mark.parametrize("make", list(NONFINITE_PARAMETERS))
     def test_nonfinite_parameters_rejected(self, make):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ConfigError, match="expected a finite number") as exc:
             make()
+        assert exc.value.pointer == NONFINITE_PARAMETERS[make]
 
     def test_component_validation(self):
         with pytest.raises(ValueError):
