@@ -277,7 +277,8 @@ class MixingBoundReport:
     to_dict = to_json
 
 
-def mixing_bound(model: HawkesModel, beta: float, gamma: float, lags) -> MixingBoundReport:
+def mixing_bound(model: HawkesModel, beta: float, gamma: float,
+                 lags: list[float]) -> MixingBoundReport:
     """Evaluate the covariance-decay bound at the given lags.
 
     The bound integrates, over immigrant arrival locations, a double series

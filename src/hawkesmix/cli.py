@@ -1,11 +1,14 @@
 """Configuration-driven command line interface.
 
-One JSON config describes the model and per-command parameter blocks; each
-subcommand checks the whole config (unknown keys, missing keys and values of
-the wrong JSON type are rejected with a JSON-pointer message), runs the
-corresponding pipeline, and writes JSON/CSV artifacts plus a manifest with
-the config hash, effective seed, and library versions.  Artifacts contain no
-timestamps and all iteration is seeded, so a rerun with the same config is
+One JSON config describes the model and per-command parameter blocks.  A
+block is declared by the signature of the function it is handed to: its keys
+are the parameters after the model, those without a default (and ``seed``)
+are required, and each key's JSON kind is its annotation.  Each subcommand
+checks the whole config (unknown keys, missing keys and values of the wrong
+JSON type are rejected with a JSON-pointer message), runs the corresponding
+pipeline, and writes JSON/CSV artifacts plus a manifest with the config
+hash, effective seed, and library versions.  Artifacts contain no timestamps
+and all iteration is seeded, so a rerun with the same config is
 byte-identical.
 
 Exit codes: 0 on success, 2 when a model or parameter violates a hypothesis
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -38,29 +42,49 @@ from .testfunctions import TestFunction
 
 __all__ = ["main"]
 
-# Every key a command block may hold, mapped to its JSON kind, and the keys
-# it must hold.  Value ranges are checked by the functions that use them.
-# Keys are the parameter names of the library function that each command
-# hands its block to unchanged; only decay's ``window`` is renamed, to
-# ``window_len``.
+
+def _spectrum_grid(model: HawkesModel, xi_min: float, xi_max: float,
+                   count: int) -> SpectrumMatrix:
+    """The Bartlett density at ``count`` evenly spaced frequencies from
+    ``xi_min`` to ``xi_max``."""
+    if xi_max <= xi_min:
+        raise ValueError("spectrum grid needs xi_max > xi_min")
+    if count < 2:
+        raise ValueError(f"spectrum grid needs count >= 2, got {count}")
+    model.validate()
+    xis = np.linspace(xi_min, xi_max, count)
+    return SpectrumMatrix(xis, bartlett_grid(model, xis))
+
+
+# Each command block mapped to the function it is handed to, which declares
+# the block by its signature (see _block_keys).  Value ranges are checked by
+# that function.  Handlers call it by its module name, which the benchmark's
+# tracer replaces, not through this table.
 _BLOCKS = {
-    "validate": ({"beta": "number"}, ()),
-    "simulate": ({"horizon": "number", "burn_in": "number", "seed": "integer",
-                  "simulator": "string"}, ("horizon", "seed")),
-    "spectrum": ({"xi_min": "number", "xi_max": "number", "count": "integer"},
-                 ("xi_min", "xi_max", "count")),
-    "variance": ({"f": "f", "horizons": "numbers"}, ("f", "horizons")),
-    "mixing": ({"beta": "number", "gamma": "number", "lags": "numbers"},
-               ("beta", "gamma", "lags")),
-    "clt": ({"f": "f", "horizon": "number", "replicates": "integer",
-             "seed": "integer", "beta": "number", "delta": "number",
-             "grid": "numbers", "grid_step": "number", "simulator": "string",
-             "level": "number"}, ("f", "horizon", "replicates", "seed")),
-    "decay": ({"i": "integer", "j": "integer", "window": "number",
-               "lags": "numbers", "replicates": "integer", "seed": "integer",
-               "beta": "number", "gamma": "number", "simulator": "string"},
-              ("i", "j", "window", "lags", "replicates", "seed")),
+    "validate": HawkesModel.validate,
+    "simulate": simulate,
+    "spectrum": _spectrum_grid,
+    "variance": variance_profile,
+    "mixing": mixing_bound,
+    "clt": clt_harness,
+    "decay": mixing_decay_diagnostic,
 }
+
+
+def _block_keys(callee) -> tuple[dict, tuple]:
+    """The keys of the block handed to ``callee``, mapped to their JSON
+    kinds, and the keys it must hold.
+
+    The keys are the positional-or-keyword parameters after the model; a
+    key is required when it has no default, and ``seed`` always, so every
+    run can be repeated.  The kind is the annotation less ``| None``.
+    """
+    _, *params = inspect.signature(callee).parameters.values()
+    params = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+    kinds = {p.name: p.annotation.removesuffix(" | None") for p in params}
+    required = tuple(p.name for p in params
+                     if p.default is p.empty or p.name == "seed")
+    return kinds, required
 
 
 def _json_type(types, name: str):
@@ -71,11 +95,11 @@ def _json_type(types, name: str):
 
 
 _KINDS = {
-    "number": finite_number,
-    "numbers": number_list,
-    "integer": _json_type(int, "an integer"),
-    "string": _json_type(str, "a string"),
-    "f": TestFunction.from_dict,  # checked by building it
+    "float": finite_number,
+    "list[float]": number_list,
+    "int": _json_type(int, "an integer"),
+    "str": _json_type(str, "a string"),
+    "TestFunction": TestFunction.from_dict,  # checked by building it
 }
 
 
@@ -98,12 +122,13 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """Read a config and check every command block against ``_BLOCKS``."""
+    """Read a config and check every command block against its callee."""
     with open(path) as fp:
         cfg = json.load(fp)
     check_fields(cfg, ("model",), _BLOCKS)
-    for name, (kinds, required) in _BLOCKS.items():
+    for name, callee in _BLOCKS.items():
         if name in cfg:
+            kinds, required = _block_keys(callee)
             with config_path(name):
                 check_fields(cfg[name], required, kinds)
             for key, value in cfg[name].items():
@@ -131,12 +156,6 @@ def _load_model(cfg: dict, config_dir: Path) -> HawkesModel:
         raise
 
 
-def _require_block(cfg: dict, name: str) -> dict:
-    if name not in cfg:
-        raise ValueError(f"config lacks the {name!r} block")
-    return cfg[name]
-
-
 def _manifest(outdir: Path, command: str, config_path: str, seed) -> None:
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     _write_json(outdir / "manifest.json", {
@@ -151,22 +170,18 @@ def _manifest(outdir: Path, command: str, config_path: str, seed) -> None:
     })
 
 
-def _cmd_validate(model: HawkesModel, cfg: dict, args, outdir: Path):
-    beta = cfg.get("validate", {}).get("beta")
-    summary = model.validate(beta)
+def _cmd_validate(model: HawkesModel, block: dict, outdir: Path):
+    summary = model.validate(**block)
     payload = summary.to_dict()
-    payload["beta_checked"] = beta
+    payload["beta_checked"] = block.get("beta")
     _write_json(outdir / "summary.json", payload)
     print(f"spectral radius {summary.rho:.6g} < 1")
     rates = ", ".join(f"{v:.6g}" for v in summary.mean_intensity)
     print(f"mean intensities: {rates}")
-    return None, 0
 
 
-def _cmd_simulate(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "simulate")
-    seed = args.seed if args.seed is not None else block["seed"]
-    log = simulate(model, **{**block, "seed": seed})
+def _cmd_simulate(model: HawkesModel, block: dict, outdir: Path):
+    log = simulate(model, **block)
     write_event_log(log, outdir / "events.csv")
     counts = [len(t) for t in log.events]
     _write_json(outdir / "summary.json", {
@@ -178,32 +193,15 @@ def _cmd_simulate(model: HawkesModel, cfg: dict, args, outdir: Path):
         "mean_intensity": model.mean_intensity.tolist(),
     })
     print(f"simulated {sum(counts)} events over horizon {block['horizon']:g}")
-    return seed, 0
 
 
-def _cmd_spectrum(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "spectrum")
-    if block["xi_max"] <= block["xi_min"]:
-        raise ValueError("spectrum grid needs xi_max > xi_min")
-    if block["count"] < 2:
-        raise ValueError(f"spectrum grid needs count >= 2, got {block['count']}")
-    model.validate()
-    xis = np.linspace(block["xi_min"], block["xi_max"], block["count"])
-    gam = bartlett_grid(model, xis)
-    d = model.d
-    header = ["xi"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_{i}{j}", f"im_{i}{j}"]
-    rows = []
-    for p, xi in enumerate(xis):
-        row = [xi]
-        for i in range(d):
-            for j in range(d):
-                row += [gam[p, i, j].real, gam[p, i, j].imag]
-        rows.append(row)
+def _cmd_spectrum(model: HawkesModel, block: dict, outdir: Path):
+    grid = _spectrum_grid(model, **block)
+    pairs = [f"{i}{j}" for i in range(model.d) for j in range(model.d)]
+    header = ["xi"] + [f"{part}_{ij}" for ij in pairs for part in ("re", "im")]
+    rows = [[xi] + [x for z in gam.ravel() for x in (z.real, z.imag)]
+            for xi, gam in zip(grid.xi, grid.value)]
     _write_csv(outdir / "spectrum.csv", header, rows)
-    grid = SpectrumMatrix(xis, gam)
     min_eig = grid.min_eigenvalue()
     _write_json(outdir / "summary.json", {
         "count": int(block["count"]),
@@ -213,11 +211,9 @@ def _cmd_spectrum(model: HawkesModel, cfg: dict, args, outdir: Path):
         "hermitian_defect": grid.hermitian_defect(),
     })
     print(f"spectral grid written; smallest eigenvalue {min_eig:.3g}")
-    return None, 0
 
 
-def _cmd_variance(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "variance")
+def _cmd_variance(model: HawkesModel, block: dict, outdir: Path):
     f = TestFunction.from_dict(block["f"])
     horizons = block["horizons"]
     if not horizons:
@@ -233,24 +229,19 @@ def _cmd_variance(model: HawkesModel, cfg: dict, args, outdir: Path):
         payload["long_run_slope"] = asymptotic_variance_const(model, weights)
     _write_json(outdir / "variance.json", payload)
     print("variance at largest horizon:", _float_repr(values[-1]))
-    return None, 0
 
 
-def _cmd_mixing(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "mixing")
+def _cmd_mixing(model: HawkesModel, block: dict, outdir: Path):
     report = mixing_bound(model, **block)
     _write_json(outdir / "mixing_bound.json", report.to_dict())
     print("lag -> covariance bound")
     for lag, val in zip(report.lags, report.bounds):
         print(f"{lag:g} -> {val:.6g}")
-    return None, 0
 
 
-def _cmd_clt(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "clt")
-    seed = args.seed if args.seed is not None else block["seed"]
+def _cmd_clt(model: HawkesModel, block: dict, outdir: Path):
     f = TestFunction.from_dict(block["f"])
-    report = clt_harness(model, **{**block, "f": f, "seed": seed})
+    report = clt_harness(model, **{**block, "f": f})
     _write_json(outdir / "clt_report.json", report.to_dict())
     header = ["replicate", "standardized_statistic"] + [
         f"w_{u:g}" for u in report.grid
@@ -264,15 +255,11 @@ def _cmd_clt(model: HawkesModel, cfg: dict, args, outdir: Path):
     print(f"normal-limit check: {state} "
           f"(KS {report.ks_stat:.4f} vs {report.ks_critical:.4f}, "
           f"max path covariance deviation {report.max_cov_dev:.4f})")
-    return seed, 0 if report.passed else 1
+    return 0 if report.passed else 1
 
 
-def _cmd_decay(model: HawkesModel, cfg: dict, args, outdir: Path):
-    block = _require_block(cfg, "decay")
-    seed = args.seed if args.seed is not None else block["seed"]
-    params = {**block, "seed": seed}
-    params["window_len"] = params.pop("window")
-    report = mixing_decay_diagnostic(model, **params)
+def _cmd_decay(model: HawkesModel, block: dict, outdir: Path):
+    report = mixing_decay_diagnostic(model, **block)
     _write_json(outdir / "decay.json", report.to_dict())
     header = ["lag", "empirical", "empirical_se", "spectral"]
     cols = [report.lags, report.empirical, report.empirical_se, report.spectral]
@@ -282,17 +269,16 @@ def _cmd_decay(model: HawkesModel, cfg: dict, args, outdir: Path):
     rows = list(zip(*cols))
     _write_csv(outdir / "decay.csv", header, rows)
     print(f"decay table over {len(report.lags)} lags written")
-    return seed, 0
 
 
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "spectrum": _cmd_spectrum,
-    "variance": _cmd_variance,
-    "mixing-bound": _cmd_mixing,
-    "clt-test": _cmd_clt,
-    "decay": _cmd_decay,
+    "validate": ("validate", _cmd_validate),
+    "simulate": ("simulate", _cmd_simulate),
+    "spectrum": ("spectrum", _cmd_spectrum),
+    "variance": ("variance", _cmd_variance),
+    "mixing-bound": ("mixing", _cmd_mixing),
+    "clt-test": ("clt", _cmd_clt),
+    "decay": ("decay", _cmd_decay),
 }
 
 
@@ -323,11 +309,18 @@ def main(argv=None) -> int:
         )
         outdir.mkdir(parents=True, exist_ok=True)
         model = _load_model(cfg, Path(args.config).resolve().parent)
-        # handlers return the effective seed for the manifest plus an exit
-        # status, nonzero when a completed statistical check failed
-        seed, status = _COMMANDS[args.command](model, cfg, args, outdir)
-        _manifest(outdir, args.command, args.config, seed)
-        return status
+        name, handler = _COMMANDS[args.command]
+        kinds, required = _block_keys(_BLOCKS[name])
+        if name not in cfg and required:
+            raise ValueError(f"config lacks the {name!r} block")
+        block = cfg.get(name, {})
+        if "seed" in kinds and args.seed is not None:
+            block["seed"] = args.seed
+        # a handler returns a nonzero status when a completed statistical
+        # check failed
+        status = handler(model, block, outdir)
+        _manifest(outdir, args.command, args.config, block.get("seed"))
+        return status or 0
     except HypothesisError as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 2

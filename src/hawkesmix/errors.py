@@ -92,10 +92,14 @@ def check_fields(spec, required, optional=()) -> None:
 
 def finite_number(value, pointer: str = "") -> float:
     """``value`` as a float: any real number but a boolean, and finite."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
-        raise ConfigError(pointer, f"expected a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            number = float(value)  # an int beyond the float range overflows
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(pointer, f"expected a finite number, got {value!r}")
 
 
 def array(value, pointer: str = ""):
@@ -154,6 +158,15 @@ def require_integer(minimum: int = 0, **params) -> None:
                 or value < minimum):
             raise ValueError(f"{name} must be an integer >= {minimum}, "
                              f"got {value!r}")
+
+
+def require_index(d: int, **indices) -> None:
+    """Raise ``ValueError`` unless each of ``indices`` is a component index
+    in ``[0, d)``; a non-integer is refused before it is compared."""
+    for name, value in indices.items():
+        if isinstance(value, numbers.Integral) and not 0 <= value < d:
+            raise ValueError(f"component index {value} out of range")
+        require_integer(**{name: value})
 
 
 def to_json(obj) -> dict:

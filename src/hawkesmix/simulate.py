@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, require_integer
+from .errors import NumericError, require_index
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -72,9 +72,7 @@ class EventLog:
 
     def count(self, i: int, a: float, b: float) -> int:
         """Number of component-``i`` events in the half-open interval ``(a, b]``."""
-        if not 0 <= i < self.d:
-            raise ValueError(f"component index {i} out of range")
-        require_integer(i=i)
+        require_index(self.d, i=i)
         if not (0.0 <= a <= b <= self.horizon):
             raise ValueError("interval must satisfy 0 <= a <= b <= horizon")
         t = self.events[i]
@@ -556,9 +554,12 @@ def _simulator(name: str):
     return _SIMULATORS[name]
 
 
-def simulate(model, horizon, simulator="cluster", **kwargs):
-    """Dispatch to one of the two simulation mechanisms by name."""
-    return _simulator(simulator)(model, horizon, **kwargs)
+def simulate(model, horizon: float, simulator: str = "cluster",
+             burn_in: float | None = None, seed: int | None = None, **kwargs):
+    """Dispatch to one of the two simulation mechanisms by name; ``kwargs``
+    (``rng``, and ``return_trace`` for the cluster simulator) pass on."""
+    return _simulator(simulator)(model, horizon, burn_in=burn_in, seed=seed,
+                                 **kwargs)
 
 
 def write_event_log(log: EventLog, csv_path) -> Path:

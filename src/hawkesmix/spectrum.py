@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import spherical_jn
-from .errors import (HypothesisError, NumericError, require_integer,
-                     to_json)
+from .errors import (HypothesisError, NumericError, require_index,
+                     require_integer, to_json)
 from .model import HawkesModel
 from .testfunctions import TestFunction
 
@@ -261,10 +261,12 @@ def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
             )
 
 
-def variance_profile(model: HawkesModel, f: TestFunction, ts,
-                     rel_tol: float = 1e-6, abs_tol: float = 0.0) -> np.ndarray:
+def variance_profile(model: HawkesModel, f: TestFunction,
+                     horizons: list[float], *, rel_tol: float = 1e-6,
+                     abs_tol: float = 0.0) -> np.ndarray:
     """Variances ``sigma_t^2`` of the centered statistic on ``[0, t]`` for
-    each ``t`` in ``ts``, sharing one spectral grid across the profile.
+    each ``t`` in ``horizons``, sharing one spectral grid across the
+    profile.
 
     The ``diag(m)`` part of the spectrum contributes
     ``sum_i m_i int_0^t f_i^2`` exactly; the coupling part is integrated by
@@ -295,7 +297,7 @@ def variance_profile(model: HawkesModel, f: TestFunction, ts,
     """
     _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
-    ts = np.asarray(ts, dtype=float)
+    ts = np.asarray(horizons, dtype=float)
     if ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0.0)):
         raise ValueError("profile horizons must be nonempty, finite and "
                          "strictly positive")
@@ -372,9 +374,8 @@ def variance_ST(model: HawkesModel, f: TestFunction, horizon: float,
     Evaluates ``sum_ij int Ff_i conj(Ff_j) gamma_ij`` with the windowed
     transforms of ``f``; see :func:`variance_profile` for the method.
     """
-    return float(
-        variance_profile(model, f, np.array([horizon]), rel_tol, abs_tol)[0]
-    )
+    return float(variance_profile(model, f, np.array([horizon]),
+                                  rel_tol=rel_tol, abs_tol=abs_tol)[0])
 
 
 def asymptotic_variance_const(model: HawkesModel, weights) -> float:
@@ -485,9 +486,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
     d = model.d
-    if not (0 <= i < d and 0 <= j < d):
-        raise ValueError("component index out of range")
-    require_integer(i=i, j=j)
+    require_index(d, i=i, j=j)
     a_lo, a_hi = map(float, window_a)
     b_lo, b_hi = map(float, window_b)
     for name, lo, hi in (("A", a_lo, a_hi), ("B", b_lo, b_hi)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
-from .errors import HypothesisError, NumericError, require_integer, to_json
+from .errors import HypothesisError, NumericError, require_index, to_json
 from .model import HawkesModel
 from .simulate import (EventLog, _simulator, default_burn_in, simulate,
                        simulate_cluster_batch, spawn_seeds)
@@ -245,8 +245,8 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
 
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
                 replicates: int, seed: int, beta: float = 3.0,
-                delta: float = 2.0, grid=None, simulator: str = "cluster",
-                level: float = 0.01,
+                delta: float = 2.0, grid: list[float] | None = None,
+                simulator: str = "cluster", level: float = 0.01,
                 grid_step: float | None = None) -> HarnessReport:
     """Simulate replicate logs and test the normal and Brownian limits.
 
@@ -399,7 +399,7 @@ def _decay_row(i: int, j: int, window_len: float, lags: np.ndarray):
 
 
 def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
-                            window_len: float, lags, replicates: int,
+                            window: float, lags: list[float], replicates: int,
                             seed: int, beta: float | None = None,
                             gamma: float | None = None,
                             simulator: str = "cluster") -> DecayReport:
@@ -416,23 +416,20 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0:
         raise ValueError("need at least one lag")
-    if not (np.isfinite(window_len) and window_len > 0.0):
+    if not (np.isfinite(window) and window > 0.0):
         raise ValueError(f"window length must be positive and finite, got "
-                         f"{window_len}")
-    if np.any(lags <= window_len):
+                         f"{window}")
+    if np.any(lags <= window):
         raise ValueError("lags must exceed the window length")
     if (beta is None) != (gamma is None):
         raise ValueError("the decay bound needs both beta and gamma, or "
                          f"neither; got beta={beta}, gamma={gamma}")
     model.validate()
-    for c in (i, j):
-        if not 0 <= c < model.d:
-            raise ValueError(f"component index {c} out of range")
-    require_integer(i=i, j=j)
-    horizon = float(np.max(lags)) + window_len
+    require_index(model.d, i=i, j=j)
+    horizon = float(np.max(lags)) + window
 
     counts = _replicate_rows(model, horizon, replicates, seed, simulator,
-                             _decay_row(i, j, window_len, lags))
+                             _decay_row(i, j, window, lags))
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)
@@ -444,20 +441,20 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
         emp_se[t] = np.std(prod, ddof=1) / np.sqrt(replicates)
 
     spectral = np.array([
-        cov_counts(model, i, j, (0.0, window_len),
-                   (lag, lag + window_len), abs_tol=_SPECTRAL_ABS_TOL)
+        cov_counts(model, i, j, (0.0, window),
+                   (lag, lag + window), abs_tol=_SPECTRAL_ABS_TOL)
         for lag in lags
     ])
 
     bound = None
     mixing = None
     if beta is not None and gamma is not None:
-        mixing = mixing_bound(model, beta, gamma, lags - window_len)
+        mixing = mixing_bound(model, beta, gamma, lags - window)
         bound = mixing.bounds
     return DecayReport(
         i=i,
         j=j,
-        window_len=window_len,
+        window_len=window,
         lags=lags,
         empirical=emp,
         empirical_se=emp_se,

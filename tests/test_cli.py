@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import hawkesmix as hm
-from hawkesmix.cli import _write_json, main
+from hawkesmix.cli import (_BLOCKS, _block_keys, _load_config, _write_json,
+                           main)
 
 MODEL = {
     "eta": [1.0, 1.0],
@@ -369,6 +370,9 @@ REJECTED = [
     _case(K01 + ("beta",), NAN, 1,
           "config invalid at /model/kernels/0/1/beta: expected a finite "
           "number, got nan"),
+    _case(("model", "kernels", 0, 0, "beta"), 10**400, 1,
+          "config invalid at /model/kernels/0/0/beta: expected a finite "
+          "number, got 1000"),
     _case(K01 + ("alpha",), -0.1, 1, "alpha must be >= 0"),
     _case(K01 + ("beta",), 0.0, 1, "beta must be > 0"),
     _case(K01, {"family": "powerlaw", "alpha": -0.1, "c": 1.0, "theta": 2.0},
@@ -558,6 +562,48 @@ class TestRejection:
         )
         assert proc.returncode == 0, proc.stderr
         assert "spectral radius 0.7 < 1" in proc.stdout
+
+
+# The config contract, a user's view of each block: its keys mapped to
+# their JSON kinds, and the keys it must hold.  The loader reads both from
+# the signature of the function the block is handed to, so a library rename
+# that would change a user's config fails here.
+BLOCK_CONTRACT = {
+    "validate": ({"beta": "float"}, ()),
+    "simulate": ({"horizon": "float", "burn_in": "float", "seed": "int",
+                  "simulator": "str"}, ("horizon", "seed")),
+    "spectrum": ({"xi_min": "float", "xi_max": "float", "count": "int"},
+                 ("xi_min", "xi_max", "count")),
+    "variance": ({"f": "TestFunction", "horizons": "list[float]"},
+                 ("f", "horizons")),
+    "mixing": ({"beta": "float", "gamma": "float", "lags": "list[float]"},
+               ("beta", "gamma", "lags")),
+    "clt": ({"f": "TestFunction", "horizon": "float", "replicates": "int",
+             "seed": "int", "beta": "float", "delta": "float",
+             "grid": "list[float]", "grid_step": "float", "simulator": "str",
+             "level": "float"}, ("f", "horizon", "replicates", "seed")),
+    "decay": ({"i": "int", "j": "int", "window": "float",
+               "lags": "list[float]", "replicates": "int", "seed": "int",
+               "beta": "float", "gamma": "float", "simulator": "str"},
+              ("i", "j", "window", "lags", "replicates", "seed")),
+}
+
+
+class TestContract:
+    def test_blocks_read_from_callees_match_the_contract(self):
+        derived = {name: _block_keys(callee)
+                   for name, callee in _BLOCKS.items()}
+        assert derived == BLOCK_CONTRACT
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Command line", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(example)
+        cfg = _load_config(str(path))
+        assert set(cfg) == {"model", *BLOCK_COMMANDS}
+        assert hm.model_from_dict(cfg["model"]).d == 2
 
 
 class TestArtifacts:

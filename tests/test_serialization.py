@@ -256,6 +256,8 @@ BAD_FIELDS = {
     "k-string": (lambda: hm.ConstantF("x"), "/k"),
     "alpha-string": (lambda: hm.ExponentialKernel("x", 1.0), "/alpha"),
     "alpha-bool": (lambda: hm.ExponentialKernel(True, 1.0), "/alpha"),
+    "alpha-int-beyond-float": (lambda: hm.ExponentialKernel(10**400, 1.0),
+                               "/alpha"),
     "amplitude-numpy-bool": (lambda: hm.IndicatorF(0.0, 1.0, np.bool_(True)),
                              "/amplitude"),
     "eta-string": (lambda: hm.HawkesModel(["a"], [[hm.ZeroKernel()]]),

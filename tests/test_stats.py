@@ -413,3 +413,14 @@ def test_non_integer_component_index_refused(d1_model, monkeypatch, call):
     log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
     with pytest.raises(ValueError, match="must be an integer >= 0, got 0.5"):
         call(d1_model, log)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, log: hm.cov_counts(m, "x", 0, (0.0, 1.0), (2.0, 3.0)),
+    lambda m, log: hm.mixing_decay_diagnostic(m, 0, "x", 1.0, [3.0], 20, 1),
+    lambda m, log: log.count("x", 0.0, 1.0),
+], ids=NON_INTEGER_INDEX.keys())
+def test_string_component_index_refused_before_comparison(d1_model, call):
+    log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
+    with pytest.raises(ValueError, match="must be an integer >= 0, got 'x'"):
+        call(d1_model, log)
