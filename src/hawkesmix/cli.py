@@ -216,8 +216,6 @@ def _cmd_spectrum(model: HawkesModel, block: dict, outdir: Path):
 def _cmd_variance(model: HawkesModel, block: dict, outdir: Path):
     f = TestFunction.from_dict(block["f"])
     horizons = block["horizons"]
-    if not horizons:
-        raise ValueError("variance needs at least one horizon")
     values = variance_profile(model, f, horizons).tolist()
     payload = {
         "horizons": list(map(float, horizons)),

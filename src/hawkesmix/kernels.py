@@ -66,6 +66,17 @@ class Kernel:
     """
 
     family = "abstract"
+    # ``beta`` when the density is ``h(0+) exp(-beta t)``, so that a sum of
+    # its terms over past events is a Markov state; a class attribute, so
+    # it is no field of the JSON shape
+    decay_rate = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the rate describes the density beside it: a class that redefines
+        # the density without restating the rate declares none
+        if "_density" in vars(cls) and "decay_rate" not in vars(cls):
+            cls.decay_rate = None
 
     def __post_init__(self):
         read_fields(self)
@@ -162,6 +173,10 @@ class ExponentialKernel(Kernel):
         super().__post_init__()
         if self.beta <= 0.0:
             raise ValueError("beta must be > 0")
+
+    @property
+    def decay_rate(self) -> float:
+        return self.beta
 
     def _density(self, t):
         return self.alpha * self.beta * np.exp(-self.beta * t)

@@ -8,7 +8,12 @@ delays.  The thinning simulator is Ogata's algorithm with a piecewise
 constant dominating intensity, valid because every kernel family here is
 nonincreasing in elapsed time: the intensity at a rejected candidate is the
 next bound, and an accepted event in component ``j`` raises it by the jump
-``sum_k h_jk(0+)``, so each candidate costs one pass over the histories.
+``sum_k h_jk(0+)``.  A source component whose kernels are all exponential
+carries its excitation of each component as a Markov state, decayed from
+candidate to candidate and raised by ``h(0+)`` at each of its events, so it
+costs a scalar update per kernel and candidate and keeps no history; every
+other source (power-law and uniform kernels) keeps a pruned history of its
+events, which each candidate sums its densities over.
 
 The cluster simulator also draws many independent replicates in one set
 of arrays, each event tagged with its replicate
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -455,34 +461,63 @@ def simulate_thinning(
 
     Every kernel family in the package is nonincreasing in elapsed time, so
     the conditional intensity just after the current time dominates the
-    intensity until the next event.  Each candidate costs one pass over the
-    histories: after a rejection its intensity is the new, tighter bound,
-    and after an acceptance in component ``j`` the bound is that intensity
-    plus the jump ``sum_k h_jk(0+)`` the new event adds (Ogata 1981).  The
-    intensity is summed over one time-ordered history of past events per
-    source component, from which events whose excitation has decayed away
-    are pruned periodically.  ``meta`` counts the ``candidates`` proposed,
-    the events ``accepted`` on ``[-B, T]`` and the ``tie_redraws`` of a
-    candidate equal to the last accepted time.
+    intensity until the next event.  After a rejection the candidate's
+    intensity is the new, tighter bound, and after an acceptance in
+    component ``j`` the bound is that intensity plus the jump ``sum_k
+    h_jk(0+)`` the new event adds (Ogata 1981).  The excitation a source
+    component ``i`` gives component ``j`` is read one of two ways:
+
+    * when every active kernel of source ``i`` declares a
+      :attr:`~hawkesmix.kernels.Kernel.decay_rate` ``beta`` (exponential
+      kernels), the excitation ``S_ij = sum_s h_ij(t - s)`` is a Markov
+      state (Ozaki 1979): it is multiplied by ``exp(-beta_ij dt)`` from one
+      candidate to the next and gains ``h_ij(0+)`` at each event of ``i``,
+      so the source keeps no history and costs one scalar update per
+      kernel and candidate;
+    * every other source (power-law and uniform kernels) keeps a
+      time-ordered history of its past events, which each candidate sums
+      its densities over, and from which events whose excitation has
+      decayed away are pruned periodically.
+
+    ``meta`` counts the ``candidates`` proposed, the events ``accepted`` on
+    ``[-B, T]`` and the ``tie_redraws`` of a candidate equal to the last
+    accepted time.
     """
     b, gen = _prepare(model, horizon, burn_in, seed, rng)
     d = model.d
     eta = model.eta.tolist()
-    # a history event is pruned once its summed contribution to the
-    # intensities has fallen below this level; contributions only decay
+    # an event of a history source is pruned once its summed contribution
+    # to the intensities has fallen below this level; contributions only decay
     # after that, so each dropped event adds less than eps_active to any
     # later intensity.  The total error grows with the number of events
     # pruned, which this does not bound.  A power-law tail stays above the
     # level for ~1e4 time units (PowerLawKernel(0.4, 1, 2.5)), so power-law
     # histories are effectively never pruned.
     eps_active = 1e-14 * min(eta)
-    # per source i, the densities h_ij of its active kernels, and the jump
-    # an event of i adds to the total intensity
-    rows = [[(j, kern._density) for j, kern in src] for src in model.active]
-    jump = [sum(float(kern.evaluate(0.0)) for _, kern in src)
-            for src in model.active]
+    # h_ij(0+) of each active kernel, and the jump an event of i adds to
+    # the total intensity
+    starts = [[float(kern.evaluate(0.0)) for _, kern in src]
+              for src in model.active]
+    jump = [sum(row) for row in starts]
 
-    history = [np.empty(0) for _ in range(d)]
+    # the Markov states, one per kernel of a Markov source, with the
+    # component each excites and its decay rate; gains[i] lists the
+    # (state, h_ij(0+)) pairs an event of i raises
+    state, targets, rates = [], [], []
+    gains = [[] for _ in range(d)]
+    # per history source i, the densities h_ij of its active kernels, and
+    # its history
+    rows, history = {}, {}
+    for i, src in enumerate(model.active):
+        if all(kern.decay_rate is not None for _, kern in src):
+            for (j, kern), h0 in zip(src, starts[i]):
+                gains[i].append((len(state), h0))
+                state.append(0.0)
+                targets.append(j)
+                rates.append(kern.decay_rate)
+        else:
+            rows[i] = [(j, kern._density) for j, kern in src]
+            history[i] = np.empty(0)
     events = [[] for _ in range(d)]
     last_accepted = -np.inf
 
@@ -492,7 +527,7 @@ def simulate_thinning(
     while True:
         steps += 1
         if steps % _PRUNE_EVERY == 0:
-            for i, src in enumerate(rows):
+            for i, src in rows.items():
                 dt = t - history[i]
                 contrib = np.zeros(dt.size)
                 for _, dens in src:
@@ -504,8 +539,12 @@ def simulate_thinning(
             break
         candidates += 1
         lam = eta.copy()
-        for i, src in enumerate(rows):
-            if src and history[i].size:
+        wait = t_cand - t
+        state = [s * math.exp(-r * wait) for s, r in zip(state, rates)]
+        for j, s in zip(targets, state):
+            lam[j] += s
+        for i, src in rows.items():
+            if history[i].size:
                 dt = t_cand - history[i]
                 for j, dens in src:
                     lam[j] += float(np.add.reduce(dens(dt)))
@@ -520,14 +559,18 @@ def simulate_thinning(
                 j += 1
                 acc += lam[j]
             if t_cand == last_accepted:
-                # exact tie: re-draw the waiting time
+                # exact tie: re-draw the waiting time (t_cand equals t, so
+                # the states stand at t)
                 tie_redraws += 1
                 continue
             last_accepted = t_cand
             accepted += 1
             if t_cand >= 0.0:
                 events[j].append(t_cand)
-            history[j] = np.append(history[j], t_cand)
+            if j in history:
+                history[j] = np.append(history[j], t_cand)
+            for n, h0 in gains[j]:
+                state[n] += h0
             t = t_cand
             lam_bar = lam_tot + jump[j]
         else:

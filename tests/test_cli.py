@@ -460,7 +460,7 @@ REJECTED = [
     _case(F1, {"form": "periodic_samples", "period": 1.0, "samples": [1.0]},
           1, "need at least two samples per period"),
     _case(("variance", "horizons"), [], 1,
-          "variance needs at least one horizon"),
+          "profile horizons must be nonempty, finite and strictly positive"),
     _case(("variance", "horizons", 0), 0.0, 1,
           "profile horizons must be nonempty, finite and strictly positive"),
     _case(("variance", "horizons", 0), NAN, 1,

@@ -58,6 +58,28 @@ class TestEvaluate:
         t = np.linspace(0.0, 3.0, 13)
         assert np.array_equal(kernel._density(t), kernel.evaluate(t))
 
+    @pytest.mark.parametrize("kernel", ALL_KERNELS + [hm.ZeroKernel()])
+    def test_decay_rate_declares_exponential_decay(self, kernel):
+        """Thinning carries a kernel as a Markov state when it declares
+        ``h(t) = h(0+) exp(-rate t)``; the declaration is no JSON field."""
+        rate = kernel.decay_rate
+        assert "decay_rate" not in kernel.to_dict()
+        if kernel.family != "exponential":
+            assert rate is None
+            return
+        assert rate == kernel.beta
+        t = np.linspace(0.0, 3.0, 13)
+        assert np.allclose(kernel.evaluate(t),
+                           kernel.evaluate(0.0) * np.exp(-rate * t),
+                           rtol=1e-15, atol=0.0)
+
+    def test_redefined_density_declares_no_rate(self):
+        class Rising(hm.ExponentialKernel):
+            def _density(self, t):
+                return self.alpha * self.beta * (1.0 - np.exp(-self.beta * t))
+
+        assert Rising(0.5, 2.0).decay_rate is None
+
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_mass_matches_quadrature(self, kernel):
         """The declared total mass equals the integral of the density."""

@@ -124,6 +124,64 @@ class TestStationaryRates:
         assert np.mean(rates) < 2.0
 
 
+# every kernel exponential, with nine distinct decay rates
+EXP3_MODEL = hm.HawkesModel(
+    [0.5, 0.8, 0.3],
+    [[hm.ExponentialKernel(0.3, 1.0), hm.ExponentialKernel(0.2, 4.0),
+      hm.ExponentialKernel(0.1, 0.5)],
+     [hm.ExponentialKernel(0.2, 2.5), hm.ExponentialKernel(0.3, 0.7),
+      hm.ExponentialKernel(0.1, 6.0)],
+     [hm.ExponentialKernel(0.1, 1.5), hm.ExponentialKernel(0.2, 3.0),
+      hm.ExponentialKernel(0.25, 0.3)]],
+)
+
+
+class RecordingGenerator:
+    """A generator that records the bound ``1 / scale`` of every waiting
+    time drawn, and otherwise draws what ``default_rng(seed)`` draws."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.bounds = []
+
+    def exponential(self, scale):
+        self.bounds.append(1.0 / scale)
+        return self.gen.exponential(scale)
+
+    def random(self):
+        return self.gen.random()
+
+
+def brute_force_thinning(model, horizon, seed):
+    """Ogata thinning on ``[0, horizon]`` with every intensity summed afresh
+    over all past events, drawing as ``simulate_thinning`` does.  Returns
+    the event times per component, the candidate count and the bound of
+    every waiting time drawn."""
+    gen = np.random.default_rng(seed)
+    events = [[] for _ in range(model.d)]
+    t, bound, bounds, candidates = 0.0, model.eta.sum(), [], 0
+    while True:
+        bounds.append(bound)
+        t += gen.exponential(1.0 / bound)
+        if t > horizon:
+            return events, candidates, bounds
+        candidates += 1
+        lam = model.eta.copy()
+        for i, row in enumerate(model.active):
+            past = t - np.array(events[i])
+            for j, kern in row:
+                lam[j] += kern.evaluate(past).sum()
+        u = gen.random() * bound
+        if u < lam.sum():
+            j = min(int(np.searchsorted(np.cumsum(lam), u, side="right")),
+                    model.d - 1)
+            events[j].append(t)
+            bound = lam.sum() + sum(float(kern.evaluate(0.0))
+                                    for _, kern in model.active[j])
+        else:
+            bound = lam.sum()
+
+
 class TestThinningMechanism:
     def test_rising_kernel_breaks_bound(self):
         """The dominating-bound check sees the bound carried past an
@@ -152,6 +210,41 @@ class TestThinningMechanism:
         # one pass per candidate, one per prune, and one for the jumps; a
         # second pass after each acceptance would need ~1.8 times as many
         assert candidates < len(calls) <= n_active * (candidates + 1 + prunes)
+
+    def test_markov_sources_read_no_history(self, monkeypatch):
+        calls = []
+        for cls in (hm.ExponentialKernel, hm.PowerLawKernel,
+                    hm.UniformKernel):
+            def counted(self, t, density=cls._density):
+                calls.append(1)
+                return density(self, t)
+            monkeypatch.setattr(cls, "_density", counted)
+        log = hm.simulate(EXP3_MODEL, 500.0, simulator="thinning", seed=12)
+        assert log.meta["candidates"] > _PRUNE_EVERY
+        # only the d**2 jumps h_ij(0+): no density per candidate or prune
+        assert len(calls) == sum(len(row) for row in EXP3_MODEL.active)
+
+    @pytest.mark.parametrize("model", [
+        EXP3_MODEL,
+        # source 0 is Markov, source 1 (uniform and exponential) a history
+        "d2_model",
+    ], ids=["exponential", "mixed"])
+    def test_markov_state_is_the_history_sum(self, model, request):
+        """Every bound the simulator draws a waiting time at, the summed
+        states and histories after each candidate, is the brute-force
+        intensity sum over all past events, along the whole run."""
+        if isinstance(model, str):
+            model = request.getfixturevalue(model)
+        rec = RecordingGenerator(5)
+        log = hm.simulate_thinning(model, 300.0, burn_in=0.0, rng=rec)
+        events, candidates, bounds = brute_force_thinning(model, 300.0, 5)
+        assert log.meta["candidates"] == candidates
+        assert log.meta["accepted"] == sum(map(len, events))
+        assert [len(e) for e in log.events] == [len(e) for e in events]
+        assert len(rec.bounds) == len(bounds) == candidates + 1
+        np.testing.assert_allclose(rec.bounds, bounds, rtol=1e-12, atol=0.0)
+        for got, want in zip(log.events, events):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_tie_redraws_counted(self, d1_model):
         class ZeroWaits:
