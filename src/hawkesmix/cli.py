@@ -237,9 +237,9 @@ def _cmd_mixing(model: HawkesModel, block: dict, outdir: Path):
         print(f"{lag:g} -> {val:.6g}")
 
 
-def _cmd_clt(model: HawkesModel, block: dict, outdir: Path):
+def _cmd_clt(model: HawkesModel, block: dict, outdir: Path, workers: int):
     f = TestFunction.from_dict(block["f"])
-    report = clt_harness(model, **{**block, "f": f})
+    report = clt_harness(model, **{**block, "f": f}, workers=workers)
     _write_json(outdir / "clt_report.json", report.to_dict())
     header = ["replicate", "standardized_statistic"] + [
         f"w_{u:g}" for u in report.grid
@@ -256,8 +256,8 @@ def _cmd_clt(model: HawkesModel, block: dict, outdir: Path):
     return 0 if report.passed else 1
 
 
-def _cmd_decay(model: HawkesModel, block: dict, outdir: Path):
-    report = mixing_decay_diagnostic(model, **block)
+def _cmd_decay(model: HawkesModel, block: dict, outdir: Path, workers: int):
+    report = mixing_decay_diagnostic(model, **block, workers=workers)
     _write_json(outdir / "decay.json", report.to_dict())
     header = ["lag", "empirical", "empirical_se", "spectral"]
     cols = [report.lags, report.empirical, report.empirical_se, report.spectral]
@@ -280,6 +280,17 @@ _COMMANDS = {
 }
 
 
+def _worker_processes(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hawkesmix",
@@ -293,8 +304,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default $HAWKESMIX_OUT or ./out)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: replicates run serially")
+        p.add_argument("--threads", type=_worker_processes, default=1,
+                       help="processes that clt-test and decay spread their "
+                            "replicates over (capped at the usable CPUs); "
+                            "artifacts do not depend on it")
     return parser
 
 
@@ -314,9 +327,14 @@ def main(argv=None) -> int:
         block = cfg.get(name, {})
         if "seed" in kinds and args.seed is not None:
             block["seed"] = args.seed
+        # a callee with a keyword-only ``workers`` runs replicates, which
+        # --threads spreads over processes
+        extra = {}
+        if "workers" in inspect.signature(_BLOCKS[name]).parameters:
+            extra["workers"] = args.threads
         # a handler returns a nonzero status when a completed statistical
         # check failed
-        status = handler(model, block, outdir)
+        status = handler(model, block, outdir, **extra)
         _manifest(outdir, args.command, args.config, block.get("seed"))
         return status or 0
     except HypothesisError as exc:

@@ -60,9 +60,9 @@ class Kernel:
     Subclasses are frozen dataclasses whose first field is the total mass
     ``alpha``; their fields are read here by ``errors.read_fields``.  They
     implement the unchecked density :meth:`_density`, delay moments
-    :meth:`_moment` and transform :meth:`_fourier`, whose arguments the
-    public methods check once here, plus the tail mass, the transform
-    envelope and inverse-CDF delay sampling.
+    :meth:`_moment`, transform :meth:`_fourier` and inverse CDF
+    :meth:`_inverse_cdf`, whose arguments the public methods check once
+    here, plus the tail mass and the transform envelope.
     """
 
     family = "abstract"
@@ -141,11 +141,16 @@ class Kernel:
 
     def delay_from_uniform(self, u):
         """Map a uniform variate on (0, 1) to a delay by the inverse CDF."""
+        return self._inverse_cdf(_as_uniform(u))
+
+    def _inverse_cdf(self, u):
+        """The delay of a float array ``u`` already known to lie in
+        ``(0, 1)``; unchecked, for simulators that drew ``u`` themselves."""
         raise NotImplementedError
 
     def sample_delays(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` i.i.d. delays from the normalized density ``h / alpha``."""
-        return self.delay_from_uniform(redraw_zeros(rng, rng.random(n)))
+        return self._inverse_cdf(redraw_zeros(rng, rng.random(n)))
 
     def to_dict(self) -> dict:
         return {"family": self.family, **to_json(self)}
@@ -193,8 +198,8 @@ class ExponentialKernel(Kernel):
     def tail_mass(self, b: float) -> float:
         return self.alpha * float(np.exp(-self.beta * b))
 
-    def delay_from_uniform(self, u):
-        return -np.log(_as_uniform(u)) / self.beta
+    def _inverse_cdf(self, u):
+        return -np.log(u) / self.beta
 
 
 # zeta(2) .. zeta(18), the Taylor coefficients of lgamma(1 - e) / e
@@ -344,8 +349,8 @@ class PowerLawKernel(Kernel):
     def tail_mass(self, b: float) -> float:
         return self.alpha * float((self.c / (self.c + b)) ** self.theta)
 
-    def delay_from_uniform(self, u):
-        return self.c * (_as_uniform(u) ** (-1.0 / self.theta) - 1.0)
+    def _inverse_cdf(self, u):
+        return self.c * (u ** (-1.0 / self.theta) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -377,8 +382,8 @@ class UniformKernel(Kernel):
     def tail_mass(self, b: float) -> float:
         return self.alpha * float(np.clip(1.0 - b / self.a, 0.0, 1.0))
 
-    def delay_from_uniform(self, u):
-        return self.a * _as_uniform(u)
+    def _inverse_cdf(self, u):
+        return self.a * u
 
 
 @dataclass(frozen=True)
@@ -403,7 +408,7 @@ class ZeroKernel(Kernel):
     def tail_mass(self, b: float) -> float:
         return 0.0
 
-    def delay_from_uniform(self, u):
+    def _inverse_cdf(self, u):
         raise ValueError("the zero kernel has no delay distribution")
 
 

@@ -279,7 +279,9 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
             raise NumericError(
                 f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
             )
-        nxt_t, nxt_c, nxt_p, nxt_r = [], [], [], []
+        # per kernel pair with children: their times, parents and tags,
+        # and their component and number
+        nxt_t, nxt_p, nxt_r, pair_c, pair_n = [], [], [], [], []
         for i in range(d):
             sel = cur_c == i
             if not sel.any():
@@ -310,17 +312,22 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
                     tot = int(counts.sum())
                     if tot == 0:
                         continue
-                    u = redraw_zeros(gens[0], gens[0].random(tot))
-                delays = kern.delay_from_uniform(u)
-                nxt_t.append(np.repeat(pt, counts) + delays)
-                nxt_c.append(np.full(delays.size, j, dtype=np.int64))
-                nxt_p.append(np.repeat(pidx, counts))
+                    u = gens[0].random(tot)
+                    if not u.all():
+                        u = redraw_zeros(gens[0], u)
+                # u lies in (0, 1), so the kernel need not check it
+                child_t = pt.repeat(counts)
+                child_t += kern._inverse_cdf(u)
+                nxt_t.append(child_t)
+                nxt_p.append(pidx.repeat(counts))
                 if tagged:
-                    nxt_r.append(np.repeat(pr, counts))
+                    nxt_r.append(pr.repeat(counts))
+                pair_c.append(j)
+                pair_n.append(child_t.size)
         if not nxt_t:
             break
         cur_t = np.concatenate(nxt_t)
-        cur_c = np.concatenate(nxt_c)
+        cur_c = np.array(pair_c, dtype=np.int64).repeat(pair_n)
         par = np.concatenate(nxt_p)
         if tagged:
             cur_r = np.concatenate(nxt_r)
@@ -369,7 +376,7 @@ def _open_uniforms(draws) -> np.ndarray:
     after their exact zeros are redrawn from each array's own generator,
     as :meth:`~hawkesmix.kernels.Kernel.sample_delays` does."""
     u = np.concatenate([u for _, u in draws]) if len(draws) > 1 else draws[0][1]
-    if (u <= 0.0).any():
+    if not u.all():
         u = np.concatenate([redraw_zeros(gen, u) for gen, u in draws])
     return u
 

@@ -14,6 +14,7 @@ and the branching-process bound.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,8 +213,75 @@ _SPECTRAL_ABS_TOL = 1e-9
 _BATCH_EVENTS = 1 << 13
 
 
+def _worker_count(requested: int, chunks: int) -> int:
+    """Processes to spread ``chunks`` replicate chunks over: ``requested``,
+    capped at the CPUs this process may run on and at ``chunks``, and 1
+    where processes cannot be forked."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return max(1, min(requested, len(os.sched_getaffinity(0)), chunks))
+
+
+def _send_result(work, part, conn) -> None:
+    """Send ``(True, work(part))``, or ``(False, exc)`` if it raised, on
+    ``conn``; the body of a forked worker."""
+    try:
+        result = (True, work(part))
+    except Exception as exc:  # noqa: BLE001 - re-raised by the parent
+        result = (False, exc)
+    conn.send(result)
+    conn.close()
+
+
+def _forked(work, parts: list) -> list:
+    """``[work(part) for part in parts]``, every part but the first computed
+    in a forked process while this one computes the first.
+
+    A forked child inherits ``work`` with its closure, so only results are
+    pickled.  An exception raised in a child is raised here with its type
+    and message; on any error every child is stopped and reaped.  A fork
+    copies only the calling thread, so the caller should run no other.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for part in parts[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            conns.append(recv)
+            proc = ctx.Process(target=_send_result, args=(work, part, send),
+                               daemon=True)
+            proc.start()
+            procs.append(proc)
+            send.close()
+        results = [work(parts[0])]
+        for proc, recv in zip(procs, conns):
+            try:
+                ok, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"replicate worker exited with code "
+                                   f"{proc.exitcode} before sending its "
+                                   f"rows") from None
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for recv in conns:
+            recv.close()
+
+
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
-                    seed: int, simulator: str, row) -> np.ndarray:
+                    seed: int, simulator: str, row, *,
+                    workers: int = 1) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
     Replicate ``r`` draws from the ``r``-th stream spawned from ``seed``.
@@ -222,10 +290,16 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
     :func:`~hawkesmix.simulate.simulate_cluster_batch`, where
     ``n = sum(mean_intensity) * (horizon + burn_in)`` is the expected event
     count of one replicate; a batch gives each replicate the log of its own
-    stream, so the rows do not depend on the batch size.  Thinning, and a
-    batch size of 1, make one :func:`~hawkesmix.simulate.simulate` call per
-    replicate.  The burn-in depends only on the model and is computed once
-    for all replicates.
+    stream.  Thinning, and a batch size of 1, make one
+    :func:`~hawkesmix.simulate.simulate` call per replicate.  The burn-in
+    depends only on the model and is computed once, before any fork, like
+    the model's mean intensity, which the callers' validation caches.
+
+    The batches (or single replicates) are split into ``workers``
+    contiguous parts, capped by :func:`_worker_count`; this process
+    computes the first part and forked processes the others, and the
+    parts' rows are stacked in order.  So the rows depend on neither the
+    batch size nor the worker count.
     """
     burn_in = default_burn_in(model)
     seeds = spawn_seeds(seed, replicates)
@@ -233,21 +307,32 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
     if simulator == "cluster":
         expected = float(np.sum(model.mean_intensity)) * (horizon + burn_in)
         size = max(1, int(_BATCH_EVENTS // expected))
-    if size == 1:
-        logs = (simulate(model, horizon, simulator=simulator, burn_in=burn_in,
-                         seed=s) for s in seeds)
-    else:
-        logs = (log for k in range(0, replicates, size)
-                for log in simulate_cluster_batch(
-                    model, horizon, seeds[k:k + size], burn_in=burn_in))
-    return np.vstack([row(log) for log in logs])
+    chunks = [seeds[k:k + size] for k in range(0, replicates, size)]
+
+    def rows(part) -> np.ndarray:
+        if size == 1:
+            logs = (simulate(model, horizon, simulator=simulator,
+                             burn_in=burn_in, seed=s) for (s,) in part)
+        else:
+            logs = (log for chunk in part
+                    for log in simulate_cluster_batch(model, horizon, chunk,
+                                                      burn_in=burn_in))
+        return np.vstack([row(log) for log in logs])
+
+    n = _worker_count(workers, len(chunks))
+    if n == 1:
+        return rows(chunks)
+    cuts = [len(chunks) * k // n for k in range(n + 1)]
+    return np.vstack(_forked(rows, [chunks[lo:hi]
+                                    for lo, hi in zip(cuts, cuts[1:])]))
 
 
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
                 replicates: int, seed: int, beta: float = 3.0,
                 delta: float = 2.0, grid: list[float] | None = None,
                 simulator: str = "cluster", level: float = 0.01,
-                grid_step: float | None = None) -> HarnessReport:
+                grid_step: float | None = None, *,
+                workers: int = 1) -> HarnessReport:
     """Simulate replicate logs and test the normal and Brownian limits.
 
     The limit theory needs kernels with a finite moment of order
@@ -272,6 +357,11 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         ``"cluster"`` or ``"thinning"``.
     level : float
         Test level in ``(0, 1)`` for the Kolmogorov-Smirnov critical value.
+    grid_step : float, optional
+        Step of the time-change grid; see :func:`time_change`.
+    workers : int
+        Processes the replicates are spread over, forked from this one;
+        the report does not depend on it.
     """
     if replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
@@ -300,6 +390,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     stats = _replicate_rows(
         model, horizon, replicates, seed, simulator,
         lambda log: partial_statistics(log, model, f, eval_times),
+        workers=workers,
     )
     w = stats[:, :-1] / sigma_t
     s_T = stats[:, -1]
@@ -402,7 +493,8 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
                             window: float, lags: list[float], replicates: int,
                             seed: int, beta: float | None = None,
                             gamma: float | None = None,
-                            simulator: str = "cluster") -> DecayReport:
+                            simulator: str = "cluster", *,
+                            workers: int = 1) -> DecayReport:
     """Estimate count covariances across lags and compare with theory.
 
     For each lag ``tau``, estimates ``Cov(N_i((0, w]), N_j((tau, tau + w]))``
@@ -410,6 +502,8 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     from :func:`hawkesmix.spectrum.cov_counts` (``abs_tol`` 1e-9, default
     ``rel_tol``) and, when ``beta`` and ``gamma`` are given (both or
     neither), the branching covariance-decay bound at the window gap.
+    The replicates are spread over ``workers`` processes, which changes no
+    value.
     """
     if replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
@@ -429,7 +523,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     horizon = float(np.max(lags)) + window
 
     counts = _replicate_rows(model, horizon, replicates, seed, simulator,
-                             _decay_row(i, j, window, lags))
+                             _decay_row(i, j, window, lags), workers=workers)
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)

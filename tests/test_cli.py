@@ -210,18 +210,38 @@ class TestCltCommand:
         assert report["passed"] is False
         assert (out / "manifest.json").exists()
 
-    def test_threads_flag_is_ignored(self, tmp_path):
-        cfg = write_config(tmp_path, clt={
-            "f": CONST_F, "horizon": 50.0, "replicates": 12, "seed": 9,
-            "grid": [1.0],
-        })
-        assert run("clt-test", cfg, tmp_path / "a") == 0
-        assert run("clt-test", cfg, tmp_path / "b", "--threads", "2") == 0
+    @pytest.mark.parametrize("command,block", [
+        ("clt-test", {"clt": {"f": CONST_F, "horizon": 400.0,
+                              "replicates": 12, "seed": 9, "grid": [1.0]}}),
+        ("decay", {"decay": {"i": 0, "j": 1, "window": 1.0,
+                             "lags": [3.0, 5.0], "replicates": 100,
+                             "seed": 2}}),
+    ], ids=["clt", "decay"])
+    def test_artifacts_independent_of_threads(self, tmp_path, monkeypatch,
+                                              command, block):
+        """``--threads`` forks replicate workers (here two, over several
+        batches) and changes no artifact byte."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forked, fork = [], hm.stats._forked
+        monkeypatch.setattr(hm.stats, "_forked", lambda work, parts: (
+            forked.append(len(parts)) or fork(work, parts)))
+        cfg = write_config(tmp_path, **block)
+        assert run(command, cfg, tmp_path / "a", "--threads", "1") == 0
+        assert run(command, cfg, tmp_path / "b", "--threads", "2") == 0
+        assert forked == [2]
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    @pytest.mark.parametrize("value", ["0", "-2", "two"])
+    def test_threads_below_one_refused(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            run("clt-test", cfg, tmp_path / "out", "--threads", value)
+        assert caught.value.code == 2
+        assert "expected an integer >= 1" in capsys.readouterr().err
 
 
 class TestDecayCommand:
@@ -480,6 +500,8 @@ REJECTED = [
           "lags must be nonempty and strictly positive"),
     _case(("clt", "threads"), 2, 1,
           "config invalid at /clt: unknown fields ['threads']"),
+    _case(("clt", "workers"), 2, 1,
+          "config invalid at /clt: unknown fields ['workers']"),
     _case(("clt", "replicates"), DROP, 1,
           "config invalid at /clt: missing fields ['replicates']"),
     _case(("clt", "horizon"), -20.0, 1, "horizon must be > 0, got -20.0"),
@@ -502,6 +524,8 @@ REJECTED = [
           "config invalid at /clt/f/0/k: expected a finite number, got True"),
     _case(("decay", "window_len"), 1.0, 1,
           "config invalid at /decay: unknown fields ['window_len']"),
+    _case(("decay", "workers"), 2, 1,
+          "config invalid at /decay: unknown fields ['workers']"),
     _case(("decay", "i"), DROP, 1,
           "config invalid at /decay: missing fields ['i']"),
     _case(("decay", "i"), -1, 1, "component index -1 out of range"),
@@ -637,3 +661,9 @@ class TestImports:
                 "print(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')))")
         assert self._fresh_import(code) == "[]"
+
+    def test_cli_import_loads_no_multiprocessing(self):
+        # only a run with more than one replicate worker imports it
+        code = ("import sys, hawkesmix.cli; "
+                "print('multiprocessing' in sys.modules)")
+        assert self._fresh_import(code) == "False"

@@ -483,6 +483,10 @@ class TestTailMass:
             assert k.tail_mass(0.0) == pytest.approx(k.l1_norm, rel=1e-14)
 
 
+SAMPLED = [hm.ExponentialKernel(0.5, 2.0), hm.PowerLawKernel(0.4, 1.0, 2.5),
+           hm.UniformKernel(0.5, 2.0)]
+
+
 class TestSampling:
     def test_inverse_cdf_fixed_points(self):
         assert hm.ExponentialKernel(0.5, 2.0).delay_from_uniform(
@@ -494,11 +498,20 @@ class TestSampling:
         ) == pytest.approx(3.0, rel=1e-14)
 
     def test_uniform_variate_domain(self):
-        k = hm.ExponentialKernel(0.5, 2.0)
-        with pytest.raises(ValueError):
-            k.delay_from_uniform(0.0)
-        with pytest.raises(ValueError):
-            k.delay_from_uniform(1.0)
+        for k in SAMPLED:
+            for u in (0.0, 1.0, [0.5, 0.0], [1.0, 0.5]):
+                with pytest.raises(ValueError, match="strictly inside"):
+                    k.delay_from_uniform(u)
+
+    @pytest.mark.parametrize("k", SAMPLED, ids=lambda k: k.family)
+    def test_unchecked_inverse_cdf_is_bit_equal(self, k):
+        """The simulators' unchecked ``_inverse_cdf`` is the arithmetic of
+        the checked ``delay_from_uniform``, bit for bit."""
+        u = np.random.default_rng(17).random(10_000)
+        assert u.all()
+        got = k._inverse_cdf(u)
+        assert got.tobytes() == k.delay_from_uniform(u).tobytes()
+        assert k._inverse_cdf(u[:1]).tobytes() == got[:1].tobytes()
 
     def test_exponential_sampler_distribution(self):
         rng = np.random.default_rng(7)

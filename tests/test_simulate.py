@@ -1,5 +1,7 @@
 """Simulators: exactness against Poisson laws, determinism, event logs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -51,6 +53,32 @@ class TestDeterminism:
         draws = [np.random.default_rng(s).random(4) for s in seeds]
         assert not np.allclose(draws[0], draws[1])
         assert not np.allclose(draws[1], draws[2])
+
+    @pytest.mark.parametrize("seed,counts,digest", [
+        (1, [1700, 1660],
+         "11787ef0fee34bece42f28b841583050a0f88cb85e74d0dc9b353dba4d638c6b"),
+        (2, [1670, 1660],
+         "fff88fe05f71c28801ee6abc297d47c06a37c8032e227040ede1386a1999ab59"),
+        (3, [1455, 1430],
+         "c49c73fc19bee07adc0a2ba477c9ebba5e04f80f07145502fde73eb318be506c"),
+    ])
+    def test_cluster_stream_is_pinned(self, seed, counts, digest):
+        """The cluster simulator's draws and arithmetic are pinned: sha256
+        of the little-endian event times of the 2-d exponential benchmark
+        model (numpy 2.4 on x86-64).  A change to the order of the draws
+        or to the delay arithmetic moves these, and with them every Monte
+        Carlo artifact."""
+        model = hm.HawkesModel(
+            [1.0, 1.0],
+            [[hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
+             [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)]])
+        log = hm.simulate_cluster(model, 500.0, seed=seed)
+        h = hashlib.sha256()
+        for times in log.events:
+            h.update(len(times).to_bytes(8, "little"))
+            h.update(times.astype("<f8").tobytes())
+        assert [len(t) for t in log.events] == counts
+        assert h.hexdigest() == digest
 
 
 class TestAgainstPoissonLaw:

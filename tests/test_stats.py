@@ -1,6 +1,8 @@
 """Centered statistics, the time change, and the Monte Carlo harnesses."""
 
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -353,6 +355,93 @@ class TestReplicateBatches:
         size = _batch_size(POWERLAW, 11.0)
         assert sum(calls) == replicates == rep.replicates
         assert len(calls) <= -(-replicates // size) + 1
+
+
+
+def _three_cpus(monkeypatch):
+    """Let the harnesses fork up to three processes on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+
+def _count_parts(monkeypatch) -> list:
+    """Record the number of parts of each forked replicate run."""
+    parts = []
+    forked = stats._forked
+
+    def counted(work, chunks):
+        parts.append(len(chunks))
+        return forked(work, chunks)
+
+    monkeypatch.setattr(stats, "_forked", counted)
+    return parts
+
+
+class TestReplicateWorkers:
+    def test_clt_rows_independent_of_worker_count(self, d2_model,
+                                                  monkeypatch):
+        horizon, replicates = 400.0, 12
+        assert -(-replicates // _batch_size(d2_model, horizon)) >= 3
+        _three_cpus(monkeypatch)
+        parts = _count_parts(monkeypatch)
+        f = hm.TestFunction.constant([1.0, 1.0])
+        reports = [hm.clt_harness(d2_model, f, horizon, replicates, seed=8,
+                                  grid=[0.5, 1.0], workers=workers)
+                   for workers in (1, 2, 3)]
+        assert parts == [2, 3]
+        for rep in reports[1:]:
+            assert np.array_equal(rep.samples, reports[0].samples)
+            assert np.array_equal(rep.w_paths, reports[0].w_paths)
+            assert rep.to_dict() == reports[0].to_dict()
+
+    def test_decay_rows_independent_of_worker_count(self, monkeypatch):
+        args = (POWERLAW, 0, 0, 1.0, [2.0, 4.0], 150)
+        assert -(-150 // _batch_size(POWERLAW, 5.0)) >= 3
+        _three_cpus(monkeypatch)
+        parts = _count_parts(monkeypatch)
+        reports = [hm.mixing_decay_diagnostic(*args, seed=2, workers=workers)
+                   for workers in (1, 2, 3)]
+        assert parts == [2, 3]
+        for rep in reports[1:]:
+            assert np.array_equal(rep.empirical, reports[0].empirical)
+            assert np.array_equal(rep.empirical_se, reports[0].empirical_se)
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        assert stats._worker_count(10_000, 5) == 5
+        assert stats._worker_count(10_000, 500) == 64
+        assert stats._worker_count(3, 500) == 3
+        assert stats._worker_count(0, 500) == 1
+        assert stats._worker_count(10_000, 1) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert stats._worker_count(10_000, 500) == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)))
+        monkeypatch.delattr(os, "fork")
+        assert stats._worker_count(10_000, 500) == 1
+
+    @pytest.mark.parametrize("bad", [2, 9], ids=["parent-part", "child-part"])
+    def test_worker_error_reaches_the_caller(self, d1_model, monkeypatch,
+                                             bad):
+        """Replicates 0-5 run here and 6-11 in a forked child; an error in
+        either part is raised with its type and message, and no worker is
+        left running."""
+        _three_cpus(monkeypatch)
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1)
+        simulate = stats.simulate
+
+        def failing(*args, seed, **kwargs):
+            if seed.spawn_key == (bad,):
+                raise NumericError(f"replicate {bad} diverged")
+            return simulate(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(stats, "simulate", failing)
+        f = hm.TestFunction.constant([1.0])
+        with pytest.raises(NumericError,
+                           match=f"^replicate {bad} diverged$") as caught:
+            hm.clt_harness(d1_model, f, 20.0, 12, seed=1, workers=2)
+        assert caught.type is NumericError
+        assert multiprocessing.active_children() == []
 
 
 def _cov(model, log, f, **tols):
