@@ -13,10 +13,10 @@ panel quadrature with a certified closed-form tail.  Variances and count
 covariances share one block loop and one Filon-type panel rule, which takes
 a vector of carriers: exact for the oscillatory carrier of a count
 covariance and for the carriers of a variance profile, and Gauss at
-carrier 0.  A profile with constant weights writes its window transform
-``(t sinc(xi t))^2`` as ``(1 - cos 2 pi xi t) / (2 pi^2 xi^2)`` past a short
-head, so one grid of ``G`` serves every time ``t`` as a carrier, and the
-panels there need not resolve ``1 / t``.
+carrier 0.  A profile whose weights are finite sums of lines writes each
+line's window transform in closed form past a head that covers the lines,
+so one grid of ``G`` serves every time ``t`` as a carrier, and the panels
+there need not resolve ``1 / t``.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ _TO_LEGENDRE = (
 )[:, None] * np.polynomial.legendre.legvander(_NODES, 7).T * _WEIGHTS[None, :]
 
 _PANELS_PER_BLOCK = 2048
-# the constant-weight profile: panels of the direct head rule, and cells of
-# the (panels, times) carrier arrays of one tail block, about 1 MB each
+# the line profile: the fewest panels of the direct head rule, and cells of
+# the (panels, lines, times) carrier arrays of one tail block, about 1 MB
+# each; the (points, times, lines) arrays of a head block hold half as many
 _HEAD_PANELS = 256
-_TAIL_CELLS = 64_000
+_BLOCK_CELLS = 64_000
 _XI_CAP = 1e5
 
 
@@ -200,9 +201,10 @@ def _panel_rule(width: float, carriers=0.0):
     one integral per carrier ``c`` in ``carriers``: exact carrier moments
     against each panel's degree-7 Legendre interpolant, which at carrier 0
     is the Gauss rule bit for bit.  Returns ``integrate(vals, start_panel)``,
-    twice the real part of the integrals over the panels from
-    ``start_panel`` sampled at :func:`_panel_points`, shaped like
-    ``carriers``."""
+    twice the complex integrals over the panels from ``start_panel`` of
+    ``vals`` sampled at :func:`_panel_points`, one per trailing index of
+    ``vals`` and per carrier, shaped ``vals.shape[1:] + carriers.shape``;
+    callers take the real part."""
     shape = np.shape(carriers)
     carriers = np.ravel(carriers).astype(float)
     half = 0.5 * width
@@ -216,12 +218,14 @@ def _panel_rule(width: float, carriers=0.0):
         weights = np.ascontiguousarray(weights.real)
 
     def integrate(vals: np.ndarray, start_panel: int):
-        sums = vals.reshape(-1, 8) @ weights
+        extra = vals.shape[1:]
+        sums = np.tensordot(vals.reshape(-1, 8, *extra), weights, (1, 0))
         if oscillating:
             centers = width * (start_panel + np.arange(sums.shape[0])) + half
             phases = 2j * np.pi * carriers * centers[:, None]
-            sums *= np.exp(phases, out=phases)
-        return (2.0 * half * sums.sum(axis=0).real).reshape(shape)[()]
+            np.exp(phases, out=phases)
+            sums *= np.expand_dims(phases, tuple(range(1, vals.ndim)))
+        return (2.0 * half * sums.sum(axis=0)).reshape(extra + shape)[()]
 
     return integrate
 
@@ -276,18 +280,22 @@ def variance_profile(model: HawkesModel, f: TestFunction,
 
     For general components the panel width resolves the window-transform
     oscillation at the largest ``t``, and each ``t`` has its own windowed
-    transforms.  When every component is constant, one real quadratic form
-    ``q`` of ``G`` serves every ``t``, and the frequency axis is split:
+    transforms.  When every component is a finite sum of lines
+    ``f_i = sum_k C_ik exp(2 i pi nu_k s)``
+    (:meth:`~hawkesmix.testfunctions.ComponentFunction.harmonics`), one
+    ``K x K`` form ``Q = C^T G conj(C)`` serves every ``t``, and the
+    frequency axis is split:
 
-    * head ``[0, xi0]``, the first 256 of those fine panels: the same
-      direct Gauss rule on ``(t sinc(xi t))^2 q`` for each ``t``;
-    * tail past ``xi0``: ``(t sinc(xi t))^2 = (1 - cos 2 pi xi t) / (2 pi^2
-      xi^2)``, so per block one Gauss sum of ``q / (2 pi^2 xi^2)`` and one
-      Filon sum with carriers ``ts`` give every ``t``.  The panels are
-      ``xi0 / n`` wide, for the smallest ``n >= 4`` that makes them at most
-      ``1 / (3 (mean delay + 1))``: they resolve ``1 / xi^2`` and the
-      kernel memory, not the horizon.  Blocks hold 64 panels, fewer past
-      1000 times, which bounds the ``(panels, times)`` carrier arrays.
+    * head ``[0, xi0]``, the first 256 of those fine panels or enough to
+      reach ``4 max |nu|``: the same direct Gauss rule for each ``t``;
+    * tail past ``xi0``: line ``k``'s window transform is ``(1 - exp(-2 i
+      pi x_k t)) / (2 i pi x_k)``, ``x_k = xi - nu_k``, so per block
+      ``K^2`` Gauss sums and ``K`` Filon sums with carriers ``-ts`` give
+      every ``t``.  The panels are ``xi0 / n`` wide, for the smallest
+      ``n >= 4`` that makes them at most ``1 / (3 (mean delay + 1))``:
+      they resolve ``1 / xi^2`` and the kernel memory, not the horizon.
+      Blocks hold ``64 / K`` panels, fewer past 1000 times, which bounds
+      the carrier arrays.
 
     Raises
     ------
@@ -306,9 +314,7 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     if ncomp != model.d:
         raise ValueError("test function dimension does not match the model")
 
-    base = np.zeros(ts.size)
-    for r, t in enumerate(ts):
-        base[r] = sum(m[i] * f[i].squared_integral(t) for i in range(ncomp))
+    base = sum(m[i] * f[i].squared_integral(ts) for i in range(ncomp))
 
     ah, _ = _envelope_consts(model)
     if ah == 0.0:
@@ -323,8 +329,8 @@ def variance_profile(model: HawkesModel, f: TestFunction,
             sum(e.b**2 for e in envs))
 
     rule = _panel_rule(width)
-    weights = f.constant_weights()
-    if weights is None:
+    lines = [c.harmonics() for c in f.components]
+    if any(h is None for h in lines):
         def block(xis, g, panel):
             out = []
             for t in ts:
@@ -338,30 +344,54 @@ def variance_profile(model: HawkesModel, f: TestFunction,
         return _quadrature("variance", model, width, 0, xi_min, base, block,
                            sums, rel_tol, abs_tol)
 
-    # all components share the plain [0, t] window, so one real quadratic
-    # form q of G serves every t
+    # w G w^H = sum_kl phi_k Q_kl conj(phi_l) over the union nu of the lines
+    # (not np.unique, which imports numpy.ma, ~0.6 MB of resident memory),
+    # with phi_k = int_0^t exp(-2 i pi x_k s) ds and x_k = xi - nu_k
+    nu = np.array(sorted(set(np.concatenate([freqs for freqs, _ in lines]))))
+    coef = np.zeros((ncomp, nu.size), dtype=complex)
+    for i, (freqs, coeffs) in enumerate(lines):
+        coef[i, np.searchsorted(nu, freqs)] = coeffs
+
     def form(g):
-        return np.einsum("i,pij,j->p", weights, g, weights,
-                         optimize=True).real
+        return coef.T @ g @ np.conj(coef)
 
-    # head [0, xi0]: the direct rule, whose width resolves sinc(xi t)
-    xis = _panel_points(width, 0, _HEAD_PANELS)
-    q = form(_g_grid(model, xis))
-    head = np.array([rule((t * np.sinc(xis * t)) ** 2 * q, 0) for t in ts])
+    # head [0, xi0]: the direct rule, whose width resolves sinc(x_k t), on
+    # t^2 sum_kl Q_kl e^{i pi (nu_k - nu_l) t} sinc(x_k t) sinc(x_l t),
+    # which is b Q b^H for b_k = t e^{i pi nu_k t} sinc(x_k t)
+    head_panels = max(_HEAD_PANELS,
+                      int(np.ceil(4.0 * np.max(np.abs(nu)) / width)))
+    scale = ts[:, None] * np.exp(1j * np.pi * ts[:, None] * nu)
+    per_head = max(1, _BLOCK_CELLS // (16 * ts.size * nu.size))
 
-    # tail: (t sinc(xi t))^2 = (1 - cos 2 pi xi t) / (2 pi^2 xi^2), so one
-    # Gauss sum and one Filon sum per carrier t of the smooth q / xi^2,
-    # on panels that resolve only 1 / xi^2 and the kernel memory
-    xi0 = _HEAD_PANELS * width
+    def head_block(panel):
+        xis = _panel_points(width, panel, min(per_head, head_panels - panel))
+        b = np.sinc((xis[:, None] - nu)[:, None, :] * ts[:, None]) * scale
+        vals = b @ form(_g_grid(model, xis))
+        vals *= np.conj(b, out=b)
+        return rule(vals.sum(axis=2).real, panel)
+
+    # a call per block frees its arrays before the next block and the tail
+    head = sum(head_block(panel) for panel in range(0, head_panels, per_head))
+
+    # tail: with Q'_kl = Q_kl / (4 pi^2 x_k x_l) the integrand is
+    # Re[sum_kl Q'_kl (1 + e^{2 i pi (nu_k - nu_l) t})
+    #    - 2 e^{-2 i pi xi t} sum_k e^{2 i pi nu_k t} sum_l Q'_kl]
+    xi0 = head_panels * width
     start = max(4, int(np.ceil(3.0 * memory * xi0)))
     tail_width = xi0 / start
-    flat, waves = _panel_rule(tail_width), _panel_rule(tail_width, ts)
+    flat, waves = _panel_rule(tail_width), _panel_rule(tail_width, -ts)
+    beats = 1.0 + np.exp(2j * np.pi * ts[:, None, None]
+                         * (nu[:, None] - nu[None, :]))
+    shifts = np.exp(2j * np.pi * ts[:, None] * nu)
 
     def tail_block(xis, g, panel):
-        vals = form(g) / (2.0 * np.pi**2 * xis**2)
-        return flat(vals, panel) - waves(vals, panel)
+        x = xis[:, None] - nu
+        q = form(g) / (4.0 * np.pi**2 * x[:, :, None] * x[:, None, :])
+        gauss, filon = flat(q, panel), waves(q.sum(axis=2), panel)
+        return (np.einsum("rkl,kl->r", beats, gauss)
+                - 2.0 * np.einsum("rk,kr->r", shifts, filon)).real
 
-    per_block = max(1, _TAIL_CELLS // max(ts.size, 1000))
+    per_block = max(1, _BLOCK_CELLS // (max(ts.size, 1000) * nu.size))
     return _quadrature("variance", model, tail_width, start, xi_min,
                        base + head, tail_block, sums, rel_tol, abs_tol,
                        per_block=per_block)
@@ -511,7 +541,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
 
     def block(xis, g, panel, rule=_panel_rule(width, carrier)):
         smooth = len_a * len_b * np.sinc(xis * len_a) * np.sinc(xis * len_b)
-        return rule(smooth * g[:, i, j], panel)
+        return rule(smooth * g[:, i, j], panel).real
 
     # fractional smoothness of G at the origin for heavy-tailed kernels:
     # the first stretch gets eightfold finer panels, with their own rule

@@ -11,7 +11,8 @@ Every form exposes exact pointwise evaluation, exact running integrals, and
 the windowed Fourier transform ``F (f 1_[0,T]) (xi) = int_0^T f(t)
 exp(-2 i pi xi t) dt`` in closed form, plus a certified high-frequency
 envelope ``|F (f 1_[0,T])(xi)| <= A/xi + B/xi**2`` used to bound spectral
-quadrature tails.
+quadrature tails.  Constants and trigonometric polynomials declare only
+their lines, from which the base class derives the rest.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ __all__ = [
     "SampledPeriodicF",
     "TestFunction",
 ]
-
-_GL64 = np.polynomial.legendre.leggauss(64)
-
 
 def _window_phase(xi, left, right):
     """``int_left^right exp(-2 i pi xi t) dt`` for arrays ``xi``."""
@@ -73,21 +71,37 @@ class ComponentFunction:
     def __post_init__(self):
         read_fields(self)
 
+    def harmonics(self):
+        """Lines ``(freqs, coeffs)`` with ``f(s) = sum_k coeffs[k] exp(2 i
+        pi freqs[k] s)``, or ``None`` for a form that is not a finite sum
+        of lines.  The base class derives ``value``, both integrals and
+        ``fourier_window`` from the lines."""
+        return None
+
     def value(self, t):
-        raise NotImplementedError
+        freqs, coeffs = self.harmonics()
+        phases = 2j * np.pi * np.multiply.outer(np.asarray(t, dtype=float),
+                                                freqs)
+        return (np.exp(phases) @ coeffs).real
 
     def integral(self, t):
         """Exact ``int_0^t f``. Accepts scalars or arrays."""
-        raise NotImplementedError
+        return self.fourier_window(0.0, np.asarray(t, dtype=float)).real
 
-    def squared_integral(self, t: float) -> float:
-        """Exact ``int_0^t f**2`` (up to quadrature of one partial period
-        for sampled forms)."""
-        raise NotImplementedError
+    def squared_integral(self, t):
+        """Exact ``int_0^t f**2``. Accepts scalars or arrays."""
+        freqs, coeffs = self.harmonics()
+        t = np.asarray(t, dtype=float)[..., None, None]
+        windows = _window_phase(freqs[None, :] - freqs[:, None], 0.0, t)
+        products = np.outer(coeffs, np.conj(coeffs)) * windows
+        return products.sum(axis=(-2, -1)).real
 
-    def fourier_window(self, xi, t: float):
-        """``F (f 1_[0,t]) (xi)``, vectorized over ``xi``."""
-        raise NotImplementedError
+    def fourier_window(self, xi, t):
+        """``F (f 1_[0,t]) (xi)``, vectorized over ``xi``; from lines, ``xi``
+        broadcasts against ``t``."""
+        freqs, coeffs = self.harmonics()
+        x = np.expand_dims(np.asarray(xi, dtype=float), -1) - freqs
+        return _window_phase(x, 0.0, np.expand_dims(t, -1)) @ coeffs
 
     def envelope(self, t: float) -> Envelope:
         raise NotImplementedError
@@ -107,16 +121,11 @@ class ConstantF(ComponentFunction):
     form = "constant"
 
     def value(self, t):
+        # the line sum without its exp: partial statistics call this per event
         return np.full_like(np.asarray(t, dtype=float), self.k)
 
-    def integral(self, t):
-        return self.k * np.asarray(t, dtype=float)
-
-    def squared_integral(self, t: float) -> float:
-        return self.k**2 * t
-
-    def fourier_window(self, xi, t: float):
-        return self.k * _window_phase(xi, 0.0, t)
+    def harmonics(self):
+        return np.zeros(1), np.array([self.k])
 
     def envelope(self, t: float) -> Envelope:
         return Envelope(abs(self.k) / np.pi, 0.0)
@@ -145,8 +154,8 @@ class IndicatorF(ComponentFunction):
         lo, hi = np.clip(self.a, None, t), np.clip(self.b, None, t)
         return self.amplitude * np.maximum(hi - np.maximum(lo, 0.0), 0.0)
 
-    def squared_integral(self, t: float) -> float:
-        return self.amplitude * float(self.integral(t))
+    def squared_integral(self, t):
+        return self.amplitude * self.integral(t)
 
     def fourier_window(self, xi, t: float):
         left, right = max(self.a, 0.0), min(self.b, t)
@@ -180,8 +189,8 @@ class ConstPlusIndicatorF(ComponentFunction):
     def integral(self, t):
         return self._c.integral(t) + self._ind.integral(t)
 
-    def squared_integral(self, t: float) -> float:
-        cross = 2.0 * self.k * float(self._ind.integral(t))
+    def squared_integral(self, t):
+        cross = 2.0 * self.k * self._ind.integral(t)
         return (self._c.squared_integral(t) + cross
                 + self._ind.squared_integral(t))
 
@@ -199,8 +208,8 @@ class TrigPolyF(ComponentFunction):
     ``f(t) = a0 + sum_n cos[n-1] cos(2 pi n t / period)
                 + sum_n sin[n-1] sin(2 pi n t / period)``
 
-    All Fourier and integral formulas are exact; the windowed transform is a
-    finite sum of shifted Dirichlet factors.
+    Its lines are the complex coefficients ``c_m`` at ``m / period`` for
+    ``|m| <= n``, so every integral and transform is exact.
     """
 
     period: float
@@ -224,47 +233,8 @@ class TrigPolyF(ComponentFunction):
             cm[n - j] = 0.5 * (aj + 1j * bj)
         _freeze(self, _cm=cm, _freqs=np.arange(-n, n + 1) / self.period)
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        w = 2.0 * np.pi * t / self.period
-        out = np.full(t.shape, self.a0)
-        for j, aj in enumerate(self.cos, start=1):
-            out += aj * np.cos(j * w)
-        for j, bj in enumerate(self.sin, start=1):
-            out += bj * np.sin(j * w)
-        return out
-
-    def integral(self, t):
-        t = np.asarray(t, dtype=float)
-        w = 2.0 * np.pi * t / self.period
-        out = self.a0 * t.astype(float)
-        for j, aj in enumerate(self.cos, start=1):
-            out += aj * self.period / (2.0 * np.pi * j) * np.sin(j * w)
-        for j, bj in enumerate(self.sin, start=1):
-            out += bj * self.period / (2.0 * np.pi * j) * (1.0 - np.cos(j * w))
-        return out
-
-    def squared_integral(self, t: float) -> float:
-        # full periods contribute exactly via Parseval; the tail partial
-        # period is a low-degree trig polynomial, so 64-node Gauss is exact
-        mean_sq = self.a0**2 + 0.5 * (
-            sum(c * c for c in self.cos) + sum(s * s for s in self.sin)
-        )
-        full, rem = divmod(t, self.period)
-        total = mean_sq * self.period * full
-        if rem > 0.0:
-            x, w = _GL64
-            nodes = 0.5 * rem * (x + 1.0)
-            total += 0.5 * rem * float(w @ self.value(nodes) ** 2)
-        return float(total)
-
-    def fourier_window(self, xi, t: float):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros(xi.shape, dtype=complex)
-        for cm, nu in zip(self._cm, self._freqs):
-            if cm != 0.0:
-                out += cm * _window_phase(xi - nu, 0.0, t)
-        return out
+    def harmonics(self):
+        return self._freqs, self._cm
 
     def envelope(self, t: float) -> Envelope:
         # beyond twice the top frequency, |xi - nu| >= xi/2 for every line
@@ -335,19 +305,20 @@ class SampledPeriodicF(ComponentFunction):
         rem = t - full * self.period
         return full * self._cum_int[-1] + self._partial(rem, self._cum_int, 1)
 
-    def squared_integral(self, t: float) -> float:
-        t = float(t)
-        full, rem = divmod(t, self.period)
-        return float(full * self._cum_sq[-1] + self._partial(np.asarray(rem), self._cum_sq, 2))
+    def squared_integral(self, t):
+        full, rem = np.divmod(np.asarray(t, dtype=float), self.period)
+        return full * self._cum_sq[-1] + self._partial(rem, self._cum_sq, 2)
 
-    def _fourier_one_period(self, xi):
-        """Exact transform of the interpolant over ``[0, period]``."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    def _fourier_upto(self, xi, rem):
+        """Exact transform of the interpolant over ``[0, rem]``, for
+        ``rem <= period``."""
         out = np.zeros(xi.shape, dtype=complex)
         for k in range(len(self.samples)):
-            t0, t1 = self._knots[k], self._knots[k + 1]
-            v0, s = self._vals[k], self._slopes[k]
-            out += self._linear_segment(xi, t0, t1, v0, s)
+            t0 = self._knots[k]
+            if t0 >= rem:
+                break
+            t1 = min(self._knots[k + 1], rem)
+            out += self._linear_segment(xi, t0, t1, self._vals[k], self._slopes[k])
         return out
 
     @staticmethod
@@ -384,7 +355,7 @@ class SampledPeriodicF(ComponentFunction):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         full = int(np.floor(t / self.period))
         rem = t - full * self.period
-        one = self._fourier_one_period(xi)
+        one = self._fourier_upto(xi, self.period)
         # Dirichlet factor sum_{k<full} e^{-2 i pi xi k p}
         u = xi * self.period
         num = np.sin(np.pi * u * full)
@@ -395,14 +366,7 @@ class SampledPeriodicF(ComponentFunction):
         out = one * dirich
         if rem > 0.0:
             shift = np.exp(-2j * np.pi * xi * (full * self.period))
-            partial = np.zeros(xi.shape, dtype=complex)
-            for k in range(len(self.samples)):
-                t0 = self._knots[k]
-                if t0 >= rem:
-                    break
-                t1 = min(self._knots[k + 1], rem)
-                partial += self._linear_segment(xi, t0, t1, self._vals[k], self._slopes[k])
-            out = out + shift * partial
+            out = out + shift * self._fourier_upto(xi, rem)
         return out
 
     def envelope(self, t: float) -> Envelope:
@@ -459,8 +423,7 @@ class TestFunction:
     def constant_weights(self):
         """Weight vector when every component is constant, else ``None``.
 
-        Spectral integrators use this to share one window transform across
-        the whole profile.
+        The ``variance`` command reads the long-run slope from it.
         """
         if all(isinstance(c, ConstantF) for c in self.components):
             return np.array([c.k for c in self.components])

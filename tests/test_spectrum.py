@@ -198,8 +198,33 @@ def random_kernel(rng, family: str, alpha: float):
                              rng.uniform(1.5, 4.0))
 
 
+def random_model(rng, family: str, d: int) -> hm.HawkesModel:
+    """Subcritical model of one kernel family, spectral radius 0.3-0.7."""
+    alphas = rng.uniform(0.05, 1.0, (d, d))
+    alphas *= rng.uniform(0.3, 0.7) / max(abs(np.linalg.eigvals(alphas)))
+    return hm.HawkesModel(
+        rng.uniform(0.5, 1.5, d),
+        [[random_kernel(rng, family, alphas[i, j]) for j in range(d)]
+         for i in range(d)],
+    )
+
+
+def count_g_points(monkeypatch) -> list:
+    """Record the size of every grid handed to ``_g_grid``."""
+    points = []
+    g_grid = spectrum._g_grid
+
+    def counting(model, xis):
+        points.append(xis.size)
+        return g_grid(model, xis)
+
+    monkeypatch.setattr(spectrum, "_g_grid", counting)
+    return points
+
+
 class TestConstantWeightProfile:
-    """Head on the direct rule, tail by one Filon pass over every time."""
+    """The one-line case of the line profile: head on the direct rule, tail
+    by one Filon pass over every time."""
 
     @pytest.mark.parametrize("horizon", [10.0, 200.0, 2000.0])
     @pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
@@ -215,13 +240,7 @@ class TestConstantWeightProfile:
         """Seeded random models against the per-time direct rule, from
         times far below the inverse head range up to the horizon."""
         rng = np.random.default_rng([17, d, len(family)])
-        alphas = rng.uniform(0.05, 1.0, (d, d))
-        alphas *= rng.uniform(0.3, 0.7) / max(abs(np.linalg.eigvals(alphas)))
-        model = hm.HawkesModel(
-            rng.uniform(0.5, 1.5, d),
-            [[random_kernel(rng, family, alphas[i, j]) for j in range(d)]
-             for i in range(d)],
-        )
+        model = random_model(rng, family, d)
         signs = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(d)
         k = signs * rng.uniform(0.3, 1.5, d)
         fast = hm.TestFunction.constant(k)
@@ -244,17 +263,74 @@ class TestConstantWeightProfile:
         """The tail panels do not shrink with the horizon: the default
         time change at T = 2000 needs under 30,000 G points (the per-time
         direct rule took 344,064)."""
-        points = []
-        g_grid = spectrum._g_grid
-
-        def counting(model, xis):
-            points.append(xis.size)
-            return g_grid(model, xis)
-
-        monkeypatch.setattr(spectrum, "_g_grid", counting)
+        points = count_g_points(monkeypatch)
         f = hm.TestFunction.constant([1.0, 1.0])
         hm.time_change(clt_exp_model(), f, 2000.0)
         assert 0 < sum(points) <= 30_000
+
+
+def random_trigpoly(rng) -> hm.TrigPolyF:
+    return hm.TrigPolyF(rng.uniform(2.0, 40.0), rng.uniform(0.5, 1.5),
+                        list(rng.normal(0.0, 0.5, rng.integers(1, 4))),
+                        list(rng.normal(0.0, 0.5, rng.integers(0, 4))))
+
+
+class TestLineWeightProfile:
+    """Trigonometric and constant weights share the line profile: a head
+    on the direct rule past every line, then Gauss and Filon sums."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
+    def test_matches_per_time_rule(self, family, d, monkeypatch):
+        """Seeded random models and trigonometric weights, with a constant
+        mixed in, against the per-time direct rule; also with a head of 16
+        panels, which leaves most of the integral to the tail sums."""
+        rng = np.random.default_rng([31, d, len(family)])
+        model = random_model(rng, family, d)
+        trig = [random_trigpoly(rng) for _ in range(d)]
+        k = rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0])
+        if d == 1:
+            # an independent zero-weight Poisson component carries the
+            # zero-amplitude bump that forces the per-time rule
+            lines = hm.TestFunction(trig)
+            slow_model = hm.HawkesModel(
+                [model.eta[0], 1.0],
+                [[model.kernels[0][0], hm.ZeroKernel()],
+                 [hm.ZeroKernel(), hm.ZeroKernel()]])
+            slow = hm.TestFunction(trig + [hm.ConstPlusIndicatorF(
+                0.0, 1.0, 2.0, 0.0)])
+        else:
+            lines = hm.TestFunction([hm.ConstantF(k)] + trig[1:])
+            slow_model = model
+            slow = hm.TestFunction([hm.ConstPlusIndicatorF(k, 1.0, 2.0, 0.0)]
+                                   + trig[1:])
+        rel_tol = 1e-5
+        ts = np.geomspace(4.0, 100.0, 3)
+        b = hm.variance_profile(slow_model, slow, ts, rel_tol=rel_tol)
+        for head_panels in (spectrum._HEAD_PANELS, 16):
+            monkeypatch.setattr(spectrum, "_HEAD_PANELS", head_panels)
+            a = hm.variance_profile(model, lines, ts, rel_tol=rel_tol)
+            assert np.all(np.abs(a / b - 1.0) <= 2.0 * rel_tol)
+
+    def test_high_frequency_head_is_blocked(self, d1_model, monkeypatch):
+        """A head that must reach four times the top line is cut into
+        blocks, so no grid exceeds one block of panels."""
+        points = count_g_points(monkeypatch)
+        f = hm.TestFunction([hm.TrigPolyF(0.05, 1.0, [0.5, 0.3, 0.2],
+                                          [0.25, 0.1, -0.2])])
+        value = hm.variance_ST(d1_model, f, 200.0)
+        assert np.isfinite(value) and value > 0.0
+        assert len(points) > 1 and max(points) <= 16_384
+
+    def test_grid_size_on_clt_model_with_trigpoly(self, monkeypatch):
+        """The default time change with one trigonometric weight at T = 200
+        needs under 10,000 G points (the per-time rule took 122 s)."""
+        points = count_g_points(monkeypatch)
+        f = hm.TestFunction([hm.TrigPolyF(10.0, 1.0, [0.5], [0.25]),
+                             hm.ConstantF(1.0)])
+        tc = hm.time_change(clt_exp_model(), f, 200.0)
+        assert np.all(np.diff(tc.sigma2) > 0.0)
+        assert 0 < sum(points) <= 10_000
 
 
 class TestAsymptoticVariance:
@@ -384,14 +460,22 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("carrier", [0.0, 0.7, -3.1, 41.3])
     def test_rule_integrates_carrier_exactly(self, carrier):
-        # vals = 1: twice the real part of int_lo^hi exp(2i pi c xi) dxi
+        # vals = 1: twice int_lo^hi exp(2i pi c xi) dxi, whose real part is
+        # 2 (hi sinc(2 c hi) - lo sinc(2 c lo))
         width, start, n = 0.25, 3, 16
         xis = spectrum._panel_points(width, start, n)
         got = spectrum._panel_rule(width, carrier)(np.ones(xis.size), start)
         lo, hi = width * start, width * (start + n)
         exact = 2.0 * (hi * np.sinc(2.0 * carrier * hi)
                        - lo * np.sinc(2.0 * carrier * lo))
-        assert got == pytest.approx(exact, rel=1e-12, abs=1e-13)
+        assert got.real == pytest.approx(exact, rel=1e-12, abs=1e-13)
+        if carrier == 0.0:
+            assert got.imag == 0.0
+        else:
+            full = ((np.exp(2j * np.pi * carrier * hi)
+                     - np.exp(2j * np.pi * carrier * lo))
+                    / (1j * np.pi * carrier))
+            assert got == pytest.approx(full, rel=1e-12, abs=1e-13)
 
     def test_vector_of_carriers_matches_one_at_a_time(self):
         width, start = 0.25, 3

@@ -40,11 +40,15 @@ class TestValuesAndIntegrals:
 
     @pytest.mark.parametrize("comp", FORMS)
     def test_squared_integral_matches_quadrature(self, comp):
-        for t in [0.7, 3.3, 10.0]:
+        ts = [0.7, 3.3, 10.0]
+        for t in ts:
             ref, _ = integrate.quad(
                 lambda s: float(comp.value(np.asarray(s))) ** 2, 0.0, t, limit=400
             )
             assert comp.squared_integral(t) == pytest.approx(ref, abs=1e-8)
+        # an array of times gives each scalar call's value
+        assert np.array_equal(comp.squared_integral(np.array(ts)),
+                              [comp.squared_integral(t) for t in ts])
 
     def test_indicator_boundary_convention(self):
         ind = hm.IndicatorF(1.0, 2.0)
@@ -99,6 +103,109 @@ class TestWindowedTransform:
         s = a + b
         assert s.a == pytest.approx(a.a + b.a)
         assert s.xi_min == max(a.xi_min, b.xi_min)
+
+
+def window_phase(xi, left, right):
+    """``int_left^right exp(-2 i pi xi t) dt``."""
+    length = right - left
+    return length * np.exp(-1j * np.pi * xi * (left + right)) * np.sinc(xi * length)
+
+
+class ReferenceTrigPoly:
+    """The per-form trigonometric formulas that the lines replaced."""
+
+    GL64 = np.polynomial.legendre.leggauss(64)
+
+    def __init__(self, f: hm.TrigPolyF):
+        self.f = f
+
+    def value(self, t):
+        f, t = self.f, np.asarray(t, dtype=float)
+        w = 2.0 * np.pi * t / f.period
+        out = np.full(t.shape, f.a0)
+        for j, aj in enumerate(f.cos, start=1):
+            out += aj * np.cos(j * w)
+        for j, bj in enumerate(f.sin, start=1):
+            out += bj * np.sin(j * w)
+        return out
+
+    def integral(self, t):
+        f, t = self.f, np.asarray(t, dtype=float)
+        w = 2.0 * np.pi * t / f.period
+        out = f.a0 * t
+        for j, aj in enumerate(f.cos, start=1):
+            out += aj * f.period / (2.0 * np.pi * j) * np.sin(j * w)
+        for j, bj in enumerate(f.sin, start=1):
+            out += bj * f.period / (2.0 * np.pi * j) * (1.0 - np.cos(j * w))
+        return out
+
+    def squared_integral(self, t):
+        # Parseval over whole periods, 64-node Gauss on the partial one
+        f = self.f
+        mean_sq = f.a0**2 + 0.5 * (sum(c * c for c in f.cos)
+                                   + sum(s * s for s in f.sin))
+        full, rem = divmod(t, f.period)
+        x, w = self.GL64
+        nodes = 0.5 * rem * (x + 1.0)
+        return (mean_sq * f.period * full
+                + 0.5 * rem * float(w @ self.value(nodes) ** 2))
+
+    def fourier_window(self, xi, t):
+        n = max(len(self.f.cos), len(self.f.sin))
+        out = np.zeros(xi.shape, dtype=complex)
+        for m in range(-n, n + 1):
+            a = self.f.cos[abs(m) - 1] if 0 < abs(m) <= len(self.f.cos) else 0.0
+            b = self.f.sin[abs(m) - 1] if 0 < abs(m) <= len(self.f.sin) else 0.0
+            cm = self.f.a0 if m == 0 else 0.5 * (a - 1j * np.sign(m) * b)
+            out += cm * window_phase(xi - m / self.f.period, 0.0, t)
+        return out
+
+
+def close(got, ref, rel=1e-12):
+    """Agreement within ``rel`` of the largest reference magnitude."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+class TestLines:
+    """Constants and trigonometric polynomials read every formula from their
+    lines; the per-form formulas they replaced are the reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trigpoly_matches_per_form_formulas(self, seed):
+        rng = np.random.default_rng([23, seed])
+        f = hm.TrigPolyF(rng.uniform(0.3, 5.0), rng.normal(),
+                         list(rng.normal(size=rng.integers(0, 4))),
+                         list(rng.normal(size=rng.integers(0, 4))))
+        ref = ReferenceTrigPoly(f)
+        ts = rng.uniform(0.0, 20.0, 50)
+        xis = rng.uniform(-8.0, 8.0, 200)
+        assert close(f.value(ts), ref.value(ts))
+        assert close(f.integral(ts), ref.integral(ts))
+        for t in ts[:5]:
+            assert close(f.squared_integral(t), ref.squared_integral(t))
+            assert close(f.fourier_window(xis, t), ref.fourier_window(xis, t))
+
+    @pytest.mark.parametrize("k", [1.5, -0.37, 0.0, 2.0**-20 * 3.0])
+    def test_constant_matches_per_form_formulas_exactly(self, k):
+        c = hm.ConstantF(k)
+        ts = np.random.default_rng(5).uniform(0.0, 50.0, 40)
+        xis = np.linspace(-6.0, 6.0, 97)
+        assert np.array_equal(c.value(ts), np.full_like(ts, k))
+        assert np.array_equal(c.integral(ts), k * ts)
+        assert np.array_equal(c.squared_integral(ts), k**2 * ts)
+        for t in ts[:5]:
+            assert np.array_equal(c.fourier_window(xis, t),
+                                  k * window_phase(xis, 0.0, t))
+
+    def test_declared_lines(self):
+        freqs, coeffs = hm.ConstantF(2.5).harmonics()
+        assert np.array_equal(freqs, [0.0]) and np.array_equal(coeffs, [2.5])
+        freqs, coeffs = hm.TrigPolyF(2.0, 1.0, [0.5], [0.25]).harmonics()
+        assert np.array_equal(freqs, [-0.5, 0.0, 0.5])
+        assert np.allclose(coeffs, [0.25 + 0.125j, 1.0, 0.25 - 0.125j])
+        for comp in FORMS[1:3] + FORMS[5:]:
+            assert comp.harmonics() is None
 
 
 # each constructor call mapped to the pointer of its non-finite field
