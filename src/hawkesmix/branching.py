@@ -164,7 +164,6 @@ def contraction_certificate(m, delta_max: float = 2.0) -> ContractionCert:
     if worst > 1.0:
         needed = int(np.ceil(np.log(worst) / -np.log(ratios[k1])))
     k_direct = needed * k1 + k1
-    ratio_k = ratios[k1]
     p = powers[k1]
     for k in range(k1 + 1, k_direct + 1):
         p = p @ m

@@ -13,10 +13,14 @@ panel quadrature with a certified closed-form tail.  Variances and count
 covariances share one block loop and one Filon-type panel rule, which takes
 a vector of carriers: exact for the oscillatory carrier of a count
 covariance and for the carriers of a variance profile, and Gauss at
-carrier 0.  A profile whose weights are finite sums of lines writes each
-line's window transform in closed form past a head that covers the lines,
-so one grid of ``G`` serves every time ``t`` as a carrier, and the panels
-there need not resolve ``1 / t``.
+carrier 0.  A variance profile writes each weight over atoms: the lines
+of the components that are finite sums of lines, then each component that
+is not.  One direct rule evaluates the quadratic form of the atoms'
+window transforms for every time at once.  It covers the whole range when
+some component has no lines; otherwise it covers a head past the lines,
+and past it each line's window transform is in closed form, so one grid
+of ``G`` serves every time ``t`` as a carrier, and the panels there need
+not resolve ``1 / t``.
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ _TO_LEGENDRE = (
 )[:, None] * np.polynomial.legendre.legvander(_NODES, 7).T * _WEIGHTS[None, :]
 
 _PANELS_PER_BLOCK = 2048
-# the line profile: the fewest panels of the direct head rule, and cells of
-# the (panels, lines, times) carrier arrays of one tail block, about 1 MB
-# each; the (points, times, lines) arrays of a head block hold half as many
+# the variance profile: the fewest panels of the direct head rule for
+# lines, and cells of the (panels, lines, times) carrier arrays of one tail
+# block, about 1 MB each; the (points, times, atoms) arrays of a direct
+# block hold half as many
 _HEAD_PANELS = 256
 _BLOCK_CELLS = 64_000
 _XI_CAP = 1e5
@@ -278,24 +283,33 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     closed-form tail bound drops below ``max(rel_tol * value, abs_tol)``
     for every requested ``t``.
 
-    For general components the panel width resolves the window-transform
-    oscillation at the largest ``t``, and each ``t`` has its own windowed
-    transforms.  When every component is a finite sum of lines
-    ``f_i = sum_k C_ik exp(2 i pi nu_k s)``
-    (:meth:`~hawkesmix.testfunctions.ComponentFunction.harmonics`), one
-    ``K x K`` form ``Q = C^T G conj(C)`` serves every ``t``, and the
-    frequency axis is split:
+    A time where every weight vanishes on ``[0, t]`` has variance 0
+    exactly and takes no quadrature.
 
-    * head ``[0, xi0]``, the first 256 of those fine panels or enough to
-      reach ``4 max |nu|``: the same direct Gauss rule for each ``t``;
-    * tail past ``xi0``: line ``k``'s window transform is ``(1 - exp(-2 i
-      pi x_k t)) / (2 i pi x_k)``, ``x_k = xi - nu_k``, so per block
-      ``K^2`` Gauss sums and ``K`` Filon sums with carriers ``-ts`` give
-      every ``t``.  The panels are ``xi0 / n`` wide, for the smallest
-      ``n >= 4`` that makes them at most ``1 / (3 (mean delay + 1))``:
-      they resolve ``1 / xi^2`` and the kernel memory, not the horizon.
-      Blocks hold ``64 / K`` panels, fewer past 1000 times, which bounds
-      the carrier arrays.
+    Each component is a sum over atoms, ``f_i = sum_a coef[i, a] atom_a``:
+    an atom is one line of the union ``nu`` of the components' lines
+    ``f_i = sum_k C_ik exp(2 i pi nu_k s)``
+    (:meth:`~hawkesmix.testfunctions.ComponentFunction.harmonics`), or one
+    component without lines.  One form ``Q = coef^T G conj(coef)`` per
+    frequency serves every ``t``.  One direct rule evaluates ``b Q b^H``
+    on ``(points, times, atoms)`` arrays, on panels whose width resolves
+    the window-transform oscillation at the largest ``t``: a line atom has
+    ``b_k = t exp(i pi nu_k t) sinc(x_k t)``, ``x_k = xi - nu_k``, and any
+    other atom its component's window transform in the same phase,
+    ``exp(i pi xi t) F(f_i 1_[0,t])(xi)``.  Blocks hold
+    ``4000 / (n_t atoms)`` panels, at least one.
+
+    * When some component has no lines, the direct rule runs from 0 until
+      the tail bound is met.
+    * Otherwise it covers the head ``[0, xi0]``, the first 256 panels or
+      enough to reach ``4 max |nu|``.  Past ``xi0`` line ``k``'s window
+      transform is ``(1 - exp(-2 i pi x_k t)) / (2 i pi x_k)``, so per
+      block ``K^2`` Gauss sums and ``K`` Filon sums with carriers ``-ts``
+      give every ``t``, for ``K`` lines.  The panels are ``xi0 / n`` wide,
+      for the smallest ``n >= 4`` that makes them at most
+      ``1 / (3 (mean delay + 1))``: they resolve ``1 / xi^2`` and the
+      kernel memory, not the horizon.  Blocks hold ``64 / K`` panels, fewer
+      past 1000 times, which bounds the carrier arrays.
 
     Raises
     ------
@@ -319,6 +333,16 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     ah, _ = _envelope_consts(model)
     if ah == 0.0:
         return base
+    # gamma(xi) is positive definite, so sigma_t^2 is 0 exactly where the
+    # diag(m) part is, and such a time, whose relative target is 0, takes
+    # no quadrature
+    live = base > 0.0
+    if not live.all():
+        out = np.zeros(ts.shape)
+        if live.any():
+            out[live] = variance_profile(model, f, ts[live], rel_tol=rel_tol,
+                                         abs_tol=abs_tol)
+        return out
 
     horizon = float(np.max(ts))
     memory = model.delay_moment(1.0) + 1.0
@@ -328,50 +352,57 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
             sum(e.b**2 for e in envs))
 
-    rule = _panel_rule(width)
+    # atoms: the union nu of the lines (not np.unique, which imports
+    # numpy.ma, ~0.6 MB of resident memory), then each component without
+    # lines, so that f_i = sum_a coef[i, a] atom_a and w G w^H = b Q b^H
+    # with Q = coef^T G conj(coef)
     lines = [c.harmonics() for c in f.components]
-    if any(h is None for h in lines):
-        def block(xis, g, panel):
-            out = []
-            for t in ts:
-                w = np.array([c.fourier_window(xis, t) for c in f.components],
-                             dtype=complex)
-                quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w),
-                                 optimize=True)
-                out.append(rule(quad.real, panel))
-            return out
-
-        return _quadrature("variance", model, width, 0, xi_min, base, block,
-                           sums, rel_tol, abs_tol)
-
-    # w G w^H = sum_kl phi_k Q_kl conj(phi_l) over the union nu of the lines
-    # (not np.unique, which imports numpy.ma, ~0.6 MB of resident memory),
-    # with phi_k = int_0^t exp(-2 i pi x_k s) ds and x_k = xi - nu_k
-    nu = np.array(sorted(set(np.concatenate([freqs for freqs, _ in lines]))))
-    coef = np.zeros((ncomp, nu.size), dtype=complex)
-    for i, (freqs, coeffs) in enumerate(lines):
-        coef[i, np.searchsorted(nu, freqs)] = coeffs
+    general = [i for i, h in enumerate(lines) if h is None]
+    nu = np.array(sorted(set().union(*(h[0] for h in lines if h is not None))))
+    coef = np.zeros((ncomp, nu.size + len(general)), dtype=complex)
+    for i, h in enumerate(lines):
+        if h is None:
+            coef[i, nu.size + general.index(i)] = 1.0
+        else:
+            coef[i, np.searchsorted(nu, h[0])] = h[1]
 
     def form(g):
         return coef.T @ g @ np.conj(coef)
 
-    # head [0, xi0]: the direct rule, whose width resolves sinc(x_k t), on
-    # t^2 sum_kl Q_kl e^{i pi (nu_k - nu_l) t} sinc(x_k t) sinc(x_l t),
-    # which is b Q b^H for b_k = t e^{i pi nu_k t} sinc(x_k t)
+    # the direct rule, whose width resolves every window at every t, on
+    # b Q b^H: a line atom has b_k = t e^{i pi nu_k t} sinc(x_k t) with
+    # x_k = xi - nu_k, any other atom its component's window in the same
+    # phase, e^{i pi xi t} F(f_i 1_[0,t])(xi)
+    rule = _panel_rule(width)
+    scale = ts[:, None] * np.exp(1j * np.pi * ts[:, None] * nu)
+    per_direct = max(1, _BLOCK_CELLS // (16 * ts.size * coef.shape[1]))
+
+    def direct(xis, g, panel):
+        b = np.empty((xis.size, ts.size, coef.shape[1]), dtype=complex)
+        b[..., :nu.size] = np.sinc((xis[:, None] - nu)[:, None, :]
+                                   * ts[:, None]) * scale
+        for atom, i in enumerate(general, start=nu.size):
+            np.multiply(np.exp(1j * np.pi * xis[:, None] * ts),
+                        f[i].fourier_window(xis[:, None], ts), out=b[..., atom])
+        vals = b @ form(g)
+        vals *= np.conj(b, out=b)
+        # atom by atom: numpy reduces a short last axis one cell at a time
+        return rule(sum(vals[..., a] for a in range(b.shape[2])).real, panel)
+
+    if general:
+        return _quadrature("variance", model, width, 0, xi_min, base, direct,
+                           sums, rel_tol, abs_tol, per_block=per_direct)
+
+    # lines only: the direct rule on the head [0, xi0], then the tail split
     head_panels = max(_HEAD_PANELS,
                       int(np.ceil(4.0 * np.max(np.abs(nu)) / width)))
-    scale = ts[:, None] * np.exp(1j * np.pi * ts[:, None] * nu)
-    per_head = max(1, _BLOCK_CELLS // (16 * ts.size * nu.size))
 
     def head_block(panel):
-        xis = _panel_points(width, panel, min(per_head, head_panels - panel))
-        b = np.sinc((xis[:, None] - nu)[:, None, :] * ts[:, None]) * scale
-        vals = b @ form(_g_grid(model, xis))
-        vals *= np.conj(b, out=b)
-        return rule(vals.sum(axis=2).real, panel)
+        xis = _panel_points(width, panel, min(per_direct, head_panels - panel))
+        return direct(xis, _g_grid(model, xis), panel)
 
     # a call per block frees its arrays before the next block and the tail
-    head = sum(head_block(panel) for panel in range(0, head_panels, per_head))
+    head = sum(head_block(panel) for panel in range(0, head_panels, per_direct))
 
     # tail: with Q'_kl = Q_kl / (4 pi^2 x_k x_l) the integrand is
     # Re[sum_kl Q'_kl (1 + e^{2 i pi (nu_k - nu_l) t})

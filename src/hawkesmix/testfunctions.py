@@ -9,9 +9,10 @@ Python and JSON construction raise the same ``ConfigError``.
 
 Every form exposes exact pointwise evaluation, exact running integrals, and
 the windowed Fourier transform ``F (f 1_[0,T]) (xi) = int_0^T f(t)
-exp(-2 i pi xi t) dt`` in closed form, plus a certified high-frequency
-envelope ``|F (f 1_[0,T])(xi)| <= A/xi + B/xi**2`` used to bound spectral
-quadrature tails.  Constants and trigonometric polynomials declare only
+exp(-2 i pi xi t) dt`` in closed form, with ``xi`` broadcast against an
+array of ``T``, plus a certified high-frequency envelope ``|F (f
+1_[0,T])(xi)| <= A/xi + B/xi**2`` used to bound spectral quadrature
+tails.  Constants and trigonometric polynomials declare only
 their lines, from which the base class derives the rest.
 """
 
@@ -97,8 +98,10 @@ class ComponentFunction:
         return products.sum(axis=(-2, -1)).real
 
     def fourier_window(self, xi, t):
-        """``F (f 1_[0,t]) (xi)``, vectorized over ``xi``; from lines, ``xi``
-        broadcasts against ``t``."""
+        """``F (f 1_[0,t]) (xi)``; for every form ``xi`` broadcasts against
+        ``t``, so ``fourier_window(xis[:, None], ts)`` gives one column per
+        time.  The variance profile's direct rule reads the window of a
+        form without lines this way, one call per block of panels."""
         freqs, coeffs = self.harmonics()
         x = np.expand_dims(np.asarray(xi, dtype=float), -1) - freqs
         return _window_phase(x, 0.0, np.expand_dims(t, -1)) @ coeffs
@@ -123,6 +126,11 @@ class ConstantF(ComponentFunction):
     def value(self, t):
         # the line sum without its exp: partial statistics call this per event
         return np.full_like(np.asarray(t, dtype=float), self.k)
+
+    def integral(self, t):
+        # kept for speed, like value: partial statistics call this per
+        # replicate, and it has the bits of the line sum
+        return self.k * np.asarray(t, dtype=float)
 
     def harmonics(self):
         return np.zeros(1), np.array([self.k])
@@ -157,10 +165,10 @@ class IndicatorF(ComponentFunction):
     def squared_integral(self, t):
         return self.amplitude * self.integral(t)
 
-    def fourier_window(self, xi, t: float):
-        left, right = max(self.a, 0.0), min(self.b, t)
-        if right <= left:
-            return np.zeros(np.shape(xi), dtype=complex)
+    def fourier_window(self, xi, t):
+        # an empty window has length 0 and gives exact zeros
+        left = max(self.a, 0.0)
+        right = np.maximum(np.minimum(self.b, t), left)
         return self.amplitude * _window_phase(xi, left, right)
 
     def envelope(self, t: float) -> Envelope:
@@ -194,7 +202,7 @@ class ConstPlusIndicatorF(ComponentFunction):
         return (self._c.squared_integral(t) + cross
                 + self._ind.squared_integral(t))
 
-    def fourier_window(self, xi, t: float):
+    def fourier_window(self, xi, t):
         return self._c.fourier_window(xi, t) + self._ind.fourier_window(xi, t)
 
     def envelope(self, t: float) -> Envelope:
@@ -300,9 +308,7 @@ class SampledPeriodicF(ComponentFunction):
         return cum[idx] + piece
 
     def integral(self, t):
-        t = np.asarray(t, dtype=float)
-        full = np.floor(t / self.period)
-        rem = t - full * self.period
+        full, rem = np.divmod(np.asarray(t, dtype=float), self.period)
         return full * self._cum_int[-1] + self._partial(rem, self._cum_int, 1)
 
     def squared_integral(self, t):
@@ -310,64 +316,62 @@ class SampledPeriodicF(ComponentFunction):
         return full * self._cum_sq[-1] + self._partial(rem, self._cum_sq, 2)
 
     def _fourier_upto(self, xi, rem):
-        """Exact transform of the interpolant over ``[0, rem]``, for
-        ``rem <= period``."""
-        out = np.zeros(xi.shape, dtype=complex)
+        """Exact transform of the interpolant over ``[0, rem]``, for ``0 <=
+        rem <= period``; ``xi`` broadcasts against ``rem``.  Each segment
+        ends at ``rem`` clipped to its knots, so a segment past ``rem`` has
+        length 0 and adds exact zeros."""
+        w = 2.0 * np.pi * xi
+        out = 0.0
         for k in range(len(self.samples)):
             t0 = self._knots[k]
-            if t0 >= rem:
-                break
-            t1 = min(self._knots[k + 1], rem)
-            out += self._linear_segment(xi, t0, t1, self._vals[k], self._slopes[k])
+            t1 = np.clip(rem, t0, self._knots[k + 1])
+            out = out + self._linear_segment(w, np.exp(-1j * w * t0), t0, t1,
+                                             self._vals[k], self._slopes[k])
         return out
 
     @staticmethod
-    def _linear_segment(xi, t0, t1, v0, s):
-        """``int_t0^t1 (v0 + s (t - t0)) exp(-2 i pi xi t) dt`` exactly."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.empty(xi.shape, dtype=complex)
-        w = 2.0 * np.pi * xi
+    def _linear_segment(w, e0, t0, t1, v0, s):
+        """``int_t0^t1 (v0 + s (t - t0)) exp(-i w t) dt`` exactly, with the
+        start phase ``e0 = exp(-i w t0)``; ``w`` broadcasts against
+        ``t1``."""
+        w, t1 = np.broadcast_arrays(w, t1)
+        out = np.empty(w.shape, dtype=complex)
         small = np.abs(w) * (t1 - t0) < 1e-8
         # series for tiny phases avoids cancellation
         if small.any():
-            dt = t1 - t0
-            ws = w[small]
-            i0 = dt - 1j * ws * (t1 * t1 - t0 * t0) / 2.0 - ws**2 / 2.0 * (
-                t1**3 - t0**3
+            ws, t1s = w[small], t1[small]
+            dt = t1s - t0
+            i0 = dt - 1j * ws * (t1s * t1s - t0 * t0) / 2.0 - ws**2 / 2.0 * (
+                t1s**3 - t0**3
             ) / 3.0
             i1 = dt * dt / 2.0 - 1j * ws * (
-                (t1**3 - t0**3) / 3.0 - t0 * (t1 * t1 - t0 * t0) / 2.0
+                (t1s**3 - t0**3) / 3.0 - t0 * (t1s * t1s - t0 * t0) / 2.0
             )
             out[small] = v0 * i0 + s * i1
         big = ~small
         if big.any():
-            wb = w[big]
-            e0 = np.exp(-1j * wb * t0)
-            e1 = np.exp(-1j * wb * t1)
+            wb, t1b = w[big], t1[big]
+            e1 = np.exp(-1j * wb * t1b)
             iw = 1j * wb
             # int e^{-iwt} = (e0 - e1)/iw ; int (t-t0) e^{-iwt} by parts
-            base = (e0 - e1) / iw
-            lin = (-(t1 - t0) * e1) / iw + (base) / iw
+            base = (np.broadcast_to(e0, out.shape)[big] - e1) / iw
+            lin = (-(t1b - t0) * e1) / iw + base / iw
             out[big] = v0 * base + s * lin
         return out
 
-    def fourier_window(self, xi, t: float):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        full = int(np.floor(t / self.period))
-        rem = t - full * self.period
-        one = self._fourier_upto(xi, self.period)
+    def fourier_window(self, xi, t):
+        xi = np.asarray(xi, dtype=float)
+        full, rem = np.divmod(t, self.period)
         # Dirichlet factor sum_{k<full} e^{-2 i pi xi k p}
         u = xi * self.period
         num = np.sin(np.pi * u * full)
         den = np.sin(np.pi * u)
         phase = np.exp(-1j * np.pi * u * (full - 1))
         with np.errstate(invalid="ignore", divide="ignore"):
-            dirich = np.where(np.abs(den) > 1e-12, num / den * phase, float(full))
-        out = one * dirich
-        if rem > 0.0:
-            shift = np.exp(-2j * np.pi * xi * (full * self.period))
-            out = out + shift * self._fourier_upto(xi, rem)
-        return out
+            dirich = np.where(np.abs(den) > 1e-12, num / den * phase, full)
+        shift = np.exp(-2j * np.pi * xi * (full * self.period))
+        return (self._fourier_upto(xi, self.period) * dirich
+                + shift * self._fourier_upto(xi, rem))
 
     def envelope(self, t: float) -> Envelope:
         # two integrations by parts: boundary values of f contribute A/xi,

@@ -164,6 +164,20 @@ class TestVarianceProfile:
         prof = hm.variance_profile(d2_model, f, ts)
         assert np.all(np.diff(prof) > 0.0)
 
+    def test_zero_variance_times_take_no_quadrature(self, monkeypatch):
+        """A time where every weight vanishes on ``[0, t]`` has variance 0
+        exactly; the relative target of the quadrature would be 0 there, so
+        it ran to the frequency cap (lowered here so that such a run fails
+        fast)."""
+        monkeypatch.setattr(spectrum, "_XI_CAP", 100.0)
+        model = clt_exp_model()
+        f = hm.TestFunction([hm.IndicatorF(5.0, 8.0), hm.ConstantF(0.0)])
+        got = hm.variance_profile(model, f, [2.0, 10.0])
+        alone = hm.variance_profile(model, f, [10.0])
+        assert got[0] == 0.0 and got[1] == alone[0] > 0.0
+        assert np.array_equal(hm.variance_profile(model, f, [1.0, 5.0]),
+                              [0.0, 0.0])
+
     def test_validation(self, d2_model):
         f1 = hm.TestFunction.constant([1.0])
         with pytest.raises(ValueError):
@@ -237,14 +251,16 @@ class TestConstantWeightProfile:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
     def test_matches_general_path(self, family, d):
-        """Seeded random models against the per-time direct rule, from
-        times far below the inverse head range up to the horizon."""
+        """Seeded random models against the direct rule over the whole
+        range, from times far below the inverse head range up to the
+        horizon."""
         rng = np.random.default_rng([17, d, len(family)])
         model = random_model(rng, family, d)
         signs = rng.choice([-1.0, 1.0]) * (-1.0) ** np.arange(d)
         k = signs * rng.uniform(0.3, 1.5, d)
         fast = hm.TestFunction.constant(k)
-        # a zero-amplitude bump forces the windowed-transform branch
+        # a zero-amplitude bump, a component without lines, forces the
+        # direct rule over the whole range
         slow = hm.TestFunction([hm.ConstPlusIndicatorF(k[0], 1.0, 2.0, 0.0)]
                                + [hm.ConstantF(x) for x in k[1:]])
         rel_tol = 1e-5
@@ -283,15 +299,17 @@ class TestLineWeightProfile:
     @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
     def test_matches_per_time_rule(self, family, d, monkeypatch):
         """Seeded random models and trigonometric weights, with a constant
-        mixed in, against the per-time direct rule; also with a head of 16
-        panels, which leaves most of the integral to the tail sums."""
+        mixed in, against the direct rule over the whole range; also with
+        a head of 16 panels, which leaves most of the integral to the tail
+        sums."""
         rng = np.random.default_rng([31, d, len(family)])
         model = random_model(rng, family, d)
         trig = [random_trigpoly(rng) for _ in range(d)]
         k = rng.uniform(0.3, 1.5) * rng.choice([-1.0, 1.0])
         if d == 1:
             # an independent zero-weight Poisson component carries the
-            # zero-amplitude bump that forces the per-time rule
+            # zero-amplitude bump that forces the direct rule over the
+            # whole range
             lines = hm.TestFunction(trig)
             slow_model = hm.HawkesModel(
                 [model.eta[0], 1.0],
@@ -331,6 +349,74 @@ class TestLineWeightProfile:
         tc = hm.time_change(clt_exp_model(), f, 200.0)
         assert np.all(np.diff(tc.sigma2) > 0.0)
         assert 0 < sum(points) <= 10_000
+
+
+def per_time_profile(model, f, ts, rel_tol):
+    """The per-time direct rule that the atom block replaced: every
+    component's window at each time separately, on panels from 0 to the
+    tail stop."""
+    ts = np.asarray(ts, dtype=float)
+    m = model.validate().mean_intensity
+    base = sum(m[i] * f[i].squared_integral(ts) for i in range(len(f)))
+    horizon = float(np.max(ts))
+    width = 1.0 / (3.0 * (horizon + model.delay_moment(1.0) + 1.0))
+    envs = [c.envelope(horizon) for c in f.components]
+    ah, _ = spectrum._envelope_consts(model)
+    xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
+    sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
+            sum(e.b**2 for e in envs))
+    rule = spectrum._panel_rule(width)
+
+    def block(xis, g, panel):
+        out = []
+        for t in ts:
+            w = np.array([c.fourier_window(xis, t) for c in f.components],
+                         dtype=complex)
+            quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w), optimize=True)
+            out.append(rule(quad.real, panel))
+        return out
+
+    return spectrum._quadrature("variance", model, width, 0, xi_min, base,
+                                block, sums, rel_tol, 0.0)
+
+
+def random_general_component(rng) -> hm.ComponentFunction:
+    """An indicator, a constant plus an indicator, or a sampled weight."""
+    kind = rng.integers(3)
+    a = rng.uniform(0.0, 3.0)
+    b = a + rng.uniform(0.5, 20.0)
+    if kind == 0:
+        return hm.IndicatorF(a, b, rng.uniform(0.5, 2.0))
+    if kind == 1:
+        return hm.ConstPlusIndicatorF(rng.normal(), a, b, rng.normal())
+    return hm.SampledPeriodicF(rng.uniform(0.5, 6.0),
+                               list(rng.normal(size=rng.integers(2, 6))))
+
+
+class TestAtomProfile:
+    """Weights with a component without lines take one direct block over
+    atoms (the lines of the other components, then each such component),
+    for every time at once."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
+    def test_matches_per_time_rule(self, family, d):
+        """Seeded random models, with at least one indicator, constant
+        plus indicator or sampled weight mixed with trigonometric and
+        constant weights, against the per-time rule."""
+        rng = np.random.default_rng([41, d, len(family)])
+        model = random_model(rng, family, d)
+        comps = [random_general_component(rng)]
+        for _ in range(d - 1):
+            comps.append(rng.choice([random_general_component,
+                                     random_trigpoly,
+                                     lambda r: hm.ConstantF(r.normal())])(rng))
+        f = hm.TestFunction([comps[i] for i in rng.permutation(d)])
+        ts = np.sort(rng.uniform(4.0, rng.uniform(10.0, 30.0), 3))
+        rel_tol = 1e-5
+        got = hm.variance_profile(model, f, ts, rel_tol=rel_tol)
+        ref = per_time_profile(model, f, ts, rel_tol)
+        assert np.all(np.abs(got / ref - 1.0) <= 2.0 * rel_tol)
 
 
 class TestAsymptoticVariance:

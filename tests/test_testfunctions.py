@@ -208,6 +208,33 @@ class TestLines:
             assert comp.harmonics() is None
 
 
+class TestBroadcastWindow:
+    """Every form's window transform broadcasts ``xi`` against an array of
+    times, one column per time."""
+
+    # below, at and inside the indicator windows (2, 5] and (1, 3], and at
+    # and between multiples of the sampled period 1.5
+    TIMES = np.array([0.3, 1.0, 1.5, 2.0, 3.0, 3.3, 4.5, 5.0, 7.25, 10.0])
+
+    @pytest.mark.parametrize("comp", FORMS)
+    def test_matches_scalar_time_calls(self, comp):
+        # the sampled period's resonant frequencies hit the Dirichlet branch
+        xis = np.concatenate([np.linspace(-7.0, 7.0, 121),
+                              np.arange(-4, 5) / 1.5])
+        got = comp.fourier_window(xis[:, None], self.TIMES)
+        ref = np.stack([comp.fourier_window(xis, t) for t in self.TIMES],
+                       axis=1)
+        assert got.shape == ref.shape == (xis.size, self.TIMES.size)
+        assert close(got, ref, rel=1e-13)
+
+    def test_empty_indicator_window_is_exact_zero(self):
+        ind = FORMS[1]
+        got = ind.fourier_window(np.linspace(-3.0, 3.0, 31)[:, None],
+                                 self.TIMES)
+        assert np.all(got[:, self.TIMES <= ind.a] == 0.0)
+        assert np.all(np.any(got[:, self.TIMES > ind.a] != 0.0, axis=0))
+
+
 # each constructor call mapped to the pointer of its non-finite field
 NONFINITE_PARAMETERS = {
     lambda: hm.ConstantF(np.nan): "/k",
