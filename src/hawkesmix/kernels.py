@@ -70,13 +70,19 @@ class Kernel:
     # its terms over past events is a Markov state; a class attribute, so
     # it is no field of the JSON shape
     decay_rate = None
+    # ``B`` with ``|Fh(xi) - h(0+) / (2 i pi xi)| <= B / xi^2`` for all
+    # ``xi != 0``, or None where no such constant holds; a class attribute
+    # like ``decay_rate``
+    fourier_remainder = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the rate describes the density beside it: a class that redefines
-        # the density without restating the rate declares none
-        if "_density" in vars(cls) and "decay_rate" not in vars(cls):
-            cls.decay_rate = None
+        # the declarations describe the density beside them: a class that
+        # redefines the density without restating one declares none
+        if "_density" in vars(cls):
+            for name in ("decay_rate", "fourier_remainder"):
+                if name not in vars(cls):
+                    setattr(cls, name, None)
 
     def __post_init__(self):
         read_fields(self)
@@ -194,6 +200,11 @@ class ExponentialKernel(Kernel):
 
     def fourier_envelope(self) -> float:
         return self.alpha * self.beta / (2.0 * np.pi)
+
+    @property
+    def fourier_remainder(self) -> float:
+        # exact remainder alpha beta^2 / ((2 i pi xi) (beta + 2 i pi xi))
+        return self.alpha * self.beta**2 / (4.0 * np.pi**2)
 
     def tail_mass(self, b: float) -> float:
         return self.alpha * float(np.exp(-self.beta * b))
@@ -346,6 +357,14 @@ class PowerLawKernel(Kernel):
         # TV(h) = h(0+) for a nonincreasing kernel
         return self.alpha * self.theta / (np.pi * self.c)
 
+    @property
+    def fourier_remainder(self) -> float:
+        # integration by parts twice: |Fh - h(0+) / (2 i pi xi)| <=
+        # (|h'(0+)| + int |h''|) / (4 pi^2 xi^2), and int |h''| = |h'(0+)|
+        # for a convex nonincreasing kernel
+        return (self.alpha * self.theta * (1.0 + self.theta)
+                / (2.0 * np.pi**2 * self.c**2))
+
     def tail_mass(self, b: float) -> float:
         return self.alpha * float((self.c / (self.c + b)) ** self.theta)
 
@@ -360,6 +379,8 @@ class UniformKernel(Kernel):
     alpha: float
     a: float
     family = "uniform"
+    # the jump at ``a`` leaves a ``1 / xi`` remainder past ``h(0+)``
+    fourier_remainder = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -392,6 +413,7 @@ class ZeroKernel(Kernel):
 
     family = "zero"
     alpha = 0.0  # a class constant, not a field: the kernel has no parameter
+    fourier_remainder = 0.0
 
     def _density(self, t):
         return np.zeros_like(t, dtype=float)

@@ -21,6 +21,13 @@ some component has no lines; otherwise it covers a head past the lines,
 and past it each line's window transform is in closed form, so one grid
 of ``G`` serves every time ``t`` as a carrier, and the panels there need
 not resolve ``1 / t``.
+
+The certified tails bound ``G`` past the reached frequency: ``||G|| =
+O(1 / xi)`` in general, and ``G_ii = O(1 / xi^2)`` when every kernel
+declares a :attr:`~hawkesmix.kernels.Kernel.fourier_remainder`, since the
+``h(0+) / (2 i pi xi)`` term of the transforms drops out of the diagonal.
+A count covariance of one component with itself stops on the second
+bound, every other integral on the first.
 """
 
 from __future__ import annotations
@@ -55,7 +62,10 @@ _TO_LEGENDRE = (
     (2.0 * np.arange(8) + 1.0) / 2.0
 )[:, None] * np.polynomial.legendre.legvander(_NODES, 7).T * _WEIGHTS[None, :]
 
-_PANELS_PER_BLOCK = 2048
+# panels per G grid of a count covariance, 2048 points: its (points, d, d)
+# temporaries stay cache-sized, and at d = 2 and 3 it ran fastest of 128 to
+# 2048 panels
+_PANELS_PER_BLOCK = 256
 # the variance profile: the fewest panels of the direct head rule for
 # lines, and cells of the (panels, lines, times) carrier arrays of one tail
 # block, about 1 MB each; the (points, times, atoms) arrays of a direct
@@ -187,6 +197,46 @@ def _g_norm_const(model: HawkesModel, xi_from: float) -> float:
     return dn * ah * (2.0 / (1.0 - a0) + a0 / (1.0 - a0) ** 2)
 
 
+def _g_diag_const(model: HawkesModel, xi_from: float) -> float | None:
+    """Constant ``k2`` with ``|G_ii(xi)| <= k2 / xi^2`` for every ``i`` and
+    ``xi >= xi_from``, or None when some kernel declares no
+    :attr:`~hawkesmix.kernels.Kernel.fourier_remainder`.
+
+    With ``X = Ht(xi)^T``, ``R = X + X^2 (I - X)^{-1}`` and
+    ``G = R D + D R^H + R D R^H``.  The ``h(0+) / (2 i pi xi)`` part of
+    ``X D + D X^H`` is ``(H0^T D - D H0) / (2 i pi xi)``, whose diagonal is
+    0; the rest of ``X`` has norm at most ``B_F / xi^2``, for ``B_F`` the
+    Frobenius norm of the remainder constants, and with ``a = ah / xi``
+    the other terms are at most ``a^2 / (1 - a)`` and ``a^2 / (1 - a)^2``
+    times ``dn``.
+    """
+    remainders = [[k.fourier_remainder for k in row] for row in model.kernels]
+    if any(b is None for row in remainders for b in row):
+        return None
+    ah, dn = _envelope_consts(model)
+    a0 = ah / xi_from
+    if a0 > 0.5:
+        raise ValueError("certified tail needs xi_from >= 2 * envelope constant")
+    b_f = float(np.sqrt(np.sum(np.square(remainders))))
+    return dn * (2.0 * b_f + 2.0 * ah**2 / (1.0 - a0)
+                 + ah**2 / (1.0 - a0) ** 2)
+
+
+def _envelope_tail(model: HawkesModel, sums):
+    """The certified tail ``2 kg (s_aa / (2 xi^2) + 2 s_ab / (3 xi^3) +
+    s_bb / (4 xi^4))`` past ``xi`` of a variance whose window transforms
+    have the envelope sums ``(s_aa, s_ab, s_bb)``, as a function of
+    ``xi``."""
+    s_aa, s_ab, s_bb = sums
+
+    def tail(xi):
+        kg = _g_norm_const(model, xi)
+        return 2.0 * kg * (s_aa / (2.0 * xi**2) + 2.0 * s_ab / (3.0 * xi**3)
+                           + s_bb / (4.0 * xi**4))
+
+    return tail
+
+
 def _check_tolerances(rel_tol: float, abs_tol: float) -> None:
     tols = (rel_tol, abs_tol)
     if not (np.all(np.isfinite(tols)) and min(tols) >= 0.0 and max(tols) > 0.0):
@@ -235,19 +285,30 @@ def _panel_rule(width: float, carriers=0.0):
     return integrate
 
 
+def _stretch(model: HawkesModel, width: float, n_panels: int, per_block: int,
+             block):
+    """``block(xis, g, panel)`` summed over the first ``n_panels`` panels
+    of ``width``, one ``G`` grid per ``per_block`` panels; a call per block
+    frees its arrays before the next."""
+    total = 0.0
+    for panel in range(0, n_panels, per_block):
+        xis = _panel_points(width, panel, min(per_block, n_panels - panel))
+        total = total + block(xis, _g_grid(model, xis), panel)
+    return total
+
+
 def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
-                xi_min: float, base, block, sums, rel_tol: float,
+                xi_min: float, base, block, tail, rel_tol: float,
                 abs_tol: float, per_block: int = _PANELS_PER_BLOCK
                 ) -> np.ndarray:
     """``base`` plus the coupling integrals past ``panel``, one per statistic.
 
     Adds ``block(xis, g, panel)`` over blocks of ``per_block`` panels of
     ``width``, one ``G`` grid each, until past ``xi_min`` the certified
-    tail ``2 kg (s_aa / (2 xi^2) + 2 s_ab / (3 xi^3) + s_bb / (4 xi^4))``
-    of the envelope sums drops to ``max(rel_tol * min |value|, abs_tol)``;
-    past ``_XI_CAP`` it raises :class:`NumericError`.
+    bound ``tail(xi)`` on what lies past the reached ``xi`` drops to
+    ``max(rel_tol * min |value|, abs_tol)``; ``tail`` is only asked at
+    ``xi >= xi_min``.  Past ``_XI_CAP`` it raises :class:`NumericError`.
     """
-    s_aa, s_ab, s_bb = sums
     total = np.zeros(np.shape(base))
     while True:
         xis = _panel_points(width, panel, per_block)
@@ -256,17 +317,15 @@ def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
         xi = panel * width
         if xi < xi_min:
             continue
-        kg = _g_norm_const(model, xi)
-        tail = 2.0 * kg * (s_aa / (2.0 * xi**2) + 2.0 * s_ab / (3.0 * xi**3)
-                           + s_bb / (4.0 * xi**4))
+        bound = tail(xi)
         value = base + total
         smallest = float(np.min(np.abs(value)))
-        if tail <= max(rel_tol * smallest, abs_tol):
+        if bound <= max(rel_tol * smallest, abs_tol):
             return value
         if xi > _XI_CAP:
             raise NumericError(
                 f"{name} quadrature did not converge: range {xi:.3g}, "
-                f"tail bound {tail:.3g}, smallest |value| {smallest:.3g}"
+                f"tail bound {bound:.3g}, smallest |value| {smallest:.3g}"
             )
 
 
@@ -349,8 +408,9 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     width = 1.0 / (3.0 * (horizon + memory))
     envs = [f[i].envelope(horizon) for i in range(ncomp)]
     xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
-    sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
-            sum(e.b**2 for e in envs))
+    tail = _envelope_tail(model, (sum(e.a**2 for e in envs),
+                                  sum(e.a * e.b for e in envs),
+                                  sum(e.b**2 for e in envs)))
 
     # atoms: the union nu of the lines (not np.unique, which imports
     # numpy.ma, ~0.6 MB of resident memory), then each component without
@@ -391,18 +451,12 @@ def variance_profile(model: HawkesModel, f: TestFunction,
 
     if general:
         return _quadrature("variance", model, width, 0, xi_min, base, direct,
-                           sums, rel_tol, abs_tol, per_block=per_direct)
+                           tail, rel_tol, abs_tol, per_block=per_direct)
 
     # lines only: the direct rule on the head [0, xi0], then the tail split
     head_panels = max(_HEAD_PANELS,
                       int(np.ceil(4.0 * np.max(np.abs(nu)) / width)))
-
-    def head_block(panel):
-        xis = _panel_points(width, panel, min(per_direct, head_panels - panel))
-        return direct(xis, _g_grid(model, xis), panel)
-
-    # a call per block frees its arrays before the next block and the tail
-    head = sum(head_block(panel) for panel in range(0, head_panels, per_direct))
+    head = _stretch(model, width, head_panels, per_direct, direct)
 
     # tail: with Q'_kl = Q_kl / (4 pi^2 x_k x_l) the integrand is
     # Re[sum_kl Q'_kl (1 + e^{2 i pi (nu_k - nu_l) t})
@@ -424,7 +478,7 @@ def variance_profile(model: HawkesModel, f: TestFunction,
 
     per_block = max(1, _BLOCK_CELLS // (max(ts.size, 1000) * nu.size))
     return _quadrature("variance", model, tail_width, start, xi_min,
-                       base + head, tail_block, sums, rel_tol, abs_tol,
+                       base + head, tail_block, tail, rel_tol, abs_tol,
                        per_block=per_block)
 
 
@@ -529,7 +583,16 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     ``i = j``.  The coupling part is an oscillatory integral whose carrier
     frequency equals the separation of the window centers; a Filon-type rule
     removes that carrier so panel width only needs to resolve the window
-    lengths and the kernel memory, keeping the cost flat in the lag.
+    lengths and the kernel memory, keeping the cost flat in the lag.  The
+    stretch up to frequency ~2 takes eightfold finer panels, in blocks like
+    the rest.
+
+    Each window transform is at most ``1 / (pi xi)``.  When ``i = j`` and
+    every kernel declares a
+    :attr:`~hawkesmix.kernels.Kernel.fourier_remainder`, the quadrature
+    stops on the tail ``2 k2 / (3 pi^2 xi^3)``, from ``|G_ii| <= k2 /
+    xi^2``; otherwise (``i != j``, or a uniform kernel) on ``kg / (pi^2
+    xi^2)``, from ``||G|| <= kg / xi``.
 
     Parameters
     ----------
@@ -577,12 +640,19 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     # fractional smoothness of G at the origin for heavy-tailed kernels:
     # the first stretch gets eightfold finer panels, with their own rule
     start = int(np.ceil(2.0 / width))
-    xis = _panel_points(width / 8.0, 0, 8 * start)
-    fine = block(xis, _g_grid(model, xis), 0,
-                 _panel_rule(width / 8.0, carrier))
+    fine_rule = _panel_rule(width / 8.0, carrier)
+    fine = _stretch(model, width / 8.0, 8 * start, _PANELS_PER_BLOCK,
+                    lambda xis, g, panel: block(xis, g, panel, fine_rule))
 
-    # each indicator window's transform is at most 1 / (pi xi)
+    # each indicator window's transform is at most 1 / (pi xi), so past xi
+    # the coupling part is at most 2 int_xi^inf |G_ij| / (pi x)^2 dx
+    if i == j and _g_diag_const(model, 2.0 * ah) is not None:
+        def tail(xi):
+            return 2.0 * _g_diag_const(model, xi) / (3.0 * np.pi**2 * xi**3)
+    else:
+        def tail(xi):
+            return _g_norm_const(model, xi) / (np.pi**2 * xi**2)
+
     value = _quadrature("count-covariance", model, width, start, 2.0 * ah,
-                        diag_part + fine, block, (1.0 / np.pi**2, 0.0, 0.0),
-                        rel_tol, abs_tol)
+                        diag_part + fine, block, tail, rel_tol, abs_tol)
     return float(value)

@@ -79,6 +79,7 @@ class TestEvaluate:
                 return self.alpha * self.beta * (1.0 - np.exp(-self.beta * t))
 
         assert Rising(0.5, 2.0).decay_rate is None
+        assert Rising(0.5, 2.0).fourier_remainder is None
 
     @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_mass_matches_quadrature(self, kernel):
@@ -467,6 +468,22 @@ class TestFourier:
         xi = np.geomspace(0.05, 1e4, 300)
         bound = kernel.fourier_envelope() / xi
         assert np.all(np.abs(kernel.fourier(xi)) <= bound * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("kernel",
+                             ALL_KERNELS + RANDOM_POWERLAWS + [hm.ZeroKernel()])
+    def test_remainder_certified(self, kernel):
+        """``B / xi^2`` bounds what the transform leaves past the jump
+        term ``h(0+) / (2 i pi xi)``; the uniform kernel's second jump
+        leaves a ``1 / xi`` remainder, so it declares none.  The
+        declaration is no JSON field."""
+        bound = kernel.fourier_remainder
+        assert "fourier_remainder" not in kernel.to_dict()
+        if kernel.family == "uniform":
+            assert bound is None
+            return
+        xi = np.geomspace(0.05, 1e4, 300)
+        rest = kernel.fourier(xi) - kernel.evaluate(0.0) / (2j * np.pi * xi)
+        assert np.all(np.abs(rest) * xi**2 <= bound * (1.0 + 1e-12))
 
 
 class TestTailMass:

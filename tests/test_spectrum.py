@@ -1,5 +1,7 @@
 """Bartlett spectral density, variance evaluators, and count covariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -377,7 +379,8 @@ def per_time_profile(model, f, ts, rel_tol):
         return out
 
     return spectrum._quadrature("variance", model, width, 0, xi_min, base,
-                                block, sums, rel_tol, 0.0)
+                                block, spectrum._envelope_tail(model, sums),
+                                rel_tol, 0.0)
 
 
 def random_general_component(rng) -> hm.ComponentFunction:
@@ -529,6 +532,62 @@ class TestCovCounts:
         ba = hm.cov_counts(d2_model, 1, 0, b, a, abs_tol=1e-12)
         assert ba == pytest.approx(ab, rel=1e-9, abs=1e-12)
 
+    def test_decay_powerlaw_lags(self):
+        """The bench power-law model at the decay command's lags, against
+        values computed with the first-order tail to range ~2330."""
+        model = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+        for lag, ref in ((5.0, 0.021031753903371093),
+                         (10.0, 0.0023549511532482913)):
+            got = hm.cov_counts(model, 0, 0, (0.0, 1.0), (lag, lag + 1.0),
+                                abs_tol=1e-9)
+            assert got == pytest.approx(ref, rel=1e-9)
+
+    def test_long_window_memory(self):
+        """The fine stretch near the origin grows with the window lengths;
+        it runs in blocks, so the working set does not."""
+        model = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+        tracemalloc.start()
+        try:
+            got = hm.cov_counts(model, 0, 0, (0.0, 1000.0), (0.0, 1000.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert got == pytest.approx(4626.164863716373, rel=1e-6)
+
+    @staticmethod
+    def g_points(monkeypatch, model, i, j, second_order=True) -> int:
+        """``G`` points of a unit-window covariance at lag 5, with the
+        second-order tail constant withheld when ``second_order`` is
+        false."""
+        seen = count_g_points(monkeypatch)
+        if not second_order:
+            monkeypatch.setattr(spectrum, "_g_diag_const", lambda *_: None)
+        hm.cov_counts(model, i, j, (0.0, 1.0), (5.0, 6.0), abs_tol=1e-9)
+        monkeypatch.undo()
+        return sum(seen)
+
+    @pytest.mark.parametrize("case", ["uniform", "cross"])
+    def test_first_order_tail_where_no_second(self, case, monkeypatch):
+        """A kernel without a remainder constant, or ``i != j``, stops on
+        the ``1 / xi^2`` tail: the same grids as with the second-order
+        constant withheld."""
+        if case == "uniform":
+            model = hm.HawkesModel([1.0], [[hm.UniformKernel(0.4, 1.5)]])
+            i = j = 0
+            assert spectrum._g_diag_const(model, 1e3) is None
+        else:
+            kernels = [[hm.ExponentialKernel(a, 2.0) for a in row]
+                       for row in ((0.5, 0.3), (0.2, 0.4))]
+            model, i, j = hm.HawkesModel([1.0, 0.5], kernels), 0, 1
+        assert (self.g_points(monkeypatch, model, i, j)
+                == self.g_points(monkeypatch, model, i, j, second_order=False))
+
+    def test_second_order_tail_stops_sooner(self, monkeypatch):
+        model = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+        assert (10 * self.g_points(monkeypatch, model, 0, 0)
+                < self.g_points(monkeypatch, model, 0, 0, second_order=False))
+
     def test_window_validation(self, d2_model):
         with pytest.raises(ValueError):
             hm.cov_counts(d2_model, 0, 0, (1.0, 1.0), (0.0, 2.0))
@@ -594,6 +653,30 @@ class TestQuadrature:
                 g = spectrum._g_grid(model, np.array([xi]))[0]
                 bound = spectrum._g_norm_const(model, xi) / xi
                 assert np.linalg.norm(g, 2) <= bound
+
+    def test_g_diag_const_dominates_diagonal(self):
+        """``k2 / xi^2`` bounds every ``|G_ii(xi)|`` on random models of
+        the families that declare a remainder constant, d <= 3, from twice
+        the envelope constant up to 1e4."""
+        rng = np.random.default_rng(78)
+        families = ("exponential", "powerlaw", "zero")
+        for _ in range(40):
+            d = int(rng.integers(1, 4))
+            fam = rng.choice(families, size=(d, d))
+            # a diagonal kernel with mass keeps the spectral radius positive
+            k = rng.integers(d)
+            fam[k, k] = "exponential"
+            raw = np.where(fam == "zero", 0.0, rng.uniform(0.1, 1.0, (d, d)))
+            raw *= rng.uniform(0.2, 0.9) / hm.spectral_radius(raw)
+            kernels = [[hm.ZeroKernel() if fam[i, j] == "zero"
+                        else random_kernel(rng, fam[i, j], raw[i, j])
+                        for j in range(d)] for i in range(d)]
+            model = hm.HawkesModel(rng.uniform(0.2, 2.0, d), kernels)
+            ah, _ = spectrum._envelope_consts(model)
+            for xi in np.exp(rng.uniform(np.log(2.0 * ah), np.log(1e4), 8)):
+                g = spectrum._g_grid(model, np.array([xi]))[0]
+                bound = spectrum._g_diag_const(model, xi) / xi**2
+                assert np.all(np.abs(np.diagonal(g)) <= bound)
 
     def test_non_convergence_names_the_range(self, d2_model, monkeypatch):
         monkeypatch.setattr(spectrum, "_XI_CAP", 1.0)
