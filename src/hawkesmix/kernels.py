@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import beta
-from .errors import InfiniteMomentError, from_fields, read_fields, to_json
+from .errors import (InfiniteMomentError, NumericError, from_fields,
+                     read_fields, to_json)
 
 __all__ = [
     "Kernel",
@@ -110,10 +111,20 @@ class Kernel:
         ------
         InfiniteMomentError
             If the moment of order ``p`` does not exist for this family.
+        NumericError
+            If the moment exceeds the float range.
         """
-        if p <= 0.0:
-            raise ValueError("moment order must be positive")
-        return self._moment(p)
+        if not (math.isfinite(p) and p > 0.0):
+            raise ValueError(f"moment order must be positive and finite, "
+                             f"got {p}")
+        try:
+            value = self._moment(p)
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+        if not math.isfinite(value):
+            raise NumericError(f"the delay moment of order {p} exceeds the "
+                               f"float range")
+        return value
 
     def _moment(self, p: float) -> float:
         """The moment of order ``p > 0``."""

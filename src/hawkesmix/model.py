@@ -136,8 +136,9 @@ class HawkesModel:
         Parameters
         ----------
         beta : float, optional
-            When given, it must be positive, and every non-zero kernel must
-            have a finite normalized moment of order ``1 + beta``.
+            When given, it must be positive and finite, and every non-zero
+            kernel must have a finite normalized moment of order
+            ``1 + beta``.
 
         Returns
         -------
@@ -149,9 +150,13 @@ class HawkesModel:
             If the Perron root of the reproduction matrix is >= 1.
         InfiniteMomentError
             If ``beta`` is given and a kernel lacks the required moment.
+        NumericError
+            If that moment exceeds the float range.
         """
         if beta is not None and not beta > 0.0:
             raise ValueError(f"beta must be > 0, got {beta}")
+        if beta is not None and not np.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
         self._check_subcritical()
         if beta is not None:
             self.delay_moment(1.0 + beta)

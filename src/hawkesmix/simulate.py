@@ -8,12 +8,12 @@ delays.  The thinning simulator is Ogata's algorithm with a piecewise
 constant dominating intensity, valid because every kernel family here is
 nonincreasing in elapsed time: the intensity at a rejected candidate is the
 next bound, and an accepted event in component ``j`` raises it by the jump
-``sum_k h_jk(0+)``.  A source component whose kernels are all exponential
-carries its excitation of each component as a Markov state, decayed from
-candidate to candidate and raised by ``h(0+)`` at each of its events, so it
-costs a scalar update per kernel and candidate and keeps no history; every
-other source (power-law and uniform kernels) keeps a pruned history of its
-events, which each candidate sums its densities over.
+``sum_k h_jk(0+)``.  Each exponential kernel is a Markov state, decayed
+from candidate to candidate and raised by ``h(0+)`` at each event of its
+source, so it costs a scalar update per candidate and reads no history,
+whatever the source's other kernels are; every other kernel (power-law and
+uniform) is summed over a pruned history of its source's events, kept only
+by sources with such a kernel.
 
 The cluster simulator also draws many independent replicates in one set
 of arrays, each event tagged with its replicate
@@ -119,6 +119,19 @@ def _seed(seed):
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _seed_meta(seed):
+    """``seed`` as ``meta["seed"]`` records it, ready for JSON: a Python
+    ``int`` for an integer seed, the entropy and spawn key of a
+    :class:`~numpy.random.SeedSequence`, and ``None`` for a generator or
+    no seed."""
+    if isinstance(seed, np.random.SeedSequence):
+        return {"entropy": np.asarray(seed.entropy).tolist(),
+                "spawn_key": [int(k) for k in seed.spawn_key]}
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return None
 
 
 def spawn_seeds(seed, n: int):
@@ -357,8 +370,9 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
                                      horizon, gens)
     logs = [
         EventLog(d, horizon, events[r],
-                 {"simulator": "cluster", "seed": seeds[r], "burn_in": b,
-                  "horizon": horizon, "immigrants": int(immigrants[r]),
+                 {"simulator": "cluster", "seed": _seed_meta(seeds[r]),
+                  "burn_in": b, "horizon": horizon,
+                  "immigrants": int(immigrants[r]),
                   "generations": int(deepest[r]),
                   "tie_redraws": int(redraws[r])})
         for r in range(reps)
@@ -472,19 +486,20 @@ def simulate_thinning(
     intensity is the new, tighter bound, and after an acceptance in
     component ``j`` the bound is that intensity plus the jump ``sum_k
     h_jk(0+)`` the new event adds (Ogata 1981).  The excitation a source
-    component ``i`` gives component ``j`` is read one of two ways:
+    component ``i`` gives component ``j`` through its kernel ``h_ij`` is
+    read one of two ways, decided per kernel:
 
-    * when every active kernel of source ``i`` declares a
-      :attr:`~hawkesmix.kernels.Kernel.decay_rate` ``beta`` (exponential
-      kernels), the excitation ``S_ij = sum_s h_ij(t - s)`` is a Markov
-      state (Ozaki 1979): it is multiplied by ``exp(-beta_ij dt)`` from one
-      candidate to the next and gains ``h_ij(0+)`` at each event of ``i``,
-      so the source keeps no history and costs one scalar update per
-      kernel and candidate;
-    * every other source (power-law and uniform kernels) keeps a
-      time-ordered history of its past events, which each candidate sums
-      its densities over, and from which events whose excitation has
-      decayed away are pruned periodically.
+    * a kernel that declares a
+      :attr:`~hawkesmix.kernels.Kernel.decay_rate` ``beta`` (exponential)
+      is a Markov state ``S_ij = sum_s h_ij(t - s)`` (Ozaki 1979): it is
+      multiplied by ``exp(-beta_ij dt)`` from one candidate to the next
+      and gains ``h_ij(0+)`` at each event of ``i``, so it reads no history
+      and costs one scalar update per candidate, whatever the other
+      kernels of source ``i`` are;
+    * every other kernel (power-law and uniform) is summed over a
+      time-ordered history of its source's past events, kept only by
+      sources with such a kernel, from which events whose excitation
+      through these kernels has decayed away are pruned periodically.
 
     ``meta`` counts the ``candidates`` proposed, the events ``accepted`` on
     ``[-B, T]`` and the ``tie_redraws`` of a candidate equal to the last
@@ -494,37 +509,36 @@ def simulate_thinning(
     d = model.d
     eta = model.eta.tolist()
     # an event of a history source is pruned once its summed contribution
-    # to the intensities has fallen below this level; contributions only decay
-    # after that, so each dropped event adds less than eps_active to any
-    # later intensity.  The total error grows with the number of events
+    # through its source's history kernels has fallen below this level (the
+    # states carry the exponential kernels exactly); contributions only
+    # decay after that, so each dropped event adds less than eps_active to
+    # any later intensity.  The total error grows with the number of events
     # pruned, which this does not bound.  A power-law tail stays above the
     # level for ~1e4 time units (PowerLawKernel(0.4, 1, 2.5)), so power-law
     # histories are effectively never pruned.
     eps_active = 1e-14 * min(eta)
-    # h_ij(0+) of each active kernel, and the jump an event of i adds to
-    # the total intensity
-    starts = [[float(kern.evaluate(0.0)) for _, kern in src]
-              for src in model.active]
-    jump = [sum(row) for row in starts]
 
-    # the Markov states, one per kernel of a Markov source, with the
-    # component each excites and its decay rate; gains[i] lists the
-    # (state, h_ij(0+)) pairs an event of i raises
-    state, targets, rates = [], [], []
+    # one pass over the active kernels: jump[i] sums the h_ij(0+) an event
+    # of i adds to the total intensity.  A kernel with a decay rate is a
+    # Markov state, with the component it excites and its rate, and
+    # gains[i] lists the (state, h_ij(0+)) pairs an event of i raises; every
+    # other kernel's density h_ij goes into rows[i], and only the sources
+    # with such a kernel keep a history
+    jump, state, targets, rates = [], [], [], []
     gains = [[] for _ in range(d)]
-    # per history source i, the densities h_ij of its active kernels, and
-    # its history
-    rows, history = {}, {}
+    rows = {}
     for i, src in enumerate(model.active):
-        if all(kern.decay_rate is not None for _, kern in src):
-            for (j, kern), h0 in zip(src, starts[i]):
+        at_zero = [float(kern.evaluate(0.0)) for _, kern in src]
+        jump.append(sum(at_zero))
+        for (j, kern), h0 in zip(src, at_zero):
+            if kern.decay_rate is not None:
                 gains[i].append((len(state), h0))
                 state.append(0.0)
                 targets.append(j)
                 rates.append(kern.decay_rate)
-        else:
-            rows[i] = [(j, kern._density) for j, kern in src]
-            history[i] = np.empty(0)
+            else:
+                rows.setdefault(i, []).append((j, kern._density))
+    history = {i: np.empty(0) for i in rows}
     events = [[] for _ in range(d)]
     last_accepted = -np.inf
 
@@ -588,8 +602,8 @@ def simulate_thinning(
 
     # accepted in time order and never past the horizon
     out = tuple(np.array(e, dtype=float) for e in events)
-    meta = {"simulator": "thinning", "seed": seed, "burn_in": b, "horizon": horizon,
-            "candidates": candidates, "accepted": accepted,
+    meta = {"simulator": "thinning", "seed": _seed_meta(seed), "burn_in": b,
+            "horizon": horizon, "candidates": candidates, "accepted": accepted,
             "tie_redraws": tie_redraws}
     return EventLog(d, horizon, out, meta)
 

@@ -14,6 +14,7 @@ and the branching-process bound.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -21,10 +22,11 @@ import numpy as np
 
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
-from .errors import HypothesisError, NumericError, require_index, to_json
+from .errors import (HypothesisError, NumericError, require_index,
+                     require_integer, to_json)
 from .model import HawkesModel
-from .simulate import (EventLog, _simulator, default_burn_in, simulate,
-                       simulate_cluster_batch, spawn_seeds)
+from .simulate import (EventLog, _seed, _simulator, default_burn_in,
+                       simulate, simulate_cluster_batch, spawn_seeds)
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
 
@@ -279,6 +281,14 @@ def _forked(work, parts: list) -> list:
             recv.close()
 
 
+def _check_replicates(replicates, seed) -> None:
+    """Refuse fewer than 10 replicates, a negative seed, and a replicate
+    count or seed that is not an integer."""
+    if isinstance(replicates, numbers.Integral) and replicates < 10:
+        raise ValueError(f"need at least 10 replicates, got {replicates}")
+    require_integer(replicates=replicates, seed=_seed(seed))
+
+
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
                     seed: int, simulator: str, row, *,
                     workers: int = 1) -> np.ndarray:
@@ -363,8 +373,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         Processes the replicates are spread over, forked from this one;
         the report does not depend on it.
     """
-    if replicates < 10:
-        raise ValueError(f"need at least 10 replicates, got {replicates}")
+    _check_replicates(replicates, seed)
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if not 0.0 < level < 1.0:
@@ -377,8 +386,9 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
             f"({beta} - 1) * {delta} = {(beta - 1.0) * delta:.6g}"
         )
     grid = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    if (grid.size == 0 or np.any(grid <= 0.0) or np.any(grid > 1.0)
-            or np.any(np.diff(grid) <= 0.0)):
+    # negated, so a NaN point fails
+    if not (grid.size and np.all(grid > 0.0) and np.all(grid <= 1.0)
+            and np.all(np.diff(grid) > 0.0)):
         raise ValueError("grid must be nonempty and strictly increasing "
                          "inside (0, 1]")
 
@@ -505,15 +515,14 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     The replicates are spread over ``workers`` processes, which changes no
     value.
     """
-    if replicates < 10:
-        raise ValueError(f"need at least 10 replicates, got {replicates}")
+    _check_replicates(replicates, seed)
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0:
         raise ValueError("need at least one lag")
     if not (np.isfinite(window) and window > 0.0):
         raise ValueError(f"window length must be positive and finite, got "
                          f"{window}")
-    if np.any(lags <= window):
+    if not np.all(lags > window):  # negated, so a NaN lag fails
         raise ValueError("lags must exceed the window length")
     if (beta is None) != (gamma is None):
         raise ValueError("the decay bound needs both beta and gamma, or "

@@ -1,5 +1,6 @@
 """Kernel families: exact values, moments, transforms, and samplers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from scipy import integrate, stats
 
 import hawkesmix as hm
-from hawkesmix.errors import ConfigError, InfiniteMomentError
+from hawkesmix._special import beta
+from hawkesmix.errors import ConfigError, InfiniteMomentError, NumericError
 
 ALL_KERNELS = [
     hm.ExponentialKernel(0.5, 2.0),
@@ -133,6 +135,31 @@ class TestMoments:
         for kernel in ALL_KERNELS + [hm.ZeroKernel()]:
             with pytest.raises(ValueError, match="order must be positive"):
                 kernel.moment(0.0)
+
+    @pytest.mark.parametrize("order", [np.inf, np.nan])
+    def test_nonfinite_order_rejected(self, order):
+        for kernel in ALL_KERNELS + [hm.ZeroKernel()]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                kernel.moment(order)
+
+    @pytest.mark.parametrize("kernel,order", [
+        (hm.ExponentialKernel(0.5, 2.0), 300.0),  # Gamma(301) overflows
+        (hm.ExponentialKernel(0.5, 1e-3), 170.0),  # beta**p underflows to 0
+        (hm.UniformKernel(0.5, 10.0), 400.0),
+        (hm.PowerLawKernel(0.4, 10.0, 500.0), 400.0),
+    ], ids=["exponential-gamma", "exponential-rate", "uniform", "powerlaw"])
+    def test_moment_beyond_float_range(self, kernel, order):
+        with pytest.raises(NumericError, match=f"order {order} exceeds"):
+            kernel.moment(order)
+
+    def test_large_moments_in_range_keep_their_bits(self):
+        """The range check changes no moment the float range holds."""
+        assert (hm.ExponentialKernel(0.5, 2.0).moment(150.0)
+                == math.gamma(151.0) / 2.0**150.0)
+        assert (hm.UniformKernel(0.5, 10.0).moment(300.0)
+                == 10.0**300.0 / 301.0)
+        assert (hm.PowerLawKernel(0.4, 10.0, 500.0).moment(300.0)
+                == 500.0 * 10.0**300.0 * beta(301.0, 200.0))
 
 
 class TestFourier:

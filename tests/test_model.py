@@ -7,7 +7,7 @@ import pytest
 
 import hawkesmix as hm
 from hawkesmix.errors import (ConfigError, InfiniteMomentError,
-                              SubcriticalityError)
+                              NumericError, SubcriticalityError)
 
 
 class TestSpectralRadius:
@@ -146,6 +146,17 @@ class TestHawkesModel:
     def test_validate_beta_must_be_positive(self, d2_model):
         with pytest.raises(ValueError, match="beta must be > 0"):
             d2_model.validate(-0.5)
+
+    def test_validate_beta_must_be_finite(self, d2_model):
+        # an exponential moment of infinite order would read inf / inf = nan
+        with pytest.raises(ValueError, match="beta must be finite, got inf"):
+            d2_model.validate(np.inf)
+
+    def test_moment_beyond_float_range_is_a_numeric_error(self, d1_model):
+        with pytest.raises(NumericError, match="order 301.0 exceeds"):
+            d1_model.validate(300.0)
+        with pytest.raises(NumericError, match="order 301.0 exceeds"):
+            hm.mixing_bound(d1_model, 300.0, 0.5, [4.0])
 
     def test_bad_kernel_shape(self):
         with pytest.raises(ValueError):

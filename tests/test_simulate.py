@@ -36,6 +36,32 @@ class TestEventLog:
         assert np.array_equal(back.events[0], log.events[0])
 
 
+SEED_KINDS = {
+    "seed-sequence": (lambda m: hm.simulate_cluster_batch(
+        m, 20.0, hm.spawn_seeds(1, 2))[1], {"entropy": 1, "spawn_key": [1]}),
+    "numpy-int-cluster": (lambda m: hm.simulate_cluster(
+        m, 20.0, seed=np.int64(3)), 3),
+    "numpy-int-thinning": (lambda m: hm.simulate_thinning(
+        m, 20.0, seed=np.int64(3)), 3),
+    "generator": (lambda m: hm.simulate_cluster_batch(
+        m, 20.0, [np.random.default_rng(3)])[0], None),
+}
+
+
+@pytest.mark.parametrize("simulate_log,seed", SEED_KINDS.values(),
+                         ids=SEED_KINDS.keys())
+def test_sidecar_round_trip_for_every_seed_kind(d1_model, tmp_path,
+                                                simulate_log, seed):
+    """Every log the simulators return writes a JSON sidecar, and reads
+    back with the seed its ``meta`` records."""
+    log = simulate_log(d1_model)
+    assert log.meta["seed"] == seed and type(log.meta["seed"]) is type(seed)
+    hm.write_event_log(log, tmp_path / "ev.csv")
+    back = hm.read_event_log(tmp_path / "ev.csv")
+    assert back.meta == log.meta
+    assert np.array_equal(back.events[0], log.events[0])
+
+
 class TestDeterminism:
     def test_cluster(self, d2_model):
         a = hm.simulate(d2_model, 100.0, seed=3)
@@ -163,6 +189,13 @@ EXP3_MODEL = hm.HawkesModel(
       hm.ExponentialKernel(0.25, 0.3)]],
 )
 
+# source 0 mixes an exponential and a power-law kernel
+EXP_POWERLAW_MODEL = hm.HawkesModel(
+    [1.0, 1.0],
+    [[hm.ExponentialKernel(0.5, 2.0), hm.PowerLawKernel(0.3, 1.0, 2.5)],
+     [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 3.0)]],
+)
+
 
 class RecordingGenerator:
     """A generator that records the bound ``1 / scale`` of every waiting
@@ -235,28 +268,42 @@ class TestThinningMechanism:
         candidates = log.meta["candidates"]
         prunes = (candidates + 1) // _PRUNE_EVERY
         assert log.meta["accepted"] > candidates / 2
-        # one pass per candidate, one per prune, and one for the jumps; a
-        # second pass after each acceptance would need ~1.8 times as many
+        # the history kernel (uniform) once per candidate and prune, and
+        # every kernel once for the jumps; a second pass after each
+        # acceptance would need over 1.5 times as many
         assert candidates < len(calls) <= n_active * (candidates + 1 + prunes)
-
-    def test_markov_sources_read_no_history(self, monkeypatch):
-        calls = []
-        for cls in (hm.ExponentialKernel, hm.PowerLawKernel,
-                    hm.UniformKernel):
-            def counted(self, t, density=cls._density):
-                calls.append(1)
-                return density(self, t)
-            monkeypatch.setattr(cls, "_density", counted)
-        log = hm.simulate(EXP3_MODEL, 500.0, simulator="thinning", seed=12)
-        assert log.meta["candidates"] > _PRUNE_EVERY
-        # only the d**2 jumps h_ij(0+): no density per candidate or prune
-        assert len(calls) == sum(len(row) for row in EXP3_MODEL.active)
 
     @pytest.mark.parametrize("model", [
         EXP3_MODEL,
-        # source 0 is Markov, source 1 (uniform and exponential) a history
+        # source 1 mixes a uniform and an exponential kernel; only the
+        # uniform one is summed over its history
         "d2_model",
     ], ids=["exponential", "mixed"])
+    def test_exponential_kernels_read_no_history(self, model, request,
+                                                 monkeypatch):
+        if isinstance(model, str):
+            model = request.getfixturevalue(model)
+        calls = []
+
+        def counted(self, t, density=hm.ExponentialKernel._density):
+            calls.append(1)
+            return density(self, t)
+
+        monkeypatch.setattr(hm.ExponentialKernel, "_density", counted)
+        log = hm.simulate(model, 500.0, simulator="thinning", seed=12)
+        assert log.meta["candidates"] > _PRUNE_EVERY
+        # only the jumps h_ij(0+): no density per candidate or prune
+        assert len(calls) == sum(isinstance(kern, hm.ExponentialKernel)
+                                 for row in model.active for _, kern in row)
+
+    @pytest.mark.parametrize("model", [
+        EXP3_MODEL,
+        # every exponential kernel is a state; the uniform kernel of source
+        # 1 (uniform and exponential) is summed over a history
+        "d2_model",
+        # the power-law kernel of source 0 is summed over a history
+        EXP_POWERLAW_MODEL,
+    ], ids=["exponential", "mixed", "exponential-powerlaw"])
     def test_markov_state_is_the_history_sum(self, model, request):
         """Every bound the simulator draws a waiting time at, the summed
         states and histories after each candidate, is the brute-force

@@ -465,6 +465,19 @@ BAD_ARGUMENTS = {
         m, log, f, rel_tol=-1.0), "tolerances must be finite"),
     "cov-zero-tolerances": (lambda m, log, f: _cov(
         m, log, f, rel_tol=0.0, abs_tol=0.0), "not both 0"),
+    "clt-nan-grid-point": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, grid=[0.5, np.nan]), "grid must be nonempty"),
+    "decay-nan-lag": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [np.nan], 20, 1), "lags must exceed the window length"),
+    "clt-fractional-replicates": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20.5, 1), "replicates must be an integer >= 0, got 20.5"),
+    "clt-fractional-seed": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1.5), "seed must be an integer >= 0, got 1.5"),
+    "decay-fractional-replicates": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 20.5, 1),
+        "replicates must be an integer >= 0, got 20.5"),
+    "decay-fractional-seed": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 20, 1.5), "seed must be an integer >= 0, got 1.5"),
 }
 
 
