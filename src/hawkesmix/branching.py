@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _KSCAN_MAX = 10_000
+_DELTA_MAX = 2.0
 
 
 def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
@@ -124,23 +125,21 @@ def _linearization_root(delta: float) -> float:
     return lo
 
 
-def contraction_certificate(m, delta_max: float = 2.0) -> ContractionCert:
+def contraction_certificate(m) -> ContractionCert:
     """Build a :class:`ContractionCert` for a subcritical reproduction matrix.
 
-    The slope is ``delta = (1 + 1/rho) / 2`` capped at ``delta_max`` (the cap
-    binds for very subcritical matrices, including ``M = 0``), the margin is
+    The slope is ``delta = (1 + 1/rho) / 2`` capped at 2 (the cap binds for
+    very subcritical matrices, including ``M = 0``), the margin is
     ``eps = (1/delta - rho) / 2``, and the contraction rate ``c = delta (rho
     + eps) < 1``.  The threshold ``k0`` past which ``||M^k||_1 <= (rho +
     eps)**k`` is verified directly up to a finite index and certified beyond
     it by submultiplicativity.
     """
     m = np.asarray(m, dtype=float)
-    if delta_max <= 1.0:
-        raise ValueError("delta_max must exceed 1")
     rho = spectral_radius(m)
     if rho >= 1.0:
         raise SubcriticalityError(f"spectral radius {rho:.6g} >= 1")
-    delta = delta_max if rho == 0.0 else min(0.5 * (1.0 + 1.0 / rho), delta_max)
+    delta = min(0.5 * (1.0 + 1.0 / rho), _DELTA_MAX) if rho else _DELTA_MAX
     eps = 0.5 * (1.0 / delta - rho)
     c = delta * (rho + eps)
     u0 = _linearization_root(delta)
@@ -416,10 +415,11 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
     )
 
 
-def simulate_generations(m, ancestor: int, k_max: int, n_runs: int, seed=None,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
+def simulate_generations(m, ancestor: int, k_max: int, n_runs: int,
+                         seed=None) -> np.ndarray:
     """Monte Carlo generation sizes of the multitype Poisson Galton-Watson tree.
 
+    ``seed`` (an integer, SeedSequence or generator) is the random stream.
     Returns an integer array of shape ``(n_runs, k_max + 1, d)``.
     """
     m = np.asarray(m, dtype=float)
@@ -427,7 +427,7 @@ def simulate_generations(m, ancestor: int, k_max: int, n_runs: int, seed=None,
     if not 0 <= ancestor < d:
         raise ValueError("ancestor type out of range")
     require_integer(k_max=k_max, n_runs=n_runs)
-    gen = rng if rng is not None else np.random.default_rng(seed)
+    gen = np.random.default_rng(seed)
     out = np.zeros((n_runs, k_max + 1, d), dtype=np.int64)
     out[:, 0, ancestor] = 1
     for k in range(1, k_max + 1):

@@ -184,12 +184,6 @@ def _burn_in(model: HawkesModel, horizon: float, burn_in) -> float:
     return b
 
 
-def _prepare(model: HawkesModel, horizon: float, burn_in, seed, rng):
-    """Checked burn-in and generator of a simulation."""
-    b = _burn_in(model, horizon, burn_in)
-    return b, rng if rng is not None else np.random.default_rng(_seed(seed))
-
-
 def _window_events(times, comps, parents, tags, model, lo, horizon, gens):
     """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
@@ -444,7 +438,6 @@ def simulate_cluster(
     horizon: float,
     burn_in: float | None = None,
     seed=None,
-    rng: np.random.Generator | None = None,
     return_trace: bool = False,
 ):
     """Simulate by the Poisson cluster representation.
@@ -458,12 +451,13 @@ def simulate_cluster(
     burn_in : float, optional
         Length ``B`` of the pre-window ``[-B, 0)``; default per
         :func:`default_burn_in`.
-    seed, rng
-        Either an integer seed or an existing generator.
+    seed : int, SeedSequence or Generator, optional
+        The random stream; ``meta["seed"]`` records ``None`` for a generator.
     return_trace : bool
         Also return the :class:`ClusterTrace` genealogy.
     """
-    b, gen = _prepare(model, horizon, burn_in, seed, rng)
+    b = _burn_in(model, horizon, burn_in)
+    gen = np.random.default_rng(_seed(seed))
     (log,), trace = _cluster(model, horizon, b, [gen], [seed], return_trace)
     return (log, trace) if return_trace else log
 
@@ -476,7 +470,6 @@ def simulate_thinning(
     horizon: float,
     burn_in: float | None = None,
     seed=None,
-    rng: np.random.Generator | None = None,
 ):
     """Simulate by Ogata thinning with a piecewise constant dominating bound.
 
@@ -501,11 +494,13 @@ def simulate_thinning(
       sources with such a kernel, from which events whose excitation
       through these kernels has decayed away are pruned periodically.
 
+    ``seed`` is the random stream, as for :func:`simulate_cluster`.
     ``meta`` counts the ``candidates`` proposed, the events ``accepted`` on
     ``[-B, T]`` and the ``tie_redraws`` of a candidate equal to the last
     accepted time.
     """
-    b, gen = _prepare(model, horizon, burn_in, seed, rng)
+    b = _burn_in(model, horizon, burn_in)
+    gen = np.random.default_rng(_seed(seed))
     d = model.d
     eta = model.eta.tolist()
     # an event of a history source is pruned once its summed contribution
@@ -619,11 +614,10 @@ def _simulator(name: str):
 
 
 def simulate(model, horizon: float, simulator: str = "cluster",
-             burn_in: float | None = None, seed: int | None = None, **kwargs):
-    """Dispatch to one of the two simulation mechanisms by name; ``kwargs``
-    (``rng``, and ``return_trace`` for the cluster simulator) pass on."""
-    return _simulator(simulator)(model, horizon, burn_in=burn_in, seed=seed,
-                                 **kwargs)
+             burn_in: float | None = None, seed: int | None = None):
+    """Dispatch to one of the two simulation mechanisms by name; ``seed``
+    (an integer, SeedSequence or generator) is their random stream."""
+    return _simulator(simulator)(model, horizon, burn_in=burn_in, seed=seed)
 
 
 def write_event_log(log: EventLog, csv_path) -> Path:

@@ -522,8 +522,9 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     if not (np.isfinite(window) and window > 0.0):
         raise ValueError(f"window length must be positive and finite, got "
                          f"{window}")
-    if not np.all(lags > window):  # negated, so a NaN lag fails
-        raise ValueError("lags must exceed the window length")
+    if not np.all((lags > window) & np.isfinite(lags)):
+        raise ValueError("lags must exceed the window length and be finite, "
+                         f"got {lags.tolist()}")
     if (beta is None) != (gamma is None):
         raise ValueError("the decay bound needs both beta and gamma, or "
                          f"neither; got beta={beta}, gamma={gamma}")

@@ -127,10 +127,6 @@ class TestContractionCertificate:
         with pytest.raises(SubcriticalityError):
             hm.contraction_certificate(np.array([[1.0]]))
 
-    def test_delta_max_validated(self):
-        with pytest.raises(ValueError):
-            hm.contraction_certificate(M2, delta_max=1.0)
-
     def test_nan_entry_refused(self):
         with pytest.raises(ValueError, match="must be finite"):
             hm.contraction_certificate(np.array([[0.5, np.nan], [0.1, 0.2]]))

@@ -629,6 +629,13 @@ class TestContract:
         assert set(cfg) == {"model", *BLOCK_COMMANDS}
         assert hm.model_from_dict(cfg["model"]).d == 2
 
+    def test_readme_quick_start_runs(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("## Quick start", 1)[1]
+        example = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(example, "README.md", "exec"), {})
+        assert capsys.readouterr().out.splitlines()[0] == "0.7"
+
 
 class TestArtifacts:
     def test_non_finite_value_refused(self, tmp_path):

@@ -1,6 +1,7 @@
 """Simulators: exactness against Poisson laws, determinism, event logs."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_sidecar_round_trip_for_every_seed_kind(d1_model, tmp_path,
     assert np.array_equal(back.events[0], log.events[0])
 
 
+def test_seed_is_the_only_stream_argument():
+    for name in hm.__all__:
+        obj = getattr(hm, name)
+        if inspect.isfunction(obj):
+            assert "rng" not in inspect.signature(obj).parameters, name
+
+
 class TestDeterminism:
     def test_cluster(self, d2_model):
         a = hm.simulate(d2_model, 100.0, seed=3)
@@ -73,6 +81,24 @@ class TestDeterminism:
         a = hm.simulate(d1_model, 50.0, simulator="thinning", seed=3)
         b = hm.simulate(d1_model, 50.0, simulator="thinning", seed=3)
         assert np.array_equal(a.events[0], b.events[0])
+
+    @pytest.mark.parametrize("simulator", ["cluster", "thinning"])
+    def test_recorded_seed_reruns_the_log(self, d2_model, simulator):
+        """``meta["seed"]`` names the stream the log was drawn from:
+        ``None`` for a generator, and for an integer or a SeedSequence a
+        seed that reruns the log byte for byte."""
+        def run(seed):
+            return hm.simulate(d2_model, 50.0, simulator, seed=seed)
+
+        assert run(np.random.default_rng(3)).meta["seed"] is None
+        for seed in (3, np.random.SeedSequence(3), hm.spawn_seeds(3, 2)[1]):
+            log = run(seed)
+            rec = log.meta["seed"]
+            again = run(rec if isinstance(rec, int) else np.random.SeedSequence(
+                rec["entropy"], spawn_key=rec["spawn_key"]))
+            assert ([e.tobytes() for e in again.events]
+                    == [e.tobytes() for e in log.events])
+            assert again.meta == log.meta
 
     def test_spawned_streams_differ(self):
         seeds = hm.spawn_seeds(0, 3)
@@ -197,20 +223,17 @@ EXP_POWERLAW_MODEL = hm.HawkesModel(
 )
 
 
-class RecordingGenerator:
+class RecordingGenerator(np.random.Generator):
     """A generator that records the bound ``1 / scale`` of every waiting
     time drawn, and otherwise draws what ``default_rng(seed)`` draws."""
 
     def __init__(self, seed):
-        self.gen = np.random.default_rng(seed)
+        super().__init__(np.random.PCG64(seed))
         self.bounds = []
 
     def exponential(self, scale):
         self.bounds.append(1.0 / scale)
-        return self.gen.exponential(scale)
-
-    def random(self):
-        return self.gen.random()
+        return super().exponential(scale)
 
 
 def brute_force_thinning(model, horizon, seed):
@@ -257,21 +280,40 @@ class TestThinningMechanism:
             hm.simulate(model, 50.0, simulator="thinning", burn_in=0.0, seed=1)
 
     def test_one_density_pass_per_candidate(self, d2_model, monkeypatch):
-        calls = []
+        """Between two waiting-time draws, that is for one candidate, the
+        one history kernel (source 1's uniform) is summed at most once,
+        and once more on a prune step; no exponential kernel is read."""
+        marks = []
+
+        class MarkingGenerator(RecordingGenerator):
+            def exponential(self, scale):
+                marks.append("wait")
+                return super().exponential(scale)
+
         for cls in (hm.ExponentialKernel, hm.UniformKernel):
             def counted(self, t, density=cls._density):
-                calls.append(1)
+                marks.append("density")
                 return density(self, t)
             monkeypatch.setattr(cls, "_density", counted)
-        log = hm.simulate(d2_model, 300.0, simulator="thinning", seed=12)
-        n_active = sum(len(row) for row in d2_model.active)
+        log = hm.simulate(d2_model, 300.0, simulator="thinning",
+                          seed=MarkingGenerator(12))
         candidates = log.meta["candidates"]
-        prunes = (candidates + 1) // _PRUNE_EVERY
+        assert candidates > _PRUNE_EVERY
         assert log.meta["accepted"] > candidates / 2
-        # the history kernel (uniform) once per candidate and prune, and
-        # every kernel once for the jumps; a second pass after each
-        # acceptance would need over 1.5 times as many
-        assert candidates < len(calls) <= n_active * (candidates + 1 + prunes)
+        # the jumps h_ij(0+) of every kernel come before the first draw
+        first = marks.index("wait")
+        assert first == sum(len(row) for row in d2_model.active)
+        passes = [seg.count("density") for seg in
+                  " ".join(marks[first + 1:]).split("wait")]
+        assert len(passes) == candidates + 1
+        # segment s follows draw s + 1 and holds candidate s + 1's pass and
+        # the prune that opens step s + 2
+        allowed = [1 + ((s + 2) % _PRUNE_EVERY == 0)
+                   for s in range(len(passes))]
+        assert all(n <= a for n, a in zip(passes, allowed))
+        assert passes[-1] == 0
+        # most candidates see a nonempty history, so the bound is reached
+        assert passes.count(1) > candidates / 2
 
     @pytest.mark.parametrize("model", [
         EXP3_MODEL,
@@ -311,7 +353,7 @@ class TestThinningMechanism:
         if isinstance(model, str):
             model = request.getfixturevalue(model)
         rec = RecordingGenerator(5)
-        log = hm.simulate_thinning(model, 300.0, burn_in=0.0, rng=rec)
+        log = hm.simulate_thinning(model, 300.0, burn_in=0.0, seed=rec)
         events, candidates, bounds = brute_force_thinning(model, 300.0, 5)
         assert log.meta["candidates"] == candidates
         assert log.meta["accepted"] == sum(map(len, events))
@@ -322,25 +364,22 @@ class TestThinningMechanism:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_tie_redraws_counted(self, d1_model):
-        class ZeroWaits:
+        class ZeroWaits(np.random.Generator):
             """A generator whose every other waiting time is exactly 0, so
             a candidate can repeat the last accepted time."""
 
             def __init__(self, seed):
-                self.gen = np.random.default_rng(seed)
+                super().__init__(np.random.PCG64(seed))
                 self.calls = 0
 
             def exponential(self, scale):
                 self.calls += 1
                 if self.calls % 2 == 0:
                     return 0.0
-                return self.gen.exponential(scale)
-
-            def random(self):
-                return self.gen.random()
+                return super().exponential(scale)
 
         log = hm.simulate_thinning(d1_model, 100.0, burn_in=0.0,
-                                   rng=ZeroWaits(2))
+                                   seed=ZeroWaits(2))
         assert log.meta["tie_redraws"] > 0
         assert np.all(np.diff(log.events[0]) > 0.0)
         plain = hm.simulate_thinning(d1_model, 100.0, burn_in=0.0, seed=2)
@@ -388,7 +427,7 @@ class TestClusterGenealogy:
         parents = np.zeros(2)
         for _ in range(300):
             _, trace = hm.simulate_cluster(
-                model, 200.0, burn_in=0.0, rng=rng, return_trace=True
+                model, 200.0, burn_in=0.0, seed=rng, return_trace=True
             )
             gen0 = np.flatnonzero(trace.gens == 0)
             for p in gen0:
@@ -413,11 +452,11 @@ class TestClusterBatch:
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
         (log,), trace = hm.simulate_cluster_batch(d2_model, 80.0, [rng_a],
                                                   return_trace=True)
-        ref, ref_trace = hm.simulate_cluster(d2_model, 80.0, rng=rng_b,
+        ref, ref_trace = hm.simulate_cluster(d2_model, 80.0, seed=rng_b,
                                              return_trace=True)
         for a, b in zip(log.events, ref.events):
             assert a.tobytes() == b.tobytes()
-        assert {**log.meta, "seed": None} == ref.meta
+        assert log.meta == ref.meta
         assert np.array_equal(trace.times, ref_trace.times)
         assert np.all(trace.tags == 0)
         # both generators were left in the same state

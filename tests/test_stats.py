@@ -469,6 +469,9 @@ BAD_ARGUMENTS = {
         m, f, 10.0, 20, 1, grid=[0.5, np.nan]), "grid must be nonempty"),
     "decay-nan-lag": (lambda m, log, f: hm.mixing_decay_diagnostic(
         m, 0, 0, 1.0, [np.nan], 20, 1), "lags must exceed the window length"),
+    "decay-infinite-lag": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0, np.inf], 20, 1),
+        r"lags must exceed the window length and be finite, got \[3.0, inf\]"),
     "clt-fractional-replicates": (lambda m, log, f: hm.clt_harness(
         m, f, 10.0, 20.5, 1), "replicates must be an integer >= 0, got 20.5"),
     "clt-fractional-seed": (lambda m, log, f: hm.clt_harness(
