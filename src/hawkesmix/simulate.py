@@ -4,7 +4,10 @@ Two independent mechanisms are implemented.  The cluster simulator uses the
 Poisson cluster (branching) representation: immigrants arrive as independent
 Poisson streams at the baseline rates, and every event of component ``i``
 spawns Poisson(``M[i, j]``) children in component ``j`` at i.i.d. kernel
-delays.  The thinning simulator is Ogata's algorithm with a piecewise
+delays.  It draws these by kernel pair, not by parent: each generation's
+``n`` parents in component ``i`` get one Poisson(``n M[i, j]``) total of
+children in ``j``, spread uniformly over them, which is the same law.
+The thinning simulator is Ogata's algorithm with a piecewise
 constant dominating intensity, valid because every kernel family here is
 nonincreasing in elapsed time: the intensity at a rejected candidate is the
 next bound, and an accepted event in component ``j`` raises it by the jump
@@ -244,11 +247,27 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
              return_trace: bool):
     """Cluster simulation of one replicate per generator in ``gens``.
 
+    Offspring are drawn by kernel pair and generation.  For the ``n``
+    parents in component ``i`` of one generation and each active kernel
+    ``(i, j)`` of mass ``M_ij``, the generator draws the number of
+    children ``k ~ Poisson(n M_ij)``, then one ``(2, k)`` block ``u`` of
+    uniforms, then new values for any exact zeros of ``u[0]``.  Child
+    ``c`` has the delay ``F^{-1}(u[0, c])`` by the kernel's inverse CDF
+    and the parent in row ``min(floor(u[1, c] n), n - 1)`` of the
+    frontier.  This is the law of per-parent draws: a sum of ``n`` i.i.d.
+    Poisson(``M_ij``) counts is Poisson(``n M_ij``), and given that total,
+    independent uniform picks make the per-parent counts multinomial, so
+    they are again i.i.d. Poisson(``M_ij``), with i.i.d. delays.  The only
+    approximation is the ``2**-53`` grid of ``u``, on which the delays
+    already sit.
+
     Every event carries its replicate's tag, and replicate ``r`` draws
     from ``gens[r]`` exactly what a simulation of it alone would draw, in
-    the same order: the rows of one replicate keep that simulation's row
-    order, and each generation's draws are made replicate by replicate.
-    ``seeds[r]`` goes to the ``meta`` of replicate ``r``'s log.
+    the same order: per kernel pair, each replicate with parents makes its
+    ``poisson``, ``random`` and zero redraws in turn, its children keep
+    their draw order, and the rows of one replicate keep that
+    simulation's row order.  ``seeds[r]`` goes to the ``meta`` of
+    replicate ``r``'s log.
     """
     d = model.d
     reps = len(gens)
@@ -296,39 +315,45 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
             pt = cur_t[sel]
             pidx = cur_idx[sel]
             if tagged:
-                # the frontier is grouped by replicate: the generator and
-                # the number of component-i parents of each replicate that
-                # has any, and where its rows start
-                pr = cur_r[sel]
-                sizes = np.bincount(pr, minlength=reps)
-                groups = [(gens[r], n) for r, n in enumerate(sizes.tolist())
-                          if n]
-                starts = np.cumsum(sizes[sizes > 0]) - sizes[sizes > 0]
+                # the frontier is grouped by replicate: for each replicate
+                # with component-i parents, its generator and parent count,
+                # and in the columns of table that count, where its rows
+                # start and its tag
+                sizes = np.bincount(cur_r[sel], minlength=reps)
+                live = np.flatnonzero(sizes)
+                groups = [(gens[r], n) for r, n in
+                          zip(live.tolist(), sizes[live].tolist())]
+                n_live = sizes[live]
+                table = np.stack([n_live, np.cumsum(n_live) - n_live, live])
+            else:
+                groups = [(gens[0], pt.size)]
             for j, kern in model.active[i]:
+                blocks = [_offspring(gen, n, kern.l1_norm)
+                          for gen, n in groups]
+                u = np.concatenate(blocks, axis=1) if tagged else blocks[0]
+                if not u.size:
+                    continue
+                kids = [b.shape[1] for b in blocks]
+                if not u[0].all():
+                    # exact zeros of the delay row, redrawn from each
+                    # replicate's own generator after its block
+                    ends = np.cumsum(kids).tolist()
+                    for (gen, _), lo, hi in zip(groups, [0] + ends, ends):
+                        redraw_zeros(gen, u[0, lo:hi])
+                # each child's parent row within its replicate's frontier
+                # rows, then offset to where those rows start
+                n = pt.size
                 if tagged:
-                    counts = np.concatenate([gen.poisson(kern.l1_norm, size=n)
-                                             for gen, n in groups])
-                    tots = np.add.reduceat(counts, starts).tolist()
-                    u = [(gen, gen.random(tot))
-                         for (gen, _), tot in zip(groups, tots) if tot]
-                    if not u:
-                        continue
-                    u = _open_uniforms(u)
-                else:
-                    counts = gens[0].poisson(kern.l1_norm, size=pt.size)
-                    tot = int(counts.sum())
-                    if tot == 0:
-                        continue
-                    u = gens[0].random(tot)
-                    if not u.all():
-                        u = redraw_zeros(gens[0], u)
-                # u lies in (0, 1), so the kernel need not check it
-                child_t = pt.repeat(counts)
-                child_t += kern._inverse_cdf(u)
+                    n, first, tag = np.repeat(table, kids, axis=1)
+                pick = np.minimum((u[1] * n).astype(np.int64), n - 1)
+                if tagged:
+                    pick += first
+                    nxt_r.append(tag.astype(tag_type))
+                # u[0] lies in (0, 1), so the kernel need not check it
+                child_t = pt[pick]
+                child_t += kern._inverse_cdf(u[0])
                 nxt_t.append(child_t)
-                nxt_p.append(pidx.repeat(counts))
-                if tagged:
-                    nxt_r.append(pr.repeat(counts))
+                nxt_p.append(pidx[pick])
                 pair_c.append(j)
                 pair_n.append(child_t.size)
         if not nxt_t:
@@ -379,14 +404,17 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
     return logs, trace
 
 
-def _open_uniforms(draws) -> np.ndarray:
-    """The ``rng.random`` arrays of ``draws``, a list of ``(rng, u)``, joined
-    after their exact zeros are redrawn from each array's own generator,
-    as :meth:`~hawkesmix.kernels.Kernel.sample_delays` does."""
-    u = np.concatenate([u for _, u in draws]) if len(draws) > 1 else draws[0][1]
-    if not u.all():
-        u = np.concatenate([redraw_zeros(gen, u) for gen, u in draws])
-    return u
+_NO_CHILDREN = np.empty((2, 0))
+
+
+def _offspring(gen, n: int, mass: float) -> np.ndarray:
+    """The ``(2, k)`` uniforms ``gen.random`` draws for the
+    ``k ~ Poisson(n * mass)`` children that ``n`` parents have through one
+    kernel of total mass ``mass``: row 0 gives the children's delays by
+    the inverse CDF once its exact zeros are redrawn, and row 1 picks
+    their parents."""
+    k = gen.poisson(n * mass)
+    return gen.random((2, k)) if k else _NO_CHILDREN
 
 
 def simulate_cluster_batch(
@@ -403,7 +431,11 @@ def simulate_cluster_batch(
     the one :func:`simulate_cluster` returns for that seed.  The replicates
     share one set of arrays, each event tagged with its replicate and
     children inheriting their parent's tag, so the array work and the call
-    overhead are paid once per batch instead of once per replicate.
+    overhead are paid once per batch instead of once per replicate.  Per
+    generation and kernel pair, each replicate draws its children's total
+    and their uniforms from its own generator, in the order a lone run
+    does; the parent picks are then offset to the replicate's rows of the
+    shared frontier.
 
     Parameters
     ----------
