@@ -208,10 +208,15 @@ _SPECTRAL_ABS_TOL = 1e-9
 
 # expected events per cluster batch.  Replicates expected to hold fewer
 # share one set of arrays, so the per-call overhead of the simulator is paid
-# once per batch; the tagged arrays cost more per event, which makes a
-# batch of two break even at ~4k events per replicate and lose ~20% at ~8k
-# (2-d exponential model, 2-core x86-64).  At 2**13 no batch is slower than
-# its replicates simulated one by one.
+# once per batch; the tagged arrays cost more per event and per generation.
+# Per replicate, against the replicates simulated one by one (2-d
+# exponential model, 2-core x86-64, best of 7 runs): a batch of two costs
+# 1.3-1.65x at 250-8k expected events each; batches of 8 to 32 save 30-70%
+# at 250-2k events and break even at ~4k; the 1-d power-law decay
+# replicates (~300 events) run in batches of 26 at ~0.3x.  Doubling the
+# value would save ~15% more on those, but would put the ~6.7k-event
+# replicates of the 2-d model at T = 2000 into batches of two; at 2**13
+# only replicates of 2.7k-4.1k events run in pairs.
 _BATCH_EVENTS = 1 << 13
 
 

@@ -134,7 +134,9 @@ def test_criterion_3_variance_linearization(d1_model):
     final_dev = abs(per_time[-1] - slope) / slope
     converging = np.all(np.diff(np.abs(per_time - slope)) < 0.0)
 
-    replicates = 500
+    # the variance ratio has SE ~ sqrt(2 / (R - 1)), so at R = 10,000 its
+    # 0.05 tolerance is 3.5 SE (0.063 at R = 500 was wider than it)
+    replicates = 10_000
     horizon = 2000.0
     vals = np.empty(replicates)
     for r, ss in enumerate(hm.spawn_seeds(4, replicates)):
@@ -150,7 +152,8 @@ def test_criterion_3_variance_linearization(d1_model):
     line = record(
         3, "variance linearization", ok,
         f"Var/T at T=8000 deviates {final_dev:.5f} from slope 8 (tol 0.02), "
-        f"empirical/spectral variance ratio {ratio:.4f} at T=2000, R=500 "
+        f"empirical/spectral variance ratio {ratio:.4f} at T=2000, "
+        f"R={replicates} "
         f"(tol 0.05), runtime {elapsed:.1f}s (< 300s)",
     )
     assert ok, line
@@ -319,13 +322,18 @@ def test_criterion_8_deterministic_artifacts(tmp_path):
         base.mkdir()
         cfg = base / "config.json"
         cfg.write_text(json.dumps({"model": _CLI_MODEL, **blocks}))
-        outs = []
+        outs, codes = [], []
         for label in ("a", "b"):
             out = base / label
-            code = cli_main([command, "--config", str(cfg), "--out", str(out)])
-            if code != 0:
-                mismatches.append(f"{command} exited {code}")
+            codes.append(cli_main([command, "--config", str(cfg),
+                                   "--out", str(out)]))
             outs.append(out)
+        # determinism, not the outcome of a Monte Carlo check: clt-test
+        # exits 1 when its checks fail, which a correct simulator does
+        # for a few percent of seeds at 12 replicates
+        allowed = {0, 1} if command == "clt-test" else {0}
+        if codes[0] != codes[1] or codes[0] not in allowed:
+            mismatches.append(f"{command} exited {codes[0]} then {codes[1]}")
         names = sorted(p.name for p in outs[0].iterdir())
         if names != sorted(p.name for p in outs[1].iterdir()):
             mismatches.append(f"{command} artifact sets differ")

@@ -107,13 +107,13 @@ class TestDeterminism:
         assert not np.allclose(draws[1], draws[2])
 
     @pytest.mark.parametrize("seed,counts,digest", [
-        (1, [1700, 1660],
-         "11787ef0fee34bece42f28b841583050a0f88cb85e74d0dc9b353dba4d638c6b"),
-        (2, [1670, 1660],
-         "fff88fe05f71c28801ee6abc297d47c06a37c8032e227040ede1386a1999ab59"),
-        (3, [1455, 1430],
-         "c49c73fc19bee07adc0a2ba477c9ebba5e04f80f07145502fde73eb318be506c"),
-    ])
+        (1, [1799, 1662],
+         "33308c9b1d5da122add1269e09d07de752c9b9345d8aea024c2494aeec99c3dc"),
+        (2, [1654, 1624],
+         "d9bee85ceca92bb561aac4a8e709b3f56c4817f7312e8c3f1394c8720afe462c"),
+        (3, [1442, 1404],
+         "53b20b7f55fd13896f010a8a77608e90416537fe76e3a955c9e51b24b9926469"),
+    ], ids=["1", "2", "3"])
     def test_cluster_stream_is_pinned(self, seed, counts, digest):
         """The cluster simulator's draws and arithmetic are pinned: sha256
         of the little-endian event times of the 2-d exponential benchmark
@@ -440,6 +440,42 @@ class TestClusterGenealogy:
         se = np.sqrt(m / parents[:, None])
         assert np.all(np.abs(rates - m) < 4.0 * se + 1e-12)
 
+    def test_offspring_law_per_parent(self):
+        """Each parent's children in component ``j`` are Poisson(``M_ij``),
+        whatever its row in its generation: per parent component ``i`` and
+        child component ``j``, the per-parent counts have mean and
+        variance ``M_ij`` at 4 SE, and the mean holds in each quarter of
+        the frontier rows, so the parent picks are uniform."""
+        model = hm.HawkesModel(
+            [1.0, 0.5],
+            [[hm.ExponentialKernel(0.45, 2.0), hm.UniformKernel(0.1, 1.0)],
+             [hm.ExponentialKernel(0.6, 1.0), hm.ExponentialKernel(0.05, 3.0)]],
+        )
+        _, trace = hm.simulate_cluster(model, 5000.0, seed=31,
+                                       return_trace=True)
+        kids = np.zeros((trace.times.size, 2))
+        children = trace.parents >= 0
+        np.add.at(kids, (trace.parents[children], trace.comps[children]), 1.0)
+        # every event is a parent once, in the frontier of its generation
+        # and component, whose rows keep the trace's row order
+        quarter = np.empty(trace.times.size, dtype=np.int64)
+        for g in range(int(trace.gens.max()) + 1):
+            for i in range(2):
+                rows = np.flatnonzero((trace.gens == g) & (trace.comps == i))
+                quarter[rows] = 4 * np.arange(rows.size) // max(rows.size, 1)
+        m = model.reproduction
+        for i in range(2):
+            for j in range(2):
+                counts = kids[trace.comps == i, j]
+                n = counts.size
+                assert abs(counts.mean() - m[i, j]) < 4.0 * np.sqrt(m[i, j] / n)
+                var_se = np.sqrt((m[i, j] + 2.0 * m[i, j] ** 2) / n)
+                assert abs(counts.var(ddof=1) - m[i, j]) < 4.0 * var_se
+                for q in range(4):
+                    part = kids[(trace.comps == i) & (quarter == q), j]
+                    assert (abs(part.mean() - m[i, j])
+                            < 4.0 * np.sqrt(m[i, j] / part.size))
+
     def test_generation_cap(self):
         model = hm.HawkesModel([1.0], [[hm.ExponentialKernel(0.999, 2.0)]])
         # nearly critical: still subcritical, must terminate without error
@@ -476,15 +512,45 @@ class TestClusterBatch:
                 assert a.tobytes() == b.tobytes()
             assert log.meta == ref.meta
 
+    def test_zero_uniforms_redrawn_per_replicate(self, d2_model):
+        """An exact zero among the delay uniforms is redrawn from its
+        replicate's own generator, in a batch as in a lone run, so no
+        child lands on its parent (uniform kernel) or at infinity
+        (exponential kernels)."""
+        class ZeroFirstDelay(np.random.Generator):
+            # draws what default_rng(seed) draws, except that every
+            # offspring block's first delay uniform is an exact zero
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+
+            def random(self, size=None):
+                u = super().random(size)
+                if np.ndim(u) == 2 and u.size:
+                    u[0, 0] = 0.0
+                return u
+
+        logs, trace = hm.simulate_cluster_batch(
+            d2_model, 30.0, [ZeroFirstDelay(s) for s in range(6)],
+            return_trace=True)
+        children = trace.parents >= 0
+        assert np.all(np.isfinite(trace.times))
+        assert np.all(trace.times[children]
+                      > trace.times[trace.parents[children]])
+        for s, log in enumerate(logs):
+            ref = hm.simulate_cluster(d2_model, 30.0, seed=ZeroFirstDelay(s))
+            for a, b in zip(log.events, ref.events):
+                assert a.tobytes() == b.tobytes()
+            assert log.meta == ref.meta
+
     def test_single_replicate_stream_pinned(self, d2_model):
         # the draws of the per-replicate simulator before replicate tags
         log = hm.simulate_cluster(d2_model, 20.0, seed=5)
-        assert [len(t) for t in log.events] == [50, 60]
+        assert [len(t) for t in log.events] == [62, 66]
         assert log.events[0][:3].tolist() == [
-            1.2275644793530087, 1.4506289840162017, 1.4596859513593472]
+            0.3743462348928504, 0.4481793617574984, 0.44927069220231397]
         assert log.events[1][:3].tolist() == [
-            0.343258993722138, 0.5539626608379109, 0.8501408790032556]
-        assert (log.meta["immigrants"], log.meta["generations"]) == (113, 9)
+            0.13156809794166702, 0.19348930614118798, 0.2149199059242442]
+        assert (log.meta["immigrants"], log.meta["generations"]) == (113, 19)
 
     @pytest.mark.parametrize("sparse", [False, True],
                              ids=["d2", "sparse"])
