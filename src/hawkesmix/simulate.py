@@ -263,10 +263,10 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
 
     Every event carries its replicate's tag, and replicate ``r`` draws
     from ``gens[r]`` exactly what a simulation of it alone would draw, in
-    the same order: per kernel pair, each replicate with parents makes its
-    ``poisson``, ``random`` and zero redraws in turn, its children keep
-    their draw order, and the rows of one replicate keep that
-    simulation's row order.  ``seeds[r]`` goes to the ``meta`` of
+    the same order: per kernel pair, the generator of each replicate with
+    parents makes its ``poisson`` and ``random`` draws and then any zero
+    redraws, its children keep their draw order, and the rows of one
+    replicate keep that simulation's row order.  ``seeds[r]`` goes to the ``meta`` of
     replicate ``r``'s log.
     """
     d = model.d

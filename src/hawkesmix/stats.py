@@ -211,7 +211,7 @@ _SPECTRAL_ABS_TOL = 1e-9
 # once per batch; the tagged arrays cost more per event and per generation.
 # Per replicate, against the replicates simulated one by one (2-d
 # exponential model, 2-core x86-64, best of 7 runs): a batch of two costs
-# 1.3-1.65x at 250-8k expected events each; batches of 8 to 32 save 30-70%
+# 1.3-1.65x at 250-8k expected events each; batches of 8 to 32 save 25-70%
 # at 250-2k events and break even at ~4k; the 1-d power-law decay
 # replicates (~300 events) run in batches of 26 at ~0.3x.  Doubling the
 # value would save ~15% more on those, but would put the ~6.7k-event

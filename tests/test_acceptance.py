@@ -135,7 +135,7 @@ def test_criterion_3_variance_linearization(d1_model):
     converging = np.all(np.diff(np.abs(per_time - slope)) < 0.0)
 
     # the variance ratio has SE ~ sqrt(2 / (R - 1)), so at R = 10,000 its
-    # 0.05 tolerance is 3.5 SE (0.063 at R = 500 was wider than it)
+    # 0.05 tolerance is 3.5 SE
     replicates = 10_000
     horizon = 2000.0
     vals = np.empty(replicates)
