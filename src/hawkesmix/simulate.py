@@ -7,7 +7,9 @@ spawns Poisson(``M[i, j]``) children in component ``j`` at i.i.d. kernel
 delays.  It draws these by kernel pair, not by parent: each generation's
 ``n`` parents in component ``i`` get one Poisson(``n M[i, j]``) total of
 children in ``j``, spread uniformly over them, which is the same law.
-The thinning simulator is Ogata's algorithm with a piecewise
+Its frontier is one array of times per component, so each generation
+reads its parents, and the window its events, from their component's
+own rows.  The thinning simulator is Ogata's algorithm with a piecewise
 constant dominating intensity, valid because every kernel family here is
 nonincreasing in elapsed time: the intensity at a rejected candidate is the
 next bound, and an accepted event in component ``j`` raises it by the jump
@@ -32,7 +34,8 @@ a stationary window.  Exact time ties (probability zero, but possible in
 floating point) are checked per replicate and component inside the window
 ``[0, T]`` and resolved by re-drawing the later event, so each log carries
 strictly increasing times per component; ``meta["tie_redraws"]`` counts
-the re-draws.
+the re-draws.  The cluster simulator redraws one pass of ties component
+by component, each component's in row order.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ __all__ = [
 ]
 
 _MAX_GENERATIONS = 10_000
+# the most events a simulation window may expect: past it the arrays would
+# not fit in memory, numpy's Poisson sampler refuses the immigrant counts
+# (past ~9e18) and thinning would run for ever
+_MAX_EXPECTED_EVENTS = 2**31
 _WRITE_BLOCK = 1 << 16
 
 
@@ -98,6 +105,9 @@ class ClusterTrace:
     Arrays are aligned: event ``k`` has time ``times[k]``, component
     ``comps[k]``, generation ``gens[k]`` (0 for immigrants), parent row
     index ``parents[k]`` (-1 for immigrants) and replicate ``tags[k]``.
+    Rows are ordered by generation, then component, then as in the
+    simulator's frontier: within one generation and component, by
+    replicate, and each replicate's rows in the order of its lone run.
     """
 
     times: np.ndarray
@@ -177,69 +187,90 @@ def default_burn_in(model: HawkesModel) -> float:
 
 def _burn_in(model: HawkesModel, horizon: float, burn_in) -> float:
     """Checked burn-in of a simulation (default per :func:`default_burn_in`);
-    refuses a non-finite or out-of-range window."""
+    refuses a non-finite or out-of-range window, and one expected to hold
+    ``_MAX_EXPECTED_EVENTS`` events or more."""
     model.validate()
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if not (np.isfinite(b) and b >= 0.0):
         raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
+    expected = float(np.sum(model.mean_intensity)) * (horizon + b)
+    if not expected < _MAX_EXPECTED_EVENTS:
+        raise ValueError(
+            f"horizon {horizon:g} with burn-in {b:g} expects {expected:.3g} "
+            f"events; a simulation must expect fewer than "
+            f"{_MAX_EXPECTED_EVENTS}")
     return b
 
 
-def _window_events(times, comps, parents, tags, model, lo, horizon, gens):
+def _window_events(times, tags, origins, model, lo, horizon, gens):
     """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
-    Row ``k`` belongs to replicate ``tags[k]``, whose generator is
-    ``gens[tags[k]]``.  Returns ``(events, redraws)``: ``events[r][j]``
-    holds replicate ``r``'s component-``j`` times and ``redraws[r]`` counts
-    the rows of replicate ``r`` that were redrawn.  The later row of each
-    exact tie within one (replicate, component) is redrawn in place, in row
-    order (an immigrant uniformly on ``[lo, horizon]``, a child by a new
-    delay from its parent), until none is left.
+    ``times[j]`` holds every row of component ``j``, and ``tags[j]`` their
+    replicates (``tags`` is ``None`` for one replicate); row ``q`` of
+    component ``j`` draws from ``gens[tags[j][q]]``.  ``origins()`` returns
+    the rows' parents, per component ``j`` a pair of arrays: the parent's
+    component (-1 for an immigrant) and its row in ``times`` of that
+    component; it is called only when a tie must be redrawn.  Returns
+    ``(events, redraws)``: ``events[r][j]`` holds replicate ``r``'s
+    component-``j`` times and ``redraws[r]`` counts the rows of replicate
+    ``r`` that were redrawn.  The later row of each exact tie within one
+    (replicate, component) is redrawn in place (an immigrant uniformly on
+    ``[lo, horizon]``, a child by a new delay from its parent), until none
+    is left.  One pass redraws the ties of component 0 in row order, then
+    those of component 1, and so on; this order matters only when two
+    components of one replicate need a redraw in the same pass.
     """
     reps = len(gens)
     redraws = np.zeros(reps, dtype=np.int64)
     bounds = np.arange(reps + 1)
+    parents = None
     for _ in range(100):
         events = [[] for _ in range(reps)]
         tied = []
-        for j in range(model.d):
-            sel = (comps == j) & (times >= 0.0) & (times <= horizon)
+        for j, tj in enumerate(times):
+            sel = (tj >= 0.0) & (tj <= horizon)
             # one replicate needs no grouping by tag, and one sort of the
             # times is cheaper than the two stable argsorts below
-            if reps == 1:
-                tj = np.sort(times[sel])
-                same = tj[1:] == tj[:-1]
+            if tags is None:
+                wj = tj[sel]
+                wj.sort()
+                same = wj[1:] == wj[:-1]
                 if same.any():
                     rows = np.flatnonzero(sel)
-                    order = np.argsort(times[rows], kind="stable")
-                    tied.append(rows[order[1:][same]])
-                events[0].append(tj)
+                    order = np.argsort(tj[rows], kind="stable")
+                    tied.append((j, np.sort(rows[order[1:][same]])))
+                events[0].append(wj)
                 continue
             # by time with ties in row order, then stably by replicate
             rows = np.flatnonzero(sel)
-            rows = rows[np.argsort(times[rows], kind="stable")]
-            rows = rows[np.argsort(tags[rows], kind="stable")]
-            tj, rj = times[rows], tags[rows]
-            same = (tj[1:] == tj[:-1]) & (rj[1:] == rj[:-1])
+            rows = rows[np.argsort(tj[rows], kind="stable")]
+            rows = rows[np.argsort(tags[j][rows], kind="stable")]
+            wj, rj = tj[rows], tags[j][rows]
+            same = (wj[1:] == wj[:-1]) & (rj[1:] == rj[:-1])
             if same.any():
-                tied.append(rows[1:][same])
+                tied.append((j, np.sort(rows[1:][same])))
             cuts = np.searchsorted(rj, bounds).tolist()
             for r in range(reps):
-                events[r].append(tj[cuts[r]:cuts[r + 1]])
+                events[r].append(wj[cuts[r]:cuts[r + 1]])
         if not tied:
             return [tuple(e) for e in events], redraws
-        tied = np.sort(np.concatenate(tied))
-        redraws += np.bincount(tags[tied], minlength=reps)
-        for k in tied:
-            gen = gens[tags[k]]
-            p = parents[k]
-            if p < 0:
-                times[k] = gen.uniform(lo, horizon)
-            else:
-                kern = model.kernels[comps[p]][comps[k]]
-                times[k] = times[p] + kern.sample_delays(gen, 1)[0]
+        if parents is None:
+            parents = origins()
+        for j, rows in tied:
+            owners = (np.zeros(rows.size, dtype=np.int64) if tags is None
+                      else tags[j][rows])
+            redraws += np.bincount(owners, minlength=reps)
+            pc, pq = parents[j]
+            for q, r in zip(rows.tolist(), owners.tolist()):
+                c = pc[q]
+                if c < 0:
+                    times[j][q] = gens[r].uniform(lo, horizon)
+                else:
+                    kern = model.kernels[c][j]
+                    times[j][q] = (times[c][pq[q]]
+                                   + kern.sample_delays(gens[r], 1)[0])
     raise NumericError("could not separate tied event times")
 
 
@@ -261,13 +292,25 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
     approximation is the ``2**-53`` grid of ``u``, on which the delays
     already sit.
 
+    The frontier is kept per component: one array of times (and, for a
+    batch, of replicate tags) per component, whose rows are the
+    immigrants of that component, then in later generations the children
+    of pairs ``(0, j), (1, j), ...`` in that order, grouped stably by
+    replicate.  The parents of component ``i`` are therefore read straight
+    from its array, and the window of each component is cut from its own
+    rows.  The genealogy (every child's parent row) is kept only as the
+    per-pair parent picks, and built from them when a trace is asked for
+    or a tie must be redrawn.
+
     Every event carries its replicate's tag, and replicate ``r`` draws
     from ``gens[r]`` exactly what a simulation of it alone would draw, in
     the same order: per kernel pair, the generator of each replicate with
     parents makes its ``poisson`` and ``random`` draws and then any zero
     redraws, its children keep their draw order, and the rows of one
-    replicate keep that simulation's row order.  ``seeds[r]`` goes to the ``meta`` of
-    replicate ``r``'s log.
+    replicate keep that simulation's row order within each component.
+    Tie redraws go component by component (see :func:`_window_events`),
+    so a batch still reproduces its lone runs.  ``seeds[r]`` goes to the
+    ``meta`` of replicate ``r``'s log.
     """
     d = model.d
     reps = len(gens)
@@ -275,51 +318,54 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
     # the smallest unsigned type holding every tag keeps the tag arrays
     # small and their stable sorts radix sorts
     tag_type = np.min_scalar_type(reps - 1)
+    # a single replicate needs no tags, which spares long single logs the
+    # tag arrays
+    tagged = reps > 1
 
     sizes = np.empty((reps, d), dtype=np.int64)
-    t_chunks = []
+    drawn = []
     for r, gen in enumerate(gens):
         for j in range(d):
             n = gen.poisson(model.eta[j] * span)
             sizes[r, j] = n
-            t_chunks.append(gen.uniform(-b, horizon, size=n))
+            drawn.append(gen.uniform(-b, horizon, size=n))
     immigrants = sizes.sum(axis=1)
-    cur_t = np.concatenate(t_chunks)
-    cur_c = np.repeat(np.tile(np.arange(d), reps), sizes.ravel())
-    # a single replicate needs no tags, which spares long single logs the
-    # tag arrays
-    tagged = reps > 1
-    cur_r = np.repeat(np.arange(reps, dtype=tag_type), immigrants)
-    cur_idx = np.arange(cur_t.size)
-    t_chunks, c_chunks, r_chunks = [cur_t], [cur_c], [cur_r]
-    g_sizes = [cur_t.size]
-    p_chunks = [np.full(cur_t.size, -1, dtype=np.int64)]
-    offset = cur_t.size
+    # the frontier, per component: its times and (tagged) replicate tags
+    cur = [np.concatenate(drawn[j::d]) for j in range(d)]
+    cur_r = ([np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
+              for j in range(d)] if tagged else None)
+    no_times, no_tags = np.empty(0), np.empty(0, dtype=tag_type)
+    # per component, its frontier times (and tags) of every generation;
+    # per generation after the first, per component, the (i, pick) of each
+    # pair feeding it and the permutation that grouped its rows by tag
+    hist_t = [[t] for t in cur]
+    hist_r = [[r] for r in cur_r] if tagged else None
+    links = []
     # per replicate, the deepest generation holding an event (0: immigrants
     # only)
     deepest = np.zeros(reps, dtype=np.int64)
     generation = 0
-    while cur_t.size:
+    while any(t.size for t in cur):
         generation += 1
         if generation > _MAX_GENERATIONS:
             raise NumericError(
                 f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
             )
-        # per kernel pair with children: their times, parents and tags,
-        # and their component and number
-        nxt_t, nxt_p, nxt_r, pair_c, pair_n = [], [], [], [], []
+        # per child component, per kernel pair feeding it: the children's
+        # times, their parents' component and picks, and their tags
+        nxt_t = [[] for _ in range(d)]
+        nxt_p = [[] for _ in range(d)]
+        nxt_r = [[] for _ in range(d)]
         for i in range(d):
-            sel = cur_c == i
-            if not sel.any():
+            pt = cur[i]
+            if not pt.size:
                 continue
-            pt = cur_t[sel]
-            pidx = cur_idx[sel]
             if tagged:
                 # the frontier is grouped by replicate: for each replicate
                 # with component-i parents, its generator and parent count,
                 # and in the columns of table that count, where its rows
                 # start and its tag
-                sizes = np.bincount(cur_r[sel], minlength=reps)
+                sizes = np.bincount(cur_r[i], minlength=reps)
                 live = np.flatnonzero(sizes)
                 groups = [(gens[r], n) for r, n in
                           zip(live.tolist(), sizes[live].tolist())]
@@ -333,11 +379,12 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
                 u = np.concatenate(blocks, axis=1) if tagged else blocks[0]
                 if not u.size:
                     continue
-                kids = [b.shape[1] for b in blocks]
+                if tagged:
+                    kids = [b.shape[1] for b in blocks]
                 if not u[0].all():
                     # exact zeros of the delay row, redrawn from each
                     # replicate's own generator after its block
-                    ends = np.cumsum(kids).tolist()
+                    ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
                     for (gen, _), lo, hi in zip(groups, [0] + ends, ends):
                         redraw_zeros(gen, u[0, lo:hi])
                 # each child's parent row within its replicate's frontier
@@ -348,45 +395,42 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
                 pick = np.minimum((u[1] * n).astype(np.int64), n - 1)
                 if tagged:
                     pick += first
-                    nxt_r.append(tag.astype(tag_type))
+                    nxt_r[j].append(tag.astype(tag_type))
                 # u[0] lies in (0, 1), so the kernel need not check it
                 child_t = pt[pick]
                 child_t += kern._inverse_cdf(u[0])
-                nxt_t.append(child_t)
-                nxt_p.append(pidx[pick])
-                pair_c.append(j)
-                pair_n.append(child_t.size)
-        if not nxt_t:
+                nxt_t[j].append(child_t)
+                nxt_p[j].append((i, pick))
+        if not any(nxt_t):
             break
-        cur_t = np.concatenate(nxt_t)
-        cur_c = np.array(pair_c, dtype=np.int64).repeat(pair_n)
-        par = np.concatenate(nxt_p)
-        if tagged:
-            cur_r = np.concatenate(nxt_r)
-            if len(nxt_t) > 1:
-                # regroup by replicate, each replicate's rows in order
-                order = np.argsort(cur_r, kind="stable")
-                cur_t, cur_c, cur_r, par = (cur_t[order], cur_c[order],
-                                            cur_r[order], par[order])
-            deepest[cur_r] = generation
-        else:
+        orders = [None] * d
+        for j in range(d):
+            cur[j] = np.concatenate(nxt_t[j]) if nxt_t[j] else no_times
+            if tagged:
+                cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
+                if len(nxt_r[j]) > 1:
+                    # regroup by replicate, each replicate's rows in order
+                    orders[j] = np.argsort(cur_r[j], kind="stable")
+                    cur[j] = cur[j][orders[j]]
+                    cur_r[j] = cur_r[j][orders[j]]
+                deepest[cur_r[j]] = generation
+                hist_r[j].append(cur_r[j])
+            hist_t[j].append(cur[j])
+        if not tagged:
             deepest[0] = generation
-        cur_idx = offset + np.arange(cur_t.size)
-        offset += cur_t.size
-        t_chunks.append(cur_t)
-        c_chunks.append(cur_c)
-        if tagged:
-            r_chunks.append(cur_r)
-        g_sizes.append(cur_t.size)
-        p_chunks.append(par)
+        links.append((nxt_p, orders))
 
-    times = np.concatenate(t_chunks)
-    comps = np.concatenate(c_chunks)
-    parents = np.concatenate(p_chunks)
-    tags = (np.concatenate(r_chunks) if tagged
-            else np.zeros(times.size, dtype=tag_type))
-    events, redraws = _window_events(times, comps, parents, tags, model, -b,
-                                     horizon, gens)
+    # each component's rows in one array; its per-generation arrays are
+    # released as it is built
+    counts = [[t.size for t in h] for h in hist_t]
+    times, tags = hist_t, hist_r
+    for j in range(d):
+        times[j] = np.concatenate(times[j])
+        if tagged:
+            tags[j] = np.concatenate(tags[j])
+    events, redraws = _window_events(times, tags,
+                                     lambda: _lineage(counts, links), model,
+                                     -b, horizon, gens)
     logs = [
         EventLog(d, horizon, events[r],
                  {"simulator": "cluster", "seed": _seed_meta(seeds[r]),
@@ -396,12 +440,67 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
                   "tie_redraws": int(redraws[r])})
         for r in range(reps)
     ]
-    trace = None
-    if return_trace:
-        trace = ClusterTrace(times, comps,
-                             np.repeat(np.arange(len(g_sizes)), g_sizes),
-                             parents, tags)
+    trace = (_trace(times, tags, _lineage(counts, links), counts, tag_type)
+             if return_trace else None)
     return logs, trace
+
+
+def _lineage(counts, links):
+    """Per component ``j``, the parents of its rows as two arrays: the
+    parent's component (-1 for an immigrant) and its row within that
+    component.  ``counts[j][g]`` is the number of component-``j`` rows in
+    generation ``g``, and ``links[g - 1][0][j]`` lists the ``(i, pick)``
+    of each pair that fed component ``j`` in generation ``g``, in order,
+    before the permutation ``links[g - 1][1][j]`` (``None``: none)."""
+    # where each component's generation-g rows start
+    starts = [np.cumsum([0] + c[:-1]) for c in counts]
+    out = []
+    for j, c in enumerate(counts):
+        pc = [np.full(c[0], -1, dtype=np.int64)]
+        pq = [np.full(c[0], -1, dtype=np.int64)]
+        for g, (pairs, orders) in enumerate(links, start=1):
+            if not pairs[j]:
+                continue
+            pc_g = np.concatenate([np.full(p.size, i, dtype=np.int64)
+                                   for i, p in pairs[j]])
+            pq_g = np.concatenate([starts[i][g - 1] + p for i, p in pairs[j]])
+            if orders[j] is not None:
+                pc_g, pq_g = pc_g[orders[j]], pq_g[orders[j]]
+            pc.append(pc_g)
+            pq.append(pq_g)
+        out.append((np.concatenate(pc), np.concatenate(pq)))
+    return out
+
+
+def _trace(times, tags, lineage, counts, tag_type) -> ClusterTrace:
+    """The :class:`ClusterTrace` of per-component rows ``times[j]`` (tags
+    ``tags[j]``, ``None`` for one replicate) with parents ``lineage`` (see
+    :func:`_lineage`), in the order generation, then component, then row."""
+    sizes = np.array(counts, dtype=np.int64)
+    d, depth = sizes.shape
+    # the trace row of each component's row: where its (generation,
+    # component) block starts, plus its place in the block
+    block = np.cumsum(sizes.T.ravel()).reshape(depth, d).T - sizes
+    own = np.cumsum(sizes, axis=1) - sizes
+    rows = [np.repeat(block[j] - own[j], sizes[j]) + np.arange(t.size)
+            for j, t in enumerate(times)]
+    total = int(sizes.sum())
+    out_t = np.empty(total)
+    comps = np.empty(total, dtype=np.int64)
+    gens = np.empty(total, dtype=np.int64)
+    parents = np.full(total, -1, dtype=np.int64)
+    out_r = np.zeros(total, dtype=tag_type)
+    for j, k in enumerate(rows):
+        out_t[k] = times[j]
+        comps[k] = j
+        gens[k] = np.repeat(np.arange(depth), sizes[j])
+        if tags is not None:
+            out_r[k] = tags[j]
+        pc, pq = lineage[j]
+        for i in range(d):
+            mine = pc == i
+            parents[k[mine]] = rows[i][pq[mine]]
+    return ClusterTrace(out_t, comps, gens, parents, out_r)
 
 
 _NO_CHILDREN = np.empty((2, 0))
@@ -428,7 +527,9 @@ def simulate_cluster_batch(
 
     Replicate ``r`` draws from its own generator, made from ``seeds[r]`` (a
     seed or a :class:`numpy.random.Generator`), and its log is bit for bit
-    the one :func:`simulate_cluster` returns for that seed.  The replicates
+    the one :func:`simulate_cluster` returns for that seed.  A generator
+    may therefore back only one replicate; the same integer or
+    :class:`~numpy.random.SeedSequence` may be given twice.  The replicates
     share one set of arrays, each event tagged with its replicate and
     children inheriting their parent's tag, so the array work and the call
     overhead are paid once per batch instead of once per replicate.  Per
@@ -461,6 +562,17 @@ def simulate_cluster_batch(
         raise ValueError("need at least one replicate seed")
     b = _burn_in(model, horizon, burn_in)
     gens = [np.random.default_rng(_seed(s)) for s in seeds]
+    # one generator behind two replicates would interleave their draws, so
+    # neither would be its lone run
+    positions = {}
+    for k, gen in enumerate(gens):
+        positions.setdefault(id(gen.bit_generator), []).append(k)
+    shared = [p for p in positions.values() if len(p) > 1]
+    if shared:
+        raise ValueError(
+            f"replicate seeds at positions {', '.join(map(str, shared))} "
+            f"share one generator; each replicate needs its own (repeat an "
+            f"integer or a SeedSequence instead)")
     logs, trace = _cluster(model, horizon, b, gens, seeds, return_trace)
     return (logs, trace) if return_trace else logs
 

@@ -206,18 +206,19 @@ _DEFAULT_GRID = np.arange(1, 11) / 10.0
 _SPECTRAL_ABS_TOL = 1e-9
 
 
-# expected events per cluster batch.  Replicates expected to hold fewer
-# share one set of arrays, so the per-call overhead of the simulator is paid
-# once per batch; the tagged arrays cost more per event and per generation.
-# Per replicate, against the replicates simulated one by one (2-d
-# exponential model, 2-core x86-64, best of 7 runs): a batch of two costs
-# 1.3-1.65x at 250-8k expected events each; batches of 8 to 32 save 25-70%
-# at 250-2k events and break even at ~4k; the 1-d power-law decay
-# replicates (~300 events) run in batches of 26 at ~0.3x.  Doubling the
-# value would save ~15% more on those, but would put the ~6.7k-event
-# replicates of the 2-d model at T = 2000 into batches of two; at 2**13
-# only replicates of 2.7k-4.1k events run in pairs.
+# expected events per cluster batch, and the fewest replicates worth a
+# batch.  Replicates expected to hold fewer share one set of arrays, so the
+# per-call overhead of the simulator is paid once per batch; the tagged
+# arrays cost more per replicate and per kernel pair, so small batches
+# lose.  Per replicate, against the replicates simulated one by one (2-d
+# exponential model, 2-core x86-64, process CPU on one pinned core,
+# medians of 5-9 interleaved rounds): a batch of two costs 1.5-2.1x at
+# 250-8k expected events each, and one of four 1.0-1.3x; within 2**13
+# expected events, batches of 8-12 cost 0.67-0.97x (8 of 1k events:
+# 0.78-0.97x) and batches of 16 or more 0.3-0.8x.  The 1-d power-law
+# decay replicates (~300 events) run in batches of 26 at ~0.35x.
 _BATCH_EVENTS = 1 << 13
+_MIN_BATCH = 8
 
 
 def _worker_count(requested: int, chunks: int) -> int:
@@ -294,19 +295,26 @@ def _check_replicates(replicates, seed) -> None:
     require_integer(replicates=replicates, seed=_seed(seed))
 
 
+def _batch_size(model: HawkesModel, horizon: float, burn_in: float) -> int:
+    """Cluster replicates per :func:`simulate_cluster_batch` call:
+    ``floor(_BATCH_EVENTS / n)`` for ``n = sum(mean_intensity) *
+    (horizon + burn_in)``, the expected event count of one replicate, or 1
+    where that is fewer than ``_MIN_BATCH``."""
+    expected = float(np.sum(model.mean_intensity)) * (horizon + burn_in)
+    size = int(_BATCH_EVENTS // expected)
+    return size if size >= _MIN_BATCH else 1
+
+
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
                     seed: int, simulator: str, row, *,
                     workers: int = 1) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
     Replicate ``r`` draws from the ``r``-th stream spawned from ``seed``.
-    Cluster replicates are simulated in batches of
-    ``max(1, floor(_BATCH_EVENTS / n))`` by
-    :func:`~hawkesmix.simulate.simulate_cluster_batch`, where
-    ``n = sum(mean_intensity) * (horizon + burn_in)`` is the expected event
-    count of one replicate; a batch gives each replicate the log of its own
-    stream.  Thinning, and a batch size of 1, make one
-    :func:`~hawkesmix.simulate.simulate` call per replicate.  The burn-in
+    Cluster replicates are simulated in batches of :func:`_batch_size` by
+    :func:`~hawkesmix.simulate.simulate_cluster_batch`; a batch gives each
+    replicate the log of its own stream.  Thinning, and a batch size of 1,
+    make one :func:`~hawkesmix.simulate.simulate` call per replicate.  The burn-in
     depends only on the model and is computed once, before any fork, like
     the model's mean intensity, which the callers' validation caches.
 
@@ -320,8 +328,7 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
     seeds = spawn_seeds(seed, replicates)
     size = 1
     if simulator == "cluster":
-        expected = float(np.sum(model.mean_intensity)) * (horizon + burn_in)
-        size = max(1, int(_BATCH_EVENTS // expected))
+        size = _batch_size(model, horizon, burn_in)
     chunks = [seeds[k:k + size] for k in range(0, replicates, size)]
 
     def rows(part) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import hashlib
 import inspect
+import json
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +133,39 @@ class TestDeterminism:
             h.update(times.astype("<f8").tobytes())
         assert [len(t) for t in log.events] == counts
         assert h.hexdigest() == digest
+
+    @staticmethod
+    def log_digest(logs):
+        """sha256 of each log's little-endian event times and its meta."""
+        h = hashlib.sha256()
+        for log in logs:
+            for times in log.events:
+                h.update(len(times).to_bytes(8, "little"))
+                h.update(times.astype("<f8").tobytes())
+            h.update(json.dumps(log.meta, sort_keys=True).encode())
+        return h.hexdigest()
+
+    def test_irregular_model_stream_is_pinned(self):
+        """The cluster stream of a model whose kernel table is not full:
+        a power-law, two uniform and an exponential kernel, zero kernels,
+        and a component (2) with no outgoing kernel.  Events and meta of
+        a lone run and of a 5-replicate batch are pinned (numpy 2.4 on
+        x86-64)."""
+        model = hm.HawkesModel(
+            [0.6, 0.4, 0.3],
+            [[hm.PowerLawKernel(0.3, 0.5, 2.5), hm.UniformKernel(0.25, 1.5),
+              hm.ZeroKernel()],
+             [hm.ExponentialKernel(0.2, 2.0), hm.ZeroKernel(),
+              hm.UniformKernel(0.4, 0.5)],
+             [hm.ZeroKernel(), hm.ZeroKernel(), hm.ZeroKernel()]])
+        log = hm.simulate_cluster(model, 100.0, seed=4)
+        assert [len(t) for t in log.events] == [141, 81, 62]
+        assert self.log_digest([log]) == (
+            "ce54eb032249cbe834485da4599b5822fbeb9f7a63a3f5918f3e7cdf82fc07e7")
+        logs = hm.simulate_cluster_batch(model, 20.0, hm.spawn_seeds(7, 5))
+        assert [log.meta["generations"] for log in logs] == [7, 4, 5, 8, 5]
+        assert self.log_digest(logs) == (
+            "5a9ce8c045614ba7c17ae6a3686cfb7c4f3523795fb08a780d23bb40bf5d3720")
 
 
 class TestAgainstPoissonLaw:
@@ -580,6 +615,59 @@ class TestClusterBatch:
         with pytest.raises(ValueError, match="at least one replicate"):
             hm.simulate_cluster_batch(d1_model, 10.0, [])
 
+    def test_shared_generator_refused(self, d1_model):
+        """One generator behind two replicates would interleave their
+        draws, so it is refused before any draw; a repeated integer or
+        SeedSequence makes separate generators and is allowed."""
+        g, h = np.random.default_rng(1), np.random.default_rng(2)
+        with pytest.raises(ValueError, match=r"positions \[0, 1\] share"):
+            hm.simulate_cluster_batch(d1_model, 10.0, [g, g])
+        with pytest.raises(ValueError,
+                           match=r"positions \[0, 3\], \[2, 4\] share"):
+            hm.simulate_cluster_batch(d1_model, 10.0, [g, 3, h, g, h])
+        with pytest.raises(ValueError, match=r"positions \[0, 1\] share"):
+            hm.simulate_cluster_batch(d1_model, 10.0,
+                                      [g, np.random.Generator(g.bit_generator)])
+        assert g.random() == np.random.default_rng(1).random()
+        s = np.random.SeedSequence(4)
+        logs = hm.simulate_cluster_batch(d1_model, 10.0, [3, 3, s, s])
+        for a, b in ((logs[0], logs[1]), (logs[2], logs[3])):
+            assert a.events[0].tobytes() == b.events[0].tobytes()
+
+    def test_ties_redrawn_as_in_lone_runs(self, d2_model):
+        """With immigrant times on the integers and delays on a grid of
+        four, many rows tie; every log still has strictly increasing
+        times, the trace carries the redrawn times, and each replicate of
+        a batch redraws exactly what its lone run does."""
+        class Coarse(np.random.Generator):
+            # rounds the drawn blocks; single redraws stay continuous
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                u = super().uniform(low, high, size)
+                return u if size is None else np.round(u)
+
+            def random(self, size=None):
+                u = super().random(size)
+                if np.ndim(u) == 2:
+                    u[0] = np.ceil(4.0 * u[0]) / 4.0 - 0.125
+                return u
+
+        logs, trace = hm.simulate_cluster_batch(
+            d2_model, 30.0, [Coarse(s) for s in range(4)], return_trace=True)
+        assert all(log.meta["tie_redraws"] > 0 for log in logs)
+        for r, log in enumerate(logs):
+            ref = hm.simulate_cluster(d2_model, 30.0, seed=Coarse(r))
+            for a, b in zip(log.events, ref.events):
+                assert a.tobytes() == b.tobytes()
+            assert log.meta == ref.meta
+            for j, tj in enumerate(log.events):
+                assert np.all(np.diff(tj) > 0.0)
+                inside = ((trace.tags == r) & (trace.comps == j)
+                          & (trace.times >= 0.0) & (trace.times <= 30.0))
+                assert np.array_equal(tj, np.sort(trace.times[inside]))
+
 
 class TestWindowTies:
     """Exact ties are redrawn only where the log would carry them."""
@@ -595,16 +683,33 @@ class TestWindowTies:
         parents = np.array([-1, -1, -1, -1, -1, 2, 5, 2])
         return times, comps, parents
 
-    @staticmethod
-    def untagged(times):
-        return np.zeros(times.size, dtype=np.uint8)
+    @classmethod
+    def window(cls, times, comps, parents, tags, model, gens):
+        """``_window_events`` on rows given as one set of arrays (``tags``
+        ``None`` for one replicate), split per component as the cluster
+        simulator keeps them; redrawn times are written back to ``times``."""
+        rows = [np.flatnonzero(comps == j) for j in range(model.d)]
+        pos = np.empty(times.size, dtype=np.int64)
+        for k in rows:
+            pos[k] = np.arange(k.size)
+        own_t = [times[k] for k in rows]
+        own_r = None if tags is None else [tags[k] for k in rows]
+
+        def origins():
+            return [(np.where(parents[k] < 0, -1, comps[parents[k]]),
+                     pos[parents[k]]) for k in rows]
+
+        try:
+            return _window_events(own_t, own_r, origins, model, cls.LO,
+                                  cls.HORIZON, gens)
+        finally:
+            for k, t in zip(rows, own_t):
+                times[k] = t
 
     def test_same_component_ties_redrawn(self, d2_model):
         times, comps, parents = self.crafted()
-        [events], redraws = _window_events(times, comps, parents,
-                                           self.untagged(times), d2_model,
-                                           self.LO, self.HORIZON,
-                                           [np.random.default_rng(5)])
+        [events], redraws = self.window(times, comps, parents, None,
+                                        d2_model, [np.random.default_rng(5)])
         assert redraws.tolist() == [2]
         # the later row of each tie is redrawn, in row order: the immigrant
         # uniformly on [lo, horizon], the child by kernel [0][1] from row 2
@@ -620,10 +725,8 @@ class TestWindowTies:
         times, comps, parents = self.crafted()
         times, comps, parents = times[:4], comps[:4], parents[:4]
         before = times.copy()
-        [events], redraws = _window_events(times, comps, parents,
-                                           self.untagged(times), d2_model,
-                                           self.LO, self.HORIZON,
-                                           [np.random.default_rng(5)])
+        [events], redraws = self.window(times, comps, parents, None,
+                                        d2_model, [np.random.default_rng(5)])
         assert redraws.tolist() == [0]
         assert np.array_equal(times, before)
         assert [tj.tolist() for tj in events] == [[1.0], [1.0]]
@@ -636,9 +739,8 @@ class TestWindowTies:
         parents = np.full(4, -1)
         tags = np.array([0, 1, 1, 0], dtype=np.uint8)
         gens = [np.random.default_rng(5), np.random.default_rng(6)]
-        events, redraws = _window_events(times, comps, parents, tags,
-                                         d2_model, self.LO, self.HORIZON,
-                                         gens)
+        events, redraws = self.window(times, comps, parents, tags, d2_model,
+                                      gens)
         assert times[2] == np.random.default_rng(6).uniform(self.LO,
                                                             self.HORIZON)
         assert gens[0].random() == np.random.default_rng(5).random()
@@ -655,9 +757,8 @@ class TestWindowTies:
 
         times, comps, parents = self.crafted()
         with pytest.raises(NumericError, match="tied event times"):
-            _window_events(times[:5], comps[:5], parents[:5],
-                           self.untagged(times[:5]), d2_model, self.LO,
-                           self.HORIZON, [StuckGenerator()])
+            self.window(times[:5], comps[:5], parents[:5], None, d2_model,
+                        [StuckGenerator()])
 
 
 class TestBurnIn:
@@ -689,6 +790,16 @@ class TestMechanismAgreement:
     def test_unknown_simulator(self, d1_model):
         with pytest.raises(ValueError, match="unknown simulator"):
             hm.simulate(d1_model, 10.0, simulator="exact")
+
+    @pytest.mark.parametrize("simulator", ["cluster", "thinning"])
+    @pytest.mark.parametrize("horizon", [1e20, 1e300])
+    def test_impossible_window_refused(self, d1_model, simulator, horizon):
+        # refused before any draw: the immigrant count would overflow
+        # numpy's Poisson sampler, and thinning would never end
+        with pytest.raises(ValueError,
+                           match=re.escape(f"horizon {horizon:g} with ")
+                           + r"burn-in \S+ expects \S+ events"):
+            hm.simulate(d1_model, horizon, simulator, seed=1)
 
     def test_argument_validation(self, d1_model):
         with pytest.raises(ValueError):

@@ -261,9 +261,7 @@ POWERLAW = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
 
 
 def _batch_size(model, horizon):
-    expected = np.sum(model.mean_intensity) * (
-        horizon + hm.default_burn_in(model))
-    return max(1, int(stats._BATCH_EVENTS // expected))
+    return stats._batch_size(model, horizon, hm.default_burn_in(model))
 
 
 class TestReplicateBatches:
@@ -339,6 +337,18 @@ class TestReplicateBatches:
         single = hm.mixing_decay_diagnostic(*args, seed=2)
         assert batched.empirical.tobytes() == single.empirical.tobytes()
         assert batched.empirical_se.tobytes() == single.empirical_se.tobytes()
+
+    def test_batch_size_floor(self, d2_model):
+        """A batch holds at most ``_BATCH_EVENTS`` expected events and at
+        least ``_MIN_BATCH`` replicates, since smaller batches cost more
+        than their replicates run one by one."""
+        b = hm.default_burn_in(d2_model)
+        rate = float(np.sum(d2_model.mean_intensity))
+        for size in (stats._MIN_BATCH, 40):
+            horizon = stats._BATCH_EVENTS / (size + 0.5) / rate - b
+            assert stats._batch_size(d2_model, horizon, b) == size
+        horizon = stats._BATCH_EVENTS / (stats._MIN_BATCH - 0.5) / rate - b
+        assert stats._batch_size(d2_model, horizon, b) == 1
 
     def test_decay_diagnostic_batches_simulator_calls(self, monkeypatch):
         calls = []
