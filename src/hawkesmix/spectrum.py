@@ -13,14 +13,22 @@ panel quadrature with a certified closed-form tail.  Variances and count
 covariances share one block loop and one Filon-type panel rule, which takes
 a vector of carriers: exact for the oscillatory carrier of a count
 covariance and for the carriers of a variance profile, and Gauss at
-carrier 0.  A variance profile writes each weight over atoms: the lines
-of the components that are finite sums of lines, then each component that
-is not.  One direct rule evaluates the quadratic form of the atoms'
-window transforms for every time at once.  It covers the whole range when
-some component has no lines; otherwise it covers a head past the lines,
-and past it each line's window transform is in closed form, so one grid
-of ``G`` serves every time ``t`` as a carrier, and the panels there need
-not resolve ``1 / t``.
+carrier 0.  The loop walks runs of panels of possibly different widths,
+one ``G`` grid per block of panels.  A variance profile writes each weight
+over atoms: the lines of the components that are finite sums of lines,
+then each component that is not.  One direct rule evaluates the quadratic
+form of the atoms' window transforms for every time at once.  It covers
+the whole range when some component has no lines; otherwise it covers a
+short head past the lines, and past it each line's window transform is in
+closed form, so one grid of ``G`` serves every time ``t`` as a carrier.
+The panels there need not resolve ``1 / t``: they double in width with
+``xi`` up to the kernel memory scale, so their count grows like
+``log T`` rather than ``T``.
+
+A variance or covariance pairs ``conj(w_i) w_j`` with ``gamma_ij``, for
+window transforms ``w`` taken with ``exp(-2 i pi xi s)``, since
+``gamma_ij`` is the transform of ``Cov(dN_i(s + tau), dN_j(s))`` in
+``tau``.
 
 The certified tails bound ``G`` past the reached frequency: ``||G|| =
 O(1 / xi)`` in general, and ``G_ii = O(1 / xi^2)`` when every kernel
@@ -32,6 +40,8 @@ bound, every other integral on the first.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +77,16 @@ _TO_LEGENDRE = (
 # 2048 panels
 _PANELS_PER_BLOCK = 256
 # the variance profile: the fewest panels of the direct head rule for
-# lines, and cells of the (panels, lines, times) carrier arrays of one tail
-# block, about 1 MB each; the (points, times, atoms) arrays of a direct
-# block hold half as many
-_HEAD_PANELS = 256
+# lines (at width 1 / (3 (T + memory)), so the head ends near 5 / T and the
+# tail bands take over), and cells of the (panels, lines, times) carrier
+# arrays of one tail block, about 1 MB each; the (points, times, atoms)
+# arrays of a direct block hold half as many
+_HEAD_PANELS = 16
 _BLOCK_CELLS = 64_000
 _XI_CAP = 1e5
+# the largest profile time: the direct rule forms t^2 times the coupling
+# spectrum, which overflows the float range past about 1e150
+_T_CAP = 1e100
 
 
 def fourier_matrix(model: HawkesModel, xi) -> np.ndarray:
@@ -263,14 +277,17 @@ def _panel_rule(width: float, carriers=0.0):
     shape = np.shape(carriers)
     carriers = np.ravel(carriers).astype(float)
     half = 0.5 * width
-    c = np.abs(2.0 * np.pi * carriers * half)
-    order = np.arange(8)[:, None]
-    moments = 2.0 * (1j ** order) * spherical_jn(7, c)
-    moments[:, carriers < 0.0] = np.conj(moments[:, carriers < 0.0])
-    weights = _TO_LEGENDRE.T @ moments
     oscillating = bool(np.any(carriers != 0.0))
-    if not oscillating:
-        weights = np.ascontiguousarray(weights.real)
+    if oscillating:
+        c = np.abs(2.0 * np.pi * carriers * half)
+        order = np.arange(8)[:, None]
+        moments = 2.0 * (1j ** order) * spherical_jn(7, c)
+        moments[:, carriers < 0.0] = np.conj(moments[:, carriers < 0.0])
+        weights = _TO_LEGENDRE.T @ moments
+    else:
+        # the moments at carrier 0 are [2, 0, ..., 0], which the Legendre
+        # map takes to the Gauss weights, whatever the width
+        weights = np.repeat(_WEIGHTS[:, None], carriers.size, axis=1)
 
     def integrate(vals: np.ndarray, start_panel: int):
         extra = vals.shape[1:]
@@ -285,36 +302,63 @@ def _panel_rule(width: float, carriers=0.0):
     return integrate
 
 
-def _stretch(model: HawkesModel, width: float, n_panels: int, per_block: int,
-             block):
-    """``block(xis, g, panel)`` summed over the first ``n_panels`` panels
-    of ``width``, one ``G`` grid per ``per_block`` panels; a call per block
-    frees its arrays before the next."""
+def _rules(carriers=0.0):
+    """``width -> _panel_rule(width, carriers)``, kept for the last width:
+    a run, or one band of the line tail, spans several blocks."""
+    return functools.lru_cache(maxsize=1)(
+        lambda width: _panel_rule(width, carriers))
+
+
+def _pieces(model: HawkesModel, runs, per_block: int):
+    """Walk ``runs`` of panels, each ``(width, first_panel, count)`` with
+    ``count`` possibly infinite, in blocks of ``per_block`` panels and one
+    ``G`` grid per block.  Yields ``(xis, g, width, panel)`` per piece, the
+    part of one run inside one block, so that a block may join the ends
+    of several short runs; a block's arrays are freed before the next."""
+    runs = iter(runs)
+    run = next(runs, None)
+    while run is not None:
+        block = []
+        room = per_block
+        while room and run is not None:
+            width, panel, count = run
+            take = int(min(count, room))
+            block.append((width, panel, take))
+            room -= take
+            run = ((width, panel + take, count - take) if count > take
+                   else next(runs, None))
+        xis = np.concatenate([_panel_points(*piece) for piece in block])
+        g = _g_grid(model, xis)
+        at = 0
+        for width, panel, take in block:
+            span = slice(at, at + 8 * take)
+            at = span.stop
+            yield xis[span], g[span], width, panel
+
+
+def _stretch(model: HawkesModel, runs, per_block: int, block):
+    """``block(xis, g, width, panel)`` summed over the finite ``runs``."""
     total = 0.0
-    for panel in range(0, n_panels, per_block):
-        xis = _panel_points(width, panel, min(per_block, n_panels - panel))
-        total = total + block(xis, _g_grid(model, xis), panel)
+    for piece in _pieces(model, runs, per_block):
+        total = total + block(*piece)
     return total
 
 
-def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
-                xi_min: float, base, block, tail, rel_tol: float,
-                abs_tol: float, per_block: int = _PANELS_PER_BLOCK
-                ) -> np.ndarray:
-    """``base`` plus the coupling integrals past ``panel``, one per statistic.
+def _quadrature(name: str, model: HawkesModel, runs, xi_min: float, base,
+                block, tail, rel_tol: float, abs_tol: float,
+                per_block: int = _PANELS_PER_BLOCK) -> np.ndarray:
+    """``base`` plus the coupling integrals over ``runs``, one per statistic.
 
-    Adds ``block(xis, g, panel)`` over blocks of ``per_block`` panels of
-    ``width``, one ``G`` grid each, until past ``xi_min`` the certified
-    bound ``tail(xi)`` on what lies past the reached ``xi`` drops to
-    ``max(rel_tol * min |value|, abs_tol)``; ``tail`` is only asked at
+    Adds ``block(xis, g, width, panel)`` over the pieces of ``runs`` (see
+    :func:`_pieces`), whose last run is infinite, until past ``xi_min`` the
+    certified bound ``tail(xi)`` on what lies past the reached ``xi`` drops
+    to ``max(rel_tol * min |value|, abs_tol)``; ``tail`` is only asked at
     ``xi >= xi_min``.  Past ``_XI_CAP`` it raises :class:`NumericError`.
     """
     total = np.zeros(np.shape(base))
-    while True:
-        xis = _panel_points(width, panel, per_block)
-        total += block(xis, _g_grid(model, xis), panel)
-        panel += per_block
-        xi = panel * width
+    for xis, g, width, panel in _pieces(model, runs, per_block):
+        total += block(xis, g, width, panel)
+        xi = (panel + xis.size // 8) * width
         if xi < xi_min:
             continue
         bound = tail(xi)
@@ -327,6 +371,20 @@ def _quadrature(name: str, model: HawkesModel, width: float, panel: int,
                 f"{name} quadrature did not converge: range {xi:.3g}, "
                 f"tail bound {bound:.3g}, smallest |value| {smallest:.3g}"
             )
+
+
+def _line_tail_runs(xi0: float, memory: float):
+    """Panel runs past ``xi0`` for the line tail, one band from ``xi`` to
+    ``2 xi`` at a time: ``n = max(4, ceil(3 memory xi))`` panels ``xi / n``
+    wide, which resolve ``1 / xi^2`` and, once ``n > 4``, the kernel
+    memory.  Band ``[xi, 2 xi]`` starts at panel ``n`` of its width, so
+    up to the memory scale the panel count grows like ``log(xi / xi0)``,
+    and past it like ``xi``."""
+    xi = xi0
+    while True:
+        n = max(4, math.ceil(3.0 * memory * xi))
+        yield xi / n, n, n
+        xi *= 2.0
 
 
 def variance_profile(model: HawkesModel, f: TestFunction,
@@ -349,8 +407,8 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     an atom is one line of the union ``nu`` of the components' lines
     ``f_i = sum_k C_ik exp(2 i pi nu_k s)``
     (:meth:`~hawkesmix.testfunctions.ComponentFunction.harmonics`), or one
-    component without lines.  One form ``Q = coef^T G conj(coef)`` per
-    frequency serves every ``t``.  One direct rule evaluates ``b Q b^H``
+    component without lines.  One form ``Q = coef^T conj(G) conj(coef)``
+    per frequency serves every ``t``.  One direct rule evaluates ``b Q b^H``
     on ``(points, times, atoms)`` arrays, on panels whose width resolves
     the window-transform oscillation at the largest ``t``: a line atom has
     ``b_k = t exp(i pi nu_k t) sinc(x_k t)``, ``x_k = xi - nu_k``, and any
@@ -360,15 +418,20 @@ def variance_profile(model: HawkesModel, f: TestFunction,
 
     * When some component has no lines, the direct rule runs from 0 until
       the tail bound is met.
-    * Otherwise it covers the head ``[0, xi0]``, the first 256 panels or
+    * Otherwise it covers the head ``[0, xi0]``, the first 16 panels or
       enough to reach ``4 max |nu|``.  Past ``xi0`` line ``k``'s window
       transform is ``(1 - exp(-2 i pi x_k t)) / (2 i pi x_k)``, so per
-      block ``K^2`` Gauss sums and ``K`` Filon sums with carriers ``-ts``
-      give every ``t``, for ``K`` lines.  The panels are ``xi0 / n`` wide,
+      panel ``K^2`` Gauss sums and ``K`` Filon sums with carriers ``-ts``
+      give every ``t``, for ``K`` lines.  The tail panels resolve
+      ``1 / xi^2`` and the kernel memory, not the horizon: from ``xi0``
+      on, bands take ``xi`` to ``2 xi`` on ``n`` panels ``xi / n`` wide,
       for the smallest ``n >= 4`` that makes them at most
-      ``1 / (3 (mean delay + 1))``: they resolve ``1 / xi^2`` and the
-      kernel memory, not the horizon.  Blocks hold ``64 / K`` panels, fewer
-      past 1000 times, which bounds the carrier arrays.
+      ``1 / (3 (mean delay + 1))``, until the tail bound is met.  Blocks
+      hold ``64 / K`` panels, several short bands each, fewer past 1000
+      times, which bounds the carrier arrays.
+
+    Times must lie in ``(0, 1e100]``: the direct rule forms ``t^2`` times
+    the coupling spectrum, which would overflow past about ``1e150``.
 
     Raises
     ------
@@ -379,9 +442,11 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
     ts = np.asarray(horizons, dtype=float)
-    if ts.size == 0 or not np.all(np.isfinite(ts) & (ts > 0.0)):
+    bad = ts[~((ts > 0.0) & (ts <= _T_CAP))]
+    if ts.size == 0 or bad.size:
         raise ValueError("profile horizons must be nonempty, finite and "
-                         "strictly positive")
+                         f"strictly positive, at most {_T_CAP:g}"
+                         + (f", got {bad[0]:g}" if bad.size else ""))
     m = summary.mean_intensity
     ncomp = len(f)
     if ncomp != model.d:
@@ -414,8 +479,8 @@ def variance_profile(model: HawkesModel, f: TestFunction,
 
     # atoms: the union nu of the lines (not np.unique, which imports
     # numpy.ma, ~0.6 MB of resident memory), then each component without
-    # lines, so that f_i = sum_a coef[i, a] atom_a and w G w^H = b Q b^H
-    # with Q = coef^T G conj(coef)
+    # lines, so that f_i = sum_a coef[i, a] atom_a and w^H G w = b Q b^H
+    # with Q = coef^T conj(G) conj(coef)
     lines = [c.harmonics() for c in f.components]
     general = [i for i, h in enumerate(lines) if h is None]
     nu = np.array(sorted(set().union(*(h[0] for h in lines if h is not None))))
@@ -427,17 +492,17 @@ def variance_profile(model: HawkesModel, f: TestFunction,
             coef[i, np.searchsorted(nu, h[0])] = h[1]
 
     def form(g):
-        return coef.T @ g @ np.conj(coef)
+        return coef.T @ np.conj(g) @ np.conj(coef)
 
     # the direct rule, whose width resolves every window at every t, on
     # b Q b^H: a line atom has b_k = t e^{i pi nu_k t} sinc(x_k t) with
     # x_k = xi - nu_k, any other atom its component's window in the same
     # phase, e^{i pi xi t} F(f_i 1_[0,t])(xi)
-    rule = _panel_rule(width)
+    rule = _rules()
     scale = ts[:, None] * np.exp(1j * np.pi * ts[:, None] * nu)
     per_direct = max(1, _BLOCK_CELLS // (16 * ts.size * coef.shape[1]))
 
-    def direct(xis, g, panel):
+    def direct(xis, g, width, panel):
         b = np.empty((xis.size, ts.size, coef.shape[1]), dtype=complex)
         b[..., :nu.size] = np.sinc((xis[:, None] - nu)[:, None, :]
                                    * ts[:, None]) * scale
@@ -447,37 +512,39 @@ def variance_profile(model: HawkesModel, f: TestFunction,
         vals = b @ form(g)
         vals *= np.conj(b, out=b)
         # atom by atom: numpy reduces a short last axis one cell at a time
-        return rule(sum(vals[..., a] for a in range(b.shape[2])).real, panel)
+        return rule(width)(sum(vals[..., a] for a in range(b.shape[2])).real,
+                           panel)
 
     if general:
-        return _quadrature("variance", model, width, 0, xi_min, base, direct,
-                           tail, rel_tol, abs_tol, per_block=per_direct)
+        return _quadrature("variance", model, [(width, 0, math.inf)], xi_min,
+                           base, direct, tail, rel_tol, abs_tol,
+                           per_block=per_direct)
 
     # lines only: the direct rule on the head [0, xi0], then the tail split
     head_panels = max(_HEAD_PANELS,
                       int(np.ceil(4.0 * np.max(np.abs(nu)) / width)))
-    head = _stretch(model, width, head_panels, per_direct, direct)
+    head = _stretch(model, [(width, 0, head_panels)], per_direct, direct)
 
     # tail: with Q'_kl = Q_kl / (4 pi^2 x_k x_l) the integrand is
     # Re[sum_kl Q'_kl (1 + e^{2 i pi (nu_k - nu_l) t})
     #    - 2 e^{-2 i pi xi t} sum_k e^{2 i pi nu_k t} sum_l Q'_kl]
-    xi0 = head_panels * width
-    start = max(4, int(np.ceil(3.0 * memory * xi0)))
-    tail_width = xi0 / start
-    flat, waves = _panel_rule(tail_width), _panel_rule(tail_width, -ts)
     beats = 1.0 + np.exp(2j * np.pi * ts[:, None, None]
                          * (nu[:, None] - nu[None, :]))
     shifts = np.exp(2j * np.pi * ts[:, None] * nu)
 
-    def tail_block(xis, g, panel):
+    flat, waves = _rules(), _rules(-ts)
+
+    def tail_block(xis, g, width, panel):
         x = xis[:, None] - nu
         q = form(g) / (4.0 * np.pi**2 * x[:, :, None] * x[:, None, :])
-        gauss, filon = flat(q, panel), waves(q.sum(axis=2), panel)
+        gauss = flat(width)(q, panel)
+        filon = waves(width)(q.sum(axis=2), panel)
         return (np.einsum("rkl,kl->r", beats, gauss)
                 - 2.0 * np.einsum("rk,kr->r", shifts, filon)).real
 
     per_block = max(1, _BLOCK_CELLS // (max(ts.size, 1000) * nu.size))
-    return _quadrature("variance", model, tail_width, start, xi_min,
+    return _quadrature("variance", model,
+                       _line_tail_runs(head_panels * width, memory), xi_min,
                        base + head, tail_block, tail, rel_tol, abs_tol,
                        per_block=per_block)
 
@@ -486,7 +553,7 @@ def variance_ST(model: HawkesModel, f: TestFunction, horizon: float,
                 rel_tol: float = 1e-6, abs_tol: float = 0.0) -> float:
     """Variance of the centered statistic ``S_T`` on ``[0, horizon]``.
 
-    Evaluates ``sum_ij int Ff_i conj(Ff_j) gamma_ij`` with the windowed
+    Evaluates ``sum_ij int conj(Ff_i) Ff_j gamma_ij`` with the windowed
     transforms of ``f``; see :func:`variance_profile` for the method.
     """
     return float(variance_profile(model, f, np.array([horizon]),
@@ -523,7 +590,7 @@ class PeriodicVariance:
 def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
                                  period: float, n_max: int = 64) -> PeriodicVariance:
     """Long-run variance slope for periodic components:
-    ``(1/period^2) sum_{|n| <= n_max} sum_ij Ff_i(n/p) conj(Ff_j(n/p))
+    ``(1/period^2) sum_{|n| <= n_max} sum_ij conj(Ff_i(n/p)) Ff_j(n/p)
     gamma_ij(n/p)`` with the one-period window transforms.
 
     Raises
@@ -555,7 +622,7 @@ def asymptotic_variance_periodic(model: HawkesModel, f: TestFunction,
         w[i] = f[i].fourier_window(freqs, period)
     gam = bartlett_grid(model, freqs)
     value = float(
-        np.real(np.einsum("ip,pij,jp->", w, gam, np.conj(w), optimize=True))
+        np.real(np.einsum("ip,pij,jp->", np.conj(w), gam, w, optimize=True))
     ) / period**2
 
     # discarded |n| > n_max terms, bounded through the window envelopes and a
@@ -633,16 +700,17 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     bw = len_a + len_b + 4.0 * model.delay_moment(1.0) / (1.0 - model.rho)
     width = 1.0 / (3.0 * bw)
 
-    def block(xis, g, panel, rule=_panel_rule(width, carrier)):
+    rule = _rules(carrier)
+
+    def block(xis, g, width, panel):
         smooth = len_a * len_b * np.sinc(xis * len_a) * np.sinc(xis * len_b)
-        return rule(smooth * g[:, i, j], panel).real
+        return rule(width)(smooth * g[:, j, i], panel).real
 
     # fractional smoothness of G at the origin for heavy-tailed kernels:
-    # the first stretch gets eightfold finer panels, with their own rule
+    # the first stretch gets eightfold finer panels
     start = int(np.ceil(2.0 / width))
-    fine_rule = _panel_rule(width / 8.0, carrier)
-    fine = _stretch(model, width / 8.0, 8 * start, _PANELS_PER_BLOCK,
-                    lambda xis, g, panel: block(xis, g, panel, fine_rule))
+    fine = _stretch(model, [(width / 8.0, 0, 8 * start)], _PANELS_PER_BLOCK,
+                    block)
 
     # each indicator window's transform is at most 1 / (pi xi), so past xi
     # the coupling part is at most 2 int_xi^inf |G_ij| / (pi x)^2 dx
@@ -653,6 +721,7 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
         def tail(xi):
             return _g_norm_const(model, xi) / (np.pi**2 * xi**2)
 
-    value = _quadrature("count-covariance", model, width, start, 2.0 * ah,
-                        diag_part + fine, block, tail, rel_tol, abs_tol)
+    value = _quadrature("count-covariance", model, [(width, start, math.inf)],
+                        2.0 * ah, diag_part + fine, block, tail, rel_tol,
+                        abs_tol)
     return float(value)

@@ -1,5 +1,6 @@
 """Bartlett spectral density, variance evaluators, and count covariances."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,16 @@ class TestVarianceProfile:
             with pytest.raises(ValueError, match="finite"):
                 hm.variance_ST(d2_model, f2, bad)
 
+    def test_overflowing_time_refused(self):
+        """``t^2`` times the coupling spectrum overflows past about 1e150,
+        so such a time is refused up front, by name, not with a numpy
+        overflow and a NaN; 1e12 is still served."""
+        model = clt_exp_model()
+        f = hm.TestFunction.constant([1.0, 1.0])
+        with pytest.raises(ValueError, match=r"at most 1e\+100, got 1e\+300"):
+            hm.variance_profile(model, f, [1.0, 1e300])
+        assert hm.variance_ST(model, f, 1e12) > 0.0
+
 
 def clt_exp_model() -> hm.HawkesModel:
     """The two-component exponential model of the clt-exp benchmark."""
@@ -278,13 +289,33 @@ class TestConstantWeightProfile:
         assert np.all(np.diff(tc.sigma2) > 0.0)
 
     def test_grid_size_on_clt_model(self, monkeypatch):
-        """The tail panels do not shrink with the horizon: the default
-        time change at T = 2000 needs under 30,000 G points (the per-time
-        direct rule took 344,064)."""
+        """A 16-panel head and geometric tail bands: the default time
+        change at T = 2000 needs 640 G points (the per-time direct rule
+        took 344,064, the fixed-width tail 7,680)."""
         points = count_g_points(monkeypatch)
         f = hm.TestFunction.constant([1.0, 1.0])
         hm.time_change(clt_exp_model(), f, 2000.0)
-        assert 0 < sum(points) <= 30_000
+        assert 0 < sum(points) <= 1_000
+
+    def test_grid_size_flat_in_horizon(self, monkeypatch):
+        """The tail bands double in width up to the memory scale, so the
+        default time change needs about as many G points at T = 2e5 as at
+        2e3 (the fixed-width tail took 51,200 at 2e5)."""
+        points = count_g_points(monkeypatch)
+        f = hm.TestFunction.constant([1.0, 1.0])
+        totals = []
+        for horizon in (2e3, 2e4, 2e5):
+            points.clear()
+            hm.time_change(clt_exp_model(), f, horizon)
+            totals.append(sum(points))
+        assert 0 < max(totals) <= 2 * min(totals)
+
+    def test_fine_grid_time_change_monotone(self):
+        """Ten thousand grid times, adjacent ones 1e-4 of the horizon
+        apart, pass the monotonicity check of ``TimeChange``."""
+        f = hm.TestFunction.constant([1.0, 1.0])
+        tc = hm.time_change(clt_exp_model(), f, 2000.0, grid_step=0.2)
+        assert tc.ts.size == 10_000
 
 
 def random_trigpoly(rng) -> hm.TrigPolyF:
@@ -299,11 +330,11 @@ class TestLineWeightProfile:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("family", ["exponential", "uniform", "powerlaw"])
-    def test_matches_per_time_rule(self, family, d, monkeypatch):
+    def test_matches_per_time_rule(self, family, d):
         """Seeded random models and trigonometric weights, with a constant
-        mixed in, against the direct rule over the whole range; also with
-        a head of 16 panels, which leaves most of the integral to the tail
-        sums."""
+        mixed in, against the direct rule over the whole range; the head
+        just reaches four times the top line, which leaves most of the
+        integral to the tail bands."""
         rng = np.random.default_rng([31, d, len(family)])
         model = random_model(rng, family, d)
         trig = [random_trigpoly(rng) for _ in range(d)]
@@ -327,10 +358,8 @@ class TestLineWeightProfile:
         rel_tol = 1e-5
         ts = np.geomspace(4.0, 100.0, 3)
         b = hm.variance_profile(slow_model, slow, ts, rel_tol=rel_tol)
-        for head_panels in (spectrum._HEAD_PANELS, 16):
-            monkeypatch.setattr(spectrum, "_HEAD_PANELS", head_panels)
-            a = hm.variance_profile(model, lines, ts, rel_tol=rel_tol)
-            assert np.all(np.abs(a / b - 1.0) <= 2.0 * rel_tol)
+        a = hm.variance_profile(model, lines, ts, rel_tol=rel_tol)
+        assert np.all(np.abs(a / b - 1.0) <= 2.0 * rel_tol)
 
     def test_high_frequency_head_is_blocked(self, d1_model, monkeypatch):
         """A head that must reach four times the top line is cut into
@@ -367,19 +396,19 @@ def per_time_profile(model, f, ts, rel_tol):
     xi_min = max(2.0 * ah, max(e.xi_min for e in envs), 8.0 * width)
     sums = (sum(e.a**2 for e in envs), sum(e.a * e.b for e in envs),
             sum(e.b**2 for e in envs))
-    rule = spectrum._panel_rule(width)
 
-    def block(xis, g, panel):
+    def block(xis, g, width, panel):
         out = []
         for t in ts:
             w = np.array([c.fourier_window(xis, t) for c in f.components],
                          dtype=complex)
-            quad = np.einsum("ip,pij,jp->p", w, g, np.conj(w), optimize=True)
-            out.append(rule(quad.real, panel))
+            quad = np.einsum("ip,pij,jp->p", np.conj(w), g, w, optimize=True)
+            out.append(spectrum._panel_rule(width)(quad.real, panel))
         return out
 
-    return spectrum._quadrature("variance", model, width, 0, xi_min, base,
-                                block, spectrum._envelope_tail(model, sums),
+    return spectrum._quadrature("variance", model, [(width, 0, math.inf)],
+                                xi_min, base, block,
+                                spectrum._envelope_tail(model, sums),
                                 rel_tol, 0.0)
 
 
