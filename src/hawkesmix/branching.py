@@ -275,6 +275,73 @@ class MixingBoundReport:
     to_dict = to_json
 
 
+def _assemble(model: HawkesModel, cert: ContractionCert, gamma: float, terms,
+              k_cut: int) -> tuple[float, float]:
+    """The bound's ``eta``-weighted double series over the finite ``(k, l)``
+    grid up to ``k_cut`` generations, and the certified geometric tails of
+    the terms past it: ``(finite, truncation)``.
+
+    ``cert`` is the contraction certificate of the reproduction matrix, and
+    ``terms`` holds the exponent and ``c1`` constant of each of the three
+    factors, ``((p, c1_p), (q, c1_q), (pair, c1_pair))``.  Raises
+    :class:`NumericError` where the weighted tail series do not contract
+    yet at this cut.
+    """
+    (p, c1_p), (q, c1_q), (pair, c1_pair) = terms
+    m = model.reproduction
+    d = model.d
+    unorm = float(np.sum(cert.u))
+    base = cert.rho + cert.eps
+    iters = _g_iterates(m, cert.u, k_cut)
+    lap_minus1 = np.expm1(iters)  # exp(g^k(u)_z) - 1, shape (k_cut+1, d)
+
+    weight_l = np.arange(k_cut + 1) ** (1.0 + gamma)
+    weight_l[0] = 0.0  # the ancestor generation never reaches the far window
+
+    x_tail = cert.c ** (k_cut + 1) * unorm
+    lin = np.exp(x_tail) * unorm  # e^x - 1 <= lin * c^k beyond the cut
+
+    def series_tail(expo, c1, weighted):
+        ratio = cert.c ** (1.0 / expo)
+        scale = c1 * lin ** (1.0 / expo)
+        if weighted:
+            return _poly_geom_tail(k_cut, 1.0 + gamma, ratio, scale)
+        return scale * ratio ** (k_cut + 1) / (1.0 - ratio)
+
+    mk = np.empty((k_cut + 1, d, d))
+    mk[0] = np.eye(d)
+    for k in range(1, k_cut + 1):
+        mk[k] = mk[k - 1] @ m
+    mean_tail = _poly_geom_tail(k_cut, 0.0, base, 1.0)
+
+    total_finite = np.zeros(d)
+    total_trunc = np.zeros(d)
+    a1_tail = series_tail(p, c1_p, weighted=False)
+    b1_tail = series_tail(q, c1_q, weighted=True)
+    b2_tail = series_tail(pair, c1_pair, weighted=True)
+    for z0 in range(d):
+        a1 = c1_p * lap_minus1[:, z0] ** (1.0 / p)
+        b1 = c1_q * lap_minus1[:, z0] ** (1.0 / q) * weight_l
+        b2 = c1_pair * lap_minus1[:, z0] ** (1.0 / pair) * weight_l
+        t1 = np.outer(a1, b1)
+        fin = 0.0
+        trunc = 0.0
+        for i in range(d):
+            a2 = mk[:, z0, i]
+            t2 = np.outer(a2, b2)
+            fin += float(np.maximum(t1, t2).sum())
+            # outside the finite grid, max(x, y) <= x + y
+            trunc += (
+                a1_tail * (b1.sum() + b1_tail)
+                + a1.sum() * b1_tail
+                + mean_tail * (b2.sum() + b2_tail)
+                + a2.sum() * b2_tail
+            )
+        total_finite[z0] = d * fin
+        total_trunc[z0] = d * trunc
+    return float(model.eta @ total_finite), float(model.eta @ total_trunc)
+
+
 def mixing_bound(model: HawkesModel, beta: float, gamma: float,
                  lags: list[float]) -> MixingBoundReport:
     """Evaluate the covariance-decay bound at the given lags.
@@ -313,9 +380,7 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
         raise ValueError("lags must be nonempty and strictly positive")
     model.validate(beta)
     nu = model.delay_moment(1.0 + beta)
-    m = model.reproduction
-    d = model.d
-    cert = contraction_certificate(m)
+    cert = contraction_certificate(model.reproduction)
 
     p = 2.0 * (1.0 + beta) / (beta - gamma)
     q = p
@@ -326,67 +391,15 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
     c1_q = c1_constant(u_i, q)
     c1_pair = c1_constant(u_i, pair)
 
-    unorm = float(np.sum(cert.u))
-    base = cert.rho + cert.eps
-
-    def assemble(k_cut: int):
-        """Finite (k, l) grid up to the cut plus certified geometric tails."""
-        iters = _g_iterates(m, cert.u, k_cut)
-        lap_minus1 = np.expm1(iters)  # exp(g^k(u)_z) - 1, shape (k_cut+1, d)
-
-        weight_l = np.arange(k_cut + 1) ** (1.0 + gamma)
-        weight_l[0] = 0.0  # the ancestor generation never reaches the far window
-
-        x_tail = cert.c ** (k_cut + 1) * unorm
-        lin = np.exp(x_tail) * unorm  # e^x - 1 <= lin * c^k beyond the cut
-
-        def series_tail(expo, c1, weighted):
-            ratio = cert.c ** (1.0 / expo)
-            scale = c1 * lin ** (1.0 / expo)
-            if weighted:
-                return _poly_geom_tail(k_cut, 1.0 + gamma, ratio, scale)
-            return scale * ratio ** (k_cut + 1) / (1.0 - ratio)
-
-        mk = np.empty((k_cut + 1, d, d))
-        mk[0] = np.eye(d)
-        for k in range(1, k_cut + 1):
-            mk[k] = mk[k - 1] @ m
-        mean_tail = _poly_geom_tail(k_cut, 0.0, base, 1.0)
-
-        total_finite = np.zeros(d)
-        total_trunc = np.zeros(d)
-        a1_tail = series_tail(p, c1_p, weighted=False)
-        b1_tail = series_tail(q, c1_q, weighted=True)
-        b2_tail = series_tail(pair, c1_pair, weighted=True)
-        for z0 in range(d):
-            a1 = c1_p * lap_minus1[:, z0] ** (1.0 / p)
-            b1 = c1_q * lap_minus1[:, z0] ** (1.0 / q) * weight_l
-            b2 = c1_pair * lap_minus1[:, z0] ** (1.0 / pair) * weight_l
-            t1 = np.outer(a1, b1)
-            fin = 0.0
-            trunc = 0.0
-            for i in range(d):
-                a2 = mk[:, z0, i]
-                t2 = np.outer(a2, b2)
-                fin += float(np.maximum(t1, t2).sum())
-                # outside the finite grid, max(x, y) <= x + y
-                trunc += (
-                    a1_tail * (b1.sum() + b1_tail)
-                    + a1.sum() * b1_tail
-                    + mean_tail * (b2.sum() + b2_tail)
-                    + a2.sum() * b2_tail
-                )
-            total_finite[z0] = d * fin
-            total_trunc[z0] = d * trunc
-        return float(model.eta @ total_finite), float(model.eta @ total_trunc)
-
     # grow the cut until the weighted tail series contract and the certified
     # remainder is a sub-percent share of the reported bound
+    terms = ((p, c1_p), (q, c1_q), (pair, c1_pair))
     k_cut = max(cert.k0 + 1, 8)
     eta_weight = trunc_weight = None
     while True:
         try:
-            eta_weight, trunc_weight = assemble(k_cut)
+            eta_weight, trunc_weight = _assemble(model, cert, gamma, terms,
+                                                 k_cut)
         except NumericError:
             pass
         else:

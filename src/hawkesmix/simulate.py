@@ -21,12 +21,13 @@ uniform) is summed over a pruned history of its source's events, kept only
 by sources with such a kernel.
 
 The cluster simulator also draws many independent replicates in one set
-of arrays, each event tagged with its replicate
+of arrays from one generator, each event tagged with its replicate
 (:func:`simulate_cluster_batch`); a single log is the one-replicate case.
-Every replicate draws from its own generator exactly what a simulation of
-it alone would, so batching changes no log.  This is how the Monte Carlo
-harnesses simulate small replicates, whose cost would otherwise be
-per-call overhead.
+Which replicate a parent belongs to plays no part in the law of its
+offspring, so each kernel pair draws one Poisson total over the parents
+of every replicate at once, and the children inherit their parents'
+tags.  This is how the Monte Carlo harnesses simulate small replicates,
+whose cost would otherwise be per-call and per-draw overhead.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -48,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, require_index
+from .errors import NumericError, require_index, require_integer
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -106,8 +107,10 @@ class ClusterTrace:
     ``comps[k]``, generation ``gens[k]`` (0 for immigrants), parent row
     index ``parents[k]`` (-1 for immigrants) and replicate ``tags[k]``.
     Rows are ordered by generation, then component, then as in the
-    simulator's frontier: within one generation and component, by
-    replicate, and each replicate's rows in the order of its lone run.
+    simulator's frontier: the immigrants of one component by replicate,
+    each replicate's in draw order; the children of one generation and
+    component by the source component of the kernel pair that drew them,
+    then in draw order, with the replicates of a batch interleaved.
     """
 
     times: np.ndarray
@@ -185,44 +188,43 @@ def default_burn_in(model: HawkesModel) -> float:
     return max(mass_scale, duration_scale)
 
 
-def _burn_in(model: HawkesModel, horizon: float, burn_in) -> float:
+def _burn_in(model: HawkesModel, horizon: float, burn_in,
+             replicates: int = 1) -> float:
     """Checked burn-in of a simulation (default per :func:`default_burn_in`);
-    refuses a non-finite or out-of-range window, and one expected to hold
-    ``_MAX_EXPECTED_EVENTS`` events or more."""
+    refuses a non-finite or out-of-range window, and ``replicates`` windows
+    expected to hold ``_MAX_EXPECTED_EVENTS`` events or more."""
     model.validate()
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if not (np.isfinite(b) and b >= 0.0):
         raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
-    expected = float(np.sum(model.mean_intensity)) * (horizon + b)
+    expected = float(np.sum(model.mean_intensity)) * (horizon + b) * replicates
     if not expected < _MAX_EXPECTED_EVENTS:
+        times = f" times {replicates} replicates" if replicates > 1 else ""
         raise ValueError(
-            f"horizon {horizon:g} with burn-in {b:g} expects {expected:.3g} "
-            f"events; a simulation must expect fewer than "
+            f"horizon {horizon:g} with burn-in {b:g}{times} expects "
+            f"{expected:.3g} events; a simulation must expect fewer than "
             f"{_MAX_EXPECTED_EVENTS}")
     return b
 
 
-def _window_events(times, tags, origins, model, lo, horizon, gens):
+def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
     """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
     ``times[j]`` holds every row of component ``j``, and ``tags[j]`` their
-    replicates (``tags`` is ``None`` for one replicate); row ``q`` of
-    component ``j`` draws from ``gens[tags[j][q]]``.  ``origins()`` returns
-    the rows' parents, per component ``j`` a pair of arrays: the parent's
-    component (-1 for an immigrant) and its row in ``times`` of that
-    component; it is called only when a tie must be redrawn.  Returns
-    ``(events, redraws)``: ``events[r][j]`` holds replicate ``r``'s
-    component-``j`` times and ``redraws[r]`` counts the rows of replicate
-    ``r`` that were redrawn.  The later row of each exact tie within one
-    (replicate, component) is redrawn in place (an immigrant uniformly on
-    ``[lo, horizon]``, a child by a new delay from its parent), until none
-    is left.  One pass redraws the ties of component 0 in row order, then
-    those of component 1, and so on; this order matters only when two
-    components of one replicate need a redraw in the same pass.
+    replicates among ``reps`` (``tags`` is ``None`` for one replicate).
+    ``origins()`` returns the rows' parents, per component ``j`` a pair of
+    arrays: the parent's component (-1 for an immigrant) and its row in
+    ``times`` of that component; it is called only when a tie must be
+    redrawn.  Returns ``(events, redraws)``: ``events[r][j]`` holds
+    replicate ``r``'s component-``j`` times and ``redraws[r]`` counts the
+    rows of replicate ``r`` that were redrawn.  The later row of each exact
+    tie within one (replicate, component) is redrawn in place from ``gen``
+    (an immigrant uniformly on ``[lo, horizon]``, a child by a new delay
+    from its parent), until none is left.  One pass redraws the ties of
+    component 0 in row order, then those of component 1, and so on.
     """
-    reps = len(gens)
     redraws = np.zeros(reps, dtype=np.int64)
     bounds = np.arange(reps + 1)
     parents = None
@@ -230,30 +232,34 @@ def _window_events(times, tags, origins, model, lo, horizon, gens):
         events = [[] for _ in range(reps)]
         tied = []
         for j, tj in enumerate(times):
-            sel = (tj >= 0.0) & (tj <= horizon)
-            # one replicate needs no grouping by tag, and one sort of the
-            # times is cheaper than the two stable argsorts below
-            if tags is None:
-                wj = tj[sel]
-                wj.sort()
-                same = wj[1:] == wj[:-1]
-                if same.any():
-                    rows = np.flatnonzero(sel)
-                    order = np.argsort(tj[rows], kind="stable")
-                    tied.append((j, np.sort(rows[order[1:][same]])))
-                events[0].append(wj)
-                continue
-            # by time with ties in row order, then stably by replicate
-            rows = np.flatnonzero(sel)
-            rows = rows[np.argsort(tj[rows], kind="stable")]
-            rows = rows[np.argsort(tags[j][rows], kind="stable")]
-            wj, rj = tj[rows], tags[j][rows]
-            same = (wj[1:] == wj[:-1]) & (rj[1:] == rj[:-1])
-            if same.any():
-                tied.append((j, np.sort(rows[1:][same])))
-            cuts = np.searchsorted(rj, bounds).tolist()
+            rows = (tj >= 0.0) & (tj <= horizon)
+            rj = None
+            if tags is not None:
+                # the window rows grouped by replicate, each replicate's in
+                # row order; one sort of each replicate's times then
+                # orders them
+                rows = np.flatnonzero(rows)
+                rj = tags[j][rows]
+                by_tag = np.argsort(rj, kind="stable")
+                rows, rj = rows[by_tag], rj[by_tag]
+            wj = tj[rows]
+            cuts = [0, wj.size] if rj is None else np.searchsorted(
+                rj, bounds).tolist()
             for r in range(reps):
-                events[r].append(wj[cuts[r]:cuts[r + 1]])
+                seg = wj[cuts[r]:cuts[r + 1]]
+                seg.sort()
+                events[r].append(seg)
+            same = wj[1:] == wj[:-1]
+            if rj is not None:
+                same &= rj[1:] == rj[:-1]
+            if same.any():
+                # the rows behind the sorted times, ties in row order
+                if rj is None:
+                    rows = np.flatnonzero(rows)
+                    order = np.argsort(tj[rows], kind="stable")
+                else:
+                    order = np.lexsort((tj[rows], rj))
+                tied.append((j, np.sort(rows[order[1:][same]])))
         if not tied:
             return [tuple(e) for e in events], redraws
         if parents is None:
@@ -263,57 +269,51 @@ def _window_events(times, tags, origins, model, lo, horizon, gens):
                       else tags[j][rows])
             redraws += np.bincount(owners, minlength=reps)
             pc, pq = parents[j]
-            for q, r in zip(rows.tolist(), owners.tolist()):
+            for q in rows.tolist():
                 c = pc[q]
                 if c < 0:
-                    times[j][q] = gens[r].uniform(lo, horizon)
+                    times[j][q] = gen.uniform(lo, horizon)
                 else:
                     kern = model.kernels[c][j]
                     times[j][q] = (times[c][pq[q]]
-                                   + kern.sample_delays(gens[r], 1)[0])
+                                   + kern.sample_delays(gen, 1)[0])
     raise NumericError("could not separate tied event times")
 
 
-def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
-             return_trace: bool):
-    """Cluster simulation of one replicate per generator in ``gens``.
+def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
+             reps: int, return_trace: bool):
+    """Cluster simulation of ``reps`` replicates drawn from ``gen``.
 
-    Offspring are drawn by kernel pair and generation.  For the ``n``
-    parents in component ``i`` of one generation and each active kernel
-    ``(i, j)`` of mass ``M_ij``, the generator draws the number of
-    children ``k ~ Poisson(n M_ij)``, then one ``(2, k)`` block ``u`` of
-    uniforms, then new values for any exact zeros of ``u[0]``.  Child
-    ``c`` has the delay ``F^{-1}(u[0, c])`` by the kernel's inverse CDF
-    and the parent in row ``min(floor(u[1, c] n), n - 1)`` of the
-    frontier.  This is the law of per-parent draws: a sum of ``n`` i.i.d.
-    Poisson(``M_ij``) counts is Poisson(``n M_ij``), and given that total,
-    independent uniform picks make the per-parent counts multinomial, so
-    they are again i.i.d. Poisson(``M_ij``), with i.i.d. delays.  The only
-    approximation is the ``2**-53`` grid of ``u``, on which the delays
-    already sit.
+    Immigrants are drawn per component ``j``: the counts of every
+    replicate, ``poisson(eta_j (T + B), size=reps)``, then their times,
+    one uniform block on ``[-B, T]`` shared out over the replicates in
+    order.  Offspring are drawn by kernel pair and generation.  For the
+    ``n`` parents in component ``i`` of one generation, over every
+    replicate, and each active kernel ``(i, j)`` of mass ``M_ij``, the
+    generator draws the number of children ``k ~ Poisson(n M_ij)``, then
+    one ``(2, k)`` block ``u`` of uniforms, then new values for any exact
+    zeros of ``u[0]``.  Child ``c`` has the delay ``F^{-1}(u[0, c])`` by
+    the kernel's inverse CDF and the parent in row ``min(floor(u[1, c]
+    n), n - 1)`` of the frontier, whose replicate tag it takes.  This is
+    the law of per-parent draws: a sum of ``n`` i.i.d. Poisson(``M_ij``)
+    counts is Poisson(``n M_ij``), and given that total, independent
+    uniform picks make the per-parent counts multinomial, so they are
+    again i.i.d. Poisson(``M_ij``), with i.i.d. delays, whatever replicate
+    each parent belongs to.  The only approximation is the ``2**-53`` grid
+    of ``u``, on which the delays already sit.
 
     The frontier is kept per component: one array of times (and, for a
     batch, of replicate tags) per component, whose rows are the
     immigrants of that component, then in later generations the children
-    of pairs ``(0, j), (1, j), ...`` in that order, grouped stably by
-    replicate.  The parents of component ``i`` are therefore read straight
-    from its array, and the window of each component is cut from its own
-    rows.  The genealogy (every child's parent row) is kept only as the
-    per-pair parent picks, and built from them when a trace is asked for
-    or a tie must be redrawn.
-
-    Every event carries its replicate's tag, and replicate ``r`` draws
-    from ``gens[r]`` exactly what a simulation of it alone would draw, in
-    the same order: per kernel pair, the generator of each replicate with
-    parents makes its ``poisson`` and ``random`` draws and then any zero
-    redraws, its children keep their draw order, and the rows of one
-    replicate keep that simulation's row order within each component.
-    Tie redraws go component by component (see :func:`_window_events`),
-    so a batch still reproduces its lone runs.  ``seeds[r]`` goes to the
-    ``meta`` of replicate ``r``'s log.
+    of pairs ``(0, j), (1, j), ...`` in that order.  The parents of
+    component ``i`` are therefore read straight from its array, and the
+    window of each component is cut from its own rows.  The genealogy
+    (every child's parent row) is kept only as the per-pair parent picks,
+    and built from them when a trace is asked for or a tie must be
+    redrawn.  One replicate needs no tags, and its draws are those of a
+    batch of one.  ``seed`` goes to every log's ``meta``.
     """
     d = model.d
-    reps = len(gens)
     span = horizon + b
     # the smallest unsigned type holding every tag keeps the tag arrays
     # small and their stable sorts radix sorts
@@ -323,21 +323,18 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
     tagged = reps > 1
 
     sizes = np.empty((reps, d), dtype=np.int64)
-    drawn = []
-    for r, gen in enumerate(gens):
-        for j in range(d):
-            n = gen.poisson(model.eta[j] * span)
-            sizes[r, j] = n
-            drawn.append(gen.uniform(-b, horizon, size=n))
+    cur = []
+    for j in range(d):
+        sizes[:, j] = gen.poisson(model.eta[j] * span, size=reps)
+        cur.append(gen.uniform(-b, horizon, size=int(sizes[:, j].sum())))
     immigrants = sizes.sum(axis=1)
     # the frontier, per component: its times and (tagged) replicate tags
-    cur = [np.concatenate(drawn[j::d]) for j in range(d)]
     cur_r = ([np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
               for j in range(d)] if tagged else None)
     no_times, no_tags = np.empty(0), np.empty(0, dtype=tag_type)
     # per component, its frontier times (and tags) of every generation;
     # per generation after the first, per component, the (i, pick) of each
-    # pair feeding it and the permutation that grouped its rows by tag
+    # pair feeding it
     hist_t = [[t] for t in cur]
     hist_r = [[r] for r in cur_r] if tagged else None
     links = []
@@ -358,67 +355,38 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
         nxt_r = [[] for _ in range(d)]
         for i in range(d):
             pt = cur[i]
-            if not pt.size:
+            n = pt.size
+            if not n:
                 continue
-            if tagged:
-                # the frontier is grouped by replicate: for each replicate
-                # with component-i parents, its generator and parent count,
-                # and in the columns of table that count, where its rows
-                # start and its tag
-                sizes = np.bincount(cur_r[i], minlength=reps)
-                live = np.flatnonzero(sizes)
-                groups = [(gens[r], n) for r, n in
-                          zip(live.tolist(), sizes[live].tolist())]
-                n_live = sizes[live]
-                table = np.stack([n_live, np.cumsum(n_live) - n_live, live])
-            else:
-                groups = [(gens[0], pt.size)]
             for j, kern in model.active[i]:
-                blocks = [_offspring(gen, n, kern.l1_norm)
-                          for gen, n in groups]
-                u = np.concatenate(blocks, axis=1) if tagged else blocks[0]
-                if not u.size:
+                k = gen.poisson(n * kern.l1_norm)
+                if not k:
                     continue
-                if tagged:
-                    kids = [b.shape[1] for b in blocks]
+                # row 0 gives the children's delays by the inverse CDF once
+                # its exact zeros are redrawn, and row 1 picks their parents
+                u = gen.random((2, k))
                 if not u[0].all():
-                    # exact zeros of the delay row, redrawn from each
-                    # replicate's own generator after its block
-                    ends = np.cumsum([b.shape[1] for b in blocks]).tolist()
-                    for (gen, _), lo, hi in zip(groups, [0] + ends, ends):
-                        redraw_zeros(gen, u[0, lo:hi])
-                # each child's parent row within its replicate's frontier
-                # rows, then offset to where those rows start
-                n = pt.size
-                if tagged:
-                    n, first, tag = np.repeat(table, kids, axis=1)
+                    redraw_zeros(gen, u[0])
                 pick = np.minimum((u[1] * n).astype(np.int64), n - 1)
-                if tagged:
-                    pick += first
-                    nxt_r[j].append(tag.astype(tag_type))
                 # u[0] lies in (0, 1), so the kernel need not check it
                 child_t = pt[pick]
                 child_t += kern._inverse_cdf(u[0])
                 nxt_t[j].append(child_t)
                 nxt_p[j].append((i, pick))
+                if tagged:
+                    nxt_r[j].append(cur_r[i][pick])
         if not any(nxt_t):
             break
-        orders = [None] * d
         for j in range(d):
             cur[j] = np.concatenate(nxt_t[j]) if nxt_t[j] else no_times
+            hist_t[j].append(cur[j])
             if tagged:
                 cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
-                if len(nxt_r[j]) > 1:
-                    # regroup by replicate, each replicate's rows in order
-                    orders[j] = np.argsort(cur_r[j], kind="stable")
-                    cur[j] = cur[j][orders[j]]
-                    cur_r[j] = cur_r[j][orders[j]]
                 deepest[cur_r[j]] = generation
                 hist_r[j].append(cur_r[j])
-            hist_t[j].append(cur[j])
         if not tagged:
             deepest[0] = generation
-        links.append((nxt_p, orders))
+        links.append(nxt_p)
 
     # each component's rows in one array; its per-generation arrays are
     # released as it is built
@@ -428,13 +396,14 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gens, seeds,
         times[j] = np.concatenate(times[j])
         if tagged:
             tags[j] = np.concatenate(tags[j])
-    events, redraws = _window_events(times, tags,
+    events, redraws = _window_events(times, tags, reps,
                                      lambda: _lineage(counts, links), model,
-                                     -b, horizon, gens)
+                                     -b, horizon, gen)
+    meta = {"simulator": "cluster", "seed": _seed_meta(seed), "burn_in": b,
+            "horizon": horizon}
     logs = [
         EventLog(d, horizon, events[r],
-                 {"simulator": "cluster", "seed": _seed_meta(seeds[r]),
-                  "burn_in": b, "horizon": horizon,
+                 {**meta, **({"replicate": r} if tagged else {}),
                   "immigrants": int(immigrants[r]),
                   "generations": int(deepest[r]),
                   "tie_redraws": int(redraws[r])})
@@ -449,25 +418,18 @@ def _lineage(counts, links):
     """Per component ``j``, the parents of its rows as two arrays: the
     parent's component (-1 for an immigrant) and its row within that
     component.  ``counts[j][g]`` is the number of component-``j`` rows in
-    generation ``g``, and ``links[g - 1][0][j]`` lists the ``(i, pick)``
-    of each pair that fed component ``j`` in generation ``g``, in order,
-    before the permutation ``links[g - 1][1][j]`` (``None``: none)."""
+    generation ``g``, and ``links[g - 1][j]`` lists the ``(i, pick)`` of
+    each pair that fed component ``j`` in generation ``g``, in order."""
     # where each component's generation-g rows start
     starts = [np.cumsum([0] + c[:-1]) for c in counts]
     out = []
     for j, c in enumerate(counts):
         pc = [np.full(c[0], -1, dtype=np.int64)]
         pq = [np.full(c[0], -1, dtype=np.int64)]
-        for g, (pairs, orders) in enumerate(links, start=1):
-            if not pairs[j]:
-                continue
-            pc_g = np.concatenate([np.full(p.size, i, dtype=np.int64)
-                                   for i, p in pairs[j]])
-            pq_g = np.concatenate([starts[i][g - 1] + p for i, p in pairs[j]])
-            if orders[j] is not None:
-                pc_g, pq_g = pc_g[orders[j]], pq_g[orders[j]]
-            pc.append(pc_g)
-            pq.append(pq_g)
+        for g, pairs in enumerate(links, start=1):
+            for i, p in pairs[j]:
+                pc.append(np.full(p.size, i, dtype=np.int64))
+                pq.append(starts[i][g - 1] + p)
         out.append((np.concatenate(pc), np.concatenate(pq)))
     return out
 
@@ -503,40 +465,28 @@ def _trace(times, tags, lineage, counts, tag_type) -> ClusterTrace:
     return ClusterTrace(out_t, comps, gens, parents, out_r)
 
 
-_NO_CHILDREN = np.empty((2, 0))
-
-
-def _offspring(gen, n: int, mass: float) -> np.ndarray:
-    """The ``(2, k)`` uniforms ``gen.random`` draws for the
-    ``k ~ Poisson(n * mass)`` children that ``n`` parents have through one
-    kernel of total mass ``mass``: row 0 gives the children's delays by
-    the inverse CDF once its exact zeros are redrawn, and row 1 picks
-    their parents."""
-    k = gen.poisson(n * mass)
-    return gen.random((2, k)) if k else _NO_CHILDREN
-
-
 def simulate_cluster_batch(
     model: HawkesModel,
     horizon: float,
-    seeds,
+    replicates: int,
     burn_in: float | None = None,
+    seed=None,
     return_trace: bool = False,
 ):
     """Simulate independent replicates by the Poisson cluster representation.
 
-    Replicate ``r`` draws from its own generator, made from ``seeds[r]`` (a
-    seed or a :class:`numpy.random.Generator`), and its log is bit for bit
-    the one :func:`simulate_cluster` returns for that seed.  A generator
-    may therefore back only one replicate; the same integer or
-    :class:`~numpy.random.SeedSequence` may be given twice.  The replicates
-    share one set of arrays, each event tagged with its replicate and
-    children inheriting their parent's tag, so the array work and the call
-    overhead are paid once per batch instead of once per replicate.  Per
-    generation and kernel pair, each replicate draws its children's total
-    and their uniforms from its own generator, in the order a lone run
-    does; the parent picks are then offset to the replicate's rows of the
-    shared frontier.
+    All ``replicates`` logs are drawn from the one random stream ``seed``.
+    The replicates share one set of arrays, each event tagged with its
+    replicate and children inheriting their parent's tag, so the array
+    work, the call overhead and the draws are paid once per batch and
+    kernel pair instead of once per replicate.  Per generation and kernel
+    pair, one Poisson total of children is drawn over the parents of every
+    replicate, and each child picks its parent uniformly among them; the
+    offspring of each parent are thus i.i.d. Poisson(``M_ij``) whatever
+    its replicate, and the replicates are independent.  A batched
+    replicate is therefore not the log :func:`simulate_cluster` draws from
+    any seed; a batch of one is bit for bit the :func:`simulate_cluster`
+    log of ``seed``.
 
     Parameters
     ----------
@@ -544,36 +494,28 @@ def simulate_cluster_batch(
         Must be subcritical; validated before any randomness is drawn.
     horizon : float
         Right end ``T`` of the observation window ``[0, T]``.
-    seeds : sequence
-        One seed or generator per replicate, at least one.
+    replicates : int
+        Number of replicates, at least one.
     burn_in : float, optional
         Length ``B`` of the pre-window ``[-B, 0)``; default per
         :func:`default_burn_in`.
+    seed : int, SeedSequence or Generator, optional
+        The random stream of the whole batch; every log's ``meta["seed"]``
+        records it (``None`` for a generator), and in a batch of two or
+        more ``meta["replicate"]`` records the log's place in it.
     return_trace : bool
         Also return the tagged :class:`ClusterTrace` of the whole batch.
 
     Returns
     -------
     list of EventLog
-        One log per seed, in order.
+        One log per replicate, in order.
     """
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one replicate seed")
-    b = _burn_in(model, horizon, burn_in)
-    gens = [np.random.default_rng(_seed(s)) for s in seeds]
-    # one generator behind two replicates would interleave their draws, so
-    # neither would be its lone run
-    positions = {}
-    for k, gen in enumerate(gens):
-        positions.setdefault(id(gen.bit_generator), []).append(k)
-    shared = [p for p in positions.values() if len(p) > 1]
-    if shared:
-        raise ValueError(
-            f"replicate seeds at positions {', '.join(map(str, shared))} "
-            f"share one generator; each replicate needs its own (repeat an "
-            f"integer or a SeedSequence instead)")
-    logs, trace = _cluster(model, horizon, b, gens, seeds, return_trace)
+    require_integer(minimum=1, replicates=replicates)
+    b = _burn_in(model, horizon, burn_in, replicates)
+    gen = np.random.default_rng(_seed(seed))
+    logs, trace = _cluster(model, horizon, b, gen, seed, int(replicates),
+                           return_trace)
     return (logs, trace) if return_trace else logs
 
 
@@ -602,7 +544,7 @@ def simulate_cluster(
     """
     b = _burn_in(model, horizon, burn_in)
     gen = np.random.default_rng(_seed(seed))
-    (log,), trace = _cluster(model, horizon, b, [gen], [seed], return_trace)
+    (log,), trace = _cluster(model, horizon, b, gen, seed, 1, return_trace)
     return (log, trace) if return_trace else log
 
 

@@ -441,7 +441,11 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     """
     _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
-    ts = np.asarray(horizons, dtype=float)
+    try:
+        ts = np.asarray(horizons, dtype=float)
+    except OverflowError:
+        # an integer beyond the float range is past the cap as well
+        ts = np.array([np.inf])
     bad = ts[~((ts > 0.0) & (ts <= _T_CAP))]
     if ts.size == 0 or bad.size:
         raise ValueError("profile horizons must be nonempty, finite and "

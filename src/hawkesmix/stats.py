@@ -206,19 +206,19 @@ _DEFAULT_GRID = np.arange(1, 11) / 10.0
 _SPECTRAL_ABS_TOL = 1e-9
 
 
-# expected events per cluster batch, and the fewest replicates worth a
-# batch.  Replicates expected to hold fewer share one set of arrays, so the
-# per-call overhead of the simulator is paid once per batch; the tagged
-# arrays cost more per replicate and per kernel pair, so small batches
-# lose.  Per replicate, against the replicates simulated one by one (2-d
+# expected events per block of cluster replicates.  Replicates expected to
+# hold at most half of it share a block, simulated as one batch from one
+# random stream, so the simulator's per-call and per-draw overhead is paid
+# once per block and kernel pair.  Per replicate, against lone runs (2-d
 # exponential model, 2-core x86-64, process CPU on one pinned core,
-# medians of 5-9 interleaved rounds): a batch of two costs 1.5-2.1x at
-# 250-8k expected events each, and one of four 1.0-1.3x; within 2**13
-# expected events, batches of 8-12 cost 0.67-0.97x (8 of 1k events:
-# 0.78-0.97x) and batches of 16 or more 0.3-0.8x.  The 1-d power-law
-# decay replicates (~300 events) run in batches of 26 at ~0.35x.
-_BATCH_EVENTS = 1 << 13
-_MIN_BATCH = 8
+# medians of 5 interleaved rounds), batches of 2 cost 0.68-0.96x at
+# 250-13.4k expected events each, of 4 0.45-0.86x, of 8 0.28-0.71x, and
+# of 32 0.09-0.33x up to 4k events.  The 1-d power-law decay replicates
+# (~307 events) run in blocks of 53: its 4000-replicate loop took 0.133 s
+# at 2**13 events, 0.087 s at 2**14, 0.079 s at 3 * 2**13 and 0.071 s at
+# 2**16.  2**14 keeps the clt-exp replicates (13.4k expected events)
+# alone: in pairs their bench peak RSS rose from 41.6 to 42.8-42.9 MB.
+_BATCH_EVENTS = 1 << 14
 
 
 def _worker_count(requested: int, chunks: int) -> int:
@@ -298,11 +298,10 @@ def _check_replicates(replicates, seed) -> None:
 def _batch_size(model: HawkesModel, horizon: float, burn_in: float) -> int:
     """Cluster replicates per :func:`simulate_cluster_batch` call:
     ``floor(_BATCH_EVENTS / n)`` for ``n = sum(mean_intensity) *
-    (horizon + burn_in)``, the expected event count of one replicate, or 1
-    where that is fewer than ``_MIN_BATCH``."""
+    (horizon + burn_in)``, the expected event count of one replicate, and
+    at least 1."""
     expected = float(np.sum(model.mean_intensity)) * (horizon + burn_in)
-    size = int(_BATCH_EVENTS // expected)
-    return size if size >= _MIN_BATCH else 1
+    return max(1, int(_BATCH_EVENTS // expected))
 
 
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
@@ -310,42 +309,46 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
                     workers: int = 1) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
-    Replicate ``r`` draws from the ``r``-th stream spawned from ``seed``.
-    Cluster replicates are simulated in batches of :func:`_batch_size` by
-    :func:`~hawkesmix.simulate.simulate_cluster_batch`; a batch gives each
-    replicate the log of its own stream.  Thinning, and a batch size of 1,
-    make one :func:`~hawkesmix.simulate.simulate` call per replicate.  The burn-in
-    depends only on the model and is computed once, before any fork, like
-    the model's mean intensity, which the callers' validation caches.
+    The replicates are cut into consecutive blocks of :func:`_batch_size`
+    cluster replicates (the last block may be shorter), or of one thinning
+    replicate, and block ``k`` draws from the ``k``-th stream spawned from
+    ``seed``.  A block of several replicates is one
+    :func:`~hawkesmix.simulate.simulate_cluster_batch` call on its stream,
+    and a block of one is one :func:`~hawkesmix.simulate.simulate` call, so
+    with blocks of one replicate ``r`` draws from the ``r``-th stream.  The
+    rows therefore depend on the block partition, which the model, horizon,
+    burn-in and replicate count fix.  The burn-in depends only on the model
+    and is computed once, before any fork, like the model's mean intensity,
+    which the callers' validation caches.
 
-    The batches (or single replicates) are split into ``workers``
-    contiguous parts, capped by :func:`_worker_count`; this process
-    computes the first part and forked processes the others, and the
-    parts' rows are stacked in order.  So the rows depend on neither the
-    batch size nor the worker count.
+    The blocks are split into ``workers`` contiguous parts, capped by
+    :func:`_worker_count`; this process computes the first part and forked
+    processes the others, and the parts' rows are stacked in order.  So
+    the rows do not depend on the worker count.
     """
     burn_in = default_burn_in(model)
-    seeds = spawn_seeds(seed, replicates)
     size = 1
     if simulator == "cluster":
         size = _batch_size(model, horizon, burn_in)
-    chunks = [seeds[k:k + size] for k in range(0, replicates, size)]
+    sizes = [min(size, replicates - k) for k in range(0, replicates, size)]
+    blocks = list(zip(spawn_seeds(seed, len(sizes)), sizes))
 
     def rows(part) -> np.ndarray:
         if size == 1:
             logs = (simulate(model, horizon, simulator=simulator,
-                             burn_in=burn_in, seed=s) for (s,) in part)
+                             burn_in=burn_in, seed=s) for s, _ in part)
         else:
-            logs = (log for chunk in part
-                    for log in simulate_cluster_batch(model, horizon, chunk,
-                                                      burn_in=burn_in))
+            logs = (log for s, n in part
+                    for log in simulate_cluster_batch(model, horizon, n,
+                                                      burn_in=burn_in,
+                                                      seed=s))
         return np.vstack([row(log) for log in logs])
 
-    n = _worker_count(workers, len(chunks))
+    n = _worker_count(workers, len(blocks))
     if n == 1:
-        return rows(chunks)
-    cuts = [len(chunks) * k // n for k in range(n + 1)]
-    return np.vstack(_forked(rows, [chunks[lo:hi]
+        return rows(blocks)
+    cuts = [len(blocks) * k // n for k in range(n + 1)]
+    return np.vstack(_forked(rows, [blocks[lo:hi]
                                     for lo, hi in zip(cuts, cuts[1:])]))
 
 
@@ -368,8 +371,9 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     model, f : HawkesModel, TestFunction
         Model and weight functions of the statistic.
     horizon, replicates, seed : float, int, int
-        Window length, Monte Carlo size, and master seed; replicate streams
-        are spawned from the seed, so reports are reproducible bit for bit.
+        Window length, Monte Carlo size, and master seed; the streams of
+        the replicate blocks are spawned from the seed, so reports are
+        reproducible bit for bit.
     beta, delta : float
         Moment and integrability exponents backing the limit theorems.
     grid : array_like, optional

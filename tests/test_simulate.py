@@ -41,13 +41,14 @@ class TestEventLog:
 
 SEED_KINDS = {
     "seed-sequence": (lambda m: hm.simulate_cluster_batch(
-        m, 20.0, hm.spawn_seeds(1, 2))[1], {"entropy": 1, "spawn_key": [1]}),
+        m, 20.0, 2, seed=hm.spawn_seeds(1, 2)[1])[1],
+        {"entropy": 1, "spawn_key": [1]}),
     "numpy-int-cluster": (lambda m: hm.simulate_cluster(
         m, 20.0, seed=np.int64(3)), 3),
     "numpy-int-thinning": (lambda m: hm.simulate_thinning(
         m, 20.0, seed=np.int64(3)), 3),
     "generator": (lambda m: hm.simulate_cluster_batch(
-        m, 20.0, [np.random.default_rng(3)])[0], None),
+        m, 20.0, 1, seed=np.random.default_rng(3))[0], None),
 }
 
 
@@ -149,8 +150,8 @@ class TestDeterminism:
         """The cluster stream of a model whose kernel table is not full:
         a power-law, two uniform and an exponential kernel, zero kernels,
         and a component (2) with no outgoing kernel.  Events and meta of
-        a lone run and of a 5-replicate batch are pinned (numpy 2.4 on
-        x86-64)."""
+        a lone run and of a 5-replicate batch drawn from one stream are
+        pinned (numpy 2.4 on x86-64)."""
         model = hm.HawkesModel(
             [0.6, 0.4, 0.3],
             [[hm.PowerLawKernel(0.3, 0.5, 2.5), hm.UniformKernel(0.25, 1.5),
@@ -162,10 +163,10 @@ class TestDeterminism:
         assert [len(t) for t in log.events] == [141, 81, 62]
         assert self.log_digest([log]) == (
             "ce54eb032249cbe834485da4599b5822fbeb9f7a63a3f5918f3e7cdf82fc07e7")
-        logs = hm.simulate_cluster_batch(model, 20.0, hm.spawn_seeds(7, 5))
-        assert [log.meta["generations"] for log in logs] == [7, 4, 5, 8, 5]
+        logs = hm.simulate_cluster_batch(model, 20.0, 5, seed=7)
+        assert [log.meta["generations"] for log in logs] == [5, 5, 5, 5, 6]
         assert self.log_digest(logs) == (
-            "5a9ce8c045614ba7c17ae6a3686cfb7c4f3523795fb08a780d23bb40bf5d3720")
+            "cdb992a0a4434c3cf9d9d116855506f323fe3dd5865083abdeef769103f85576")
 
 
 class TestAgainstPoissonLaw:
@@ -521,7 +522,8 @@ class TestClusterGenealogy:
 class TestClusterBatch:
     def test_batch_of_one_is_simulate_cluster(self, d2_model):
         rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-        (log,), trace = hm.simulate_cluster_batch(d2_model, 80.0, [rng_a],
+        (log,), trace = hm.simulate_cluster_batch(d2_model, 80.0, 1,
+                                                  seed=rng_a,
                                                   return_trace=True)
         ref, ref_trace = hm.simulate_cluster(d2_model, 80.0, seed=rng_b,
                                              return_trace=True)
@@ -534,48 +536,63 @@ class TestClusterBatch:
         assert rng_a.random() == rng_b.random()
 
     @pytest.mark.parametrize("sparse", [False, True], ids=["d2", "sparse"])
-    def test_replicates_are_their_own_simulations(self, d2_model, sparse):
+    def test_immigrants_drawn_for_the_whole_batch(self, d2_model, sparse):
+        """A batch opens its one stream with, per component, the immigrant
+        counts of every replicate and then their times in one block, shared
+        out over the replicates in order; every log names that stream and
+        its own place in the batch."""
         # the sparse model leaves replicates without events or children
         model = (hm.HawkesModel([0.02], [[hm.ExponentialKernel(0.3, 1.0)]])
                  if sparse else d2_model)
-        seeds = hm.spawn_seeds(6, 40)
-        logs = hm.simulate_cluster_batch(model, 30.0, seeds)
-        assert len(logs) == 40
-        for s, log in zip(seeds, logs):
-            ref = hm.simulate_cluster(model, 30.0, seed=s)
-            for a, b in zip(log.events, ref.events):
-                assert a.tobytes() == b.tobytes()
-            assert log.meta == ref.meta
+        b = hm.default_burn_in(model)
+        logs, trace = hm.simulate_cluster_batch(model, 30.0, 40, seed=6,
+                                                return_trace=True)
+        ref = np.random.default_rng(6)
+        immigrants = np.zeros(40, dtype=np.int64)
+        for j in range(model.d):
+            counts = ref.poisson(model.eta[j] * (30.0 + b), size=40)
+            roots = (trace.gens == 0) & (trace.comps == j)
+            assert np.array_equal(trace.times[roots],
+                                  ref.uniform(-b, 30.0, size=counts.sum()))
+            assert np.array_equal(trace.tags[roots],
+                                  np.repeat(np.arange(40), counts))
+            immigrants += counts
+        if sparse:
+            assert 0 in immigrants
+        for r, log in enumerate(logs):
+            assert log.meta["immigrants"] == immigrants[r]
+            assert (log.meta["seed"], log.meta["replicate"]) == (6, r)
 
-    def test_zero_uniforms_redrawn_per_replicate(self, d2_model):
-        """An exact zero among the delay uniforms is redrawn from its
-        replicate's own generator, in a batch as in a lone run, so no
-        child lands on its parent (uniform kernel) or at infinity
-        (exponential kernels)."""
+    def test_zero_uniforms_redrawn_from_the_batch_stream(self, d2_model):
+        """An exact zero among the delay uniforms is redrawn from the batch
+        stream right after its block, so no child lands on its parent
+        (uniform kernel) or at infinity (exponential kernels)."""
         class ZeroFirstDelay(np.random.Generator):
             # draws what default_rng(seed) draws, except that every
-            # offspring block's first delay uniform is an exact zero
+            # offspring block's first delay uniform is an exact zero;
+            # counts the blocks and the redraws
             def __init__(self, seed):
                 super().__init__(np.random.PCG64(seed))
+                self.blocks = self.redraws = 0
 
             def random(self, size=None):
                 u = super().random(size)
                 if np.ndim(u) == 2 and u.size:
                     u[0, 0] = 0.0
+                    self.blocks += 1
+                elif np.ndim(u) == 1:
+                    self.redraws += 1
                 return u
 
-        logs, trace = hm.simulate_cluster_batch(
-            d2_model, 30.0, [ZeroFirstDelay(s) for s in range(6)],
-            return_trace=True)
+        gen = ZeroFirstDelay(0)
+        logs, trace = hm.simulate_cluster_batch(d2_model, 30.0, 6, seed=gen,
+                                                return_trace=True)
         children = trace.parents >= 0
         assert np.all(np.isfinite(trace.times))
         assert np.all(trace.times[children]
                       > trace.times[trace.parents[children]])
-        for s, log in enumerate(logs):
-            ref = hm.simulate_cluster(d2_model, 30.0, seed=ZeroFirstDelay(s))
-            for a, b in zip(log.events, ref.events):
-                assert a.tobytes() == b.tobytes()
-            assert log.meta == ref.meta
+        assert gen.blocks > 0 and gen.redraws == gen.blocks
+        assert sum(log.meta["tie_redraws"] for log in logs) == 0
 
     def test_single_replicate_stream_pinned(self, d2_model):
         # the draws of the per-replicate simulator before replicate tags
@@ -592,8 +609,7 @@ class TestClusterBatch:
     def test_tags_follow_the_genealogy(self, d2_model, sparse):
         model = (hm.HawkesModel([0.02], [[hm.ExponentialKernel(0.3, 1.0)]])
                  if sparse else d2_model)
-        logs, trace = hm.simulate_cluster_batch(model, 30.0,
-                                                hm.spawn_seeds(8, 40),
+        logs, trace = hm.simulate_cluster_batch(model, 30.0, 40, seed=8,
                                                 return_trace=True)
         children = trace.parents >= 0
         assert np.array_equal(trace.tags[children],
@@ -612,56 +628,54 @@ class TestClusterBatch:
                 assert np.array_equal(tj, np.sort(trace.times[inside]))
 
     def test_replicate_count_checked(self, d1_model):
-        with pytest.raises(ValueError, match="at least one replicate"):
-            hm.simulate_cluster_batch(d1_model, 10.0, [])
-
-    def test_shared_generator_refused(self, d1_model):
-        """One generator behind two replicates would interleave their
-        draws, so it is refused before any draw; a repeated integer or
-        SeedSequence makes separate generators and is allowed."""
-        g, h = np.random.default_rng(1), np.random.default_rng(2)
-        with pytest.raises(ValueError, match=r"positions \[0, 1\] share"):
-            hm.simulate_cluster_batch(d1_model, 10.0, [g, g])
-        with pytest.raises(ValueError,
-                           match=r"positions \[0, 3\], \[2, 4\] share"):
-            hm.simulate_cluster_batch(d1_model, 10.0, [g, 3, h, g, h])
-        with pytest.raises(ValueError, match=r"positions \[0, 1\] share"):
-            hm.simulate_cluster_batch(d1_model, 10.0,
-                                      [g, np.random.Generator(g.bit_generator)])
-        assert g.random() == np.random.default_rng(1).random()
-        s = np.random.SeedSequence(4)
-        logs = hm.simulate_cluster_batch(d1_model, 10.0, [3, 3, s, s])
-        for a, b in ((logs[0], logs[1]), (logs[2], logs[3])):
-            assert a.events[0].tobytes() == b.events[0].tobytes()
+        for bad in (0, 2.0, True, [1, 2]):
+            with pytest.raises(ValueError,
+                               match="replicates must be an integer >= 1"):
+                hm.simulate_cluster_batch(d1_model, 10.0, bad)
+        # the arrays hold every replicate, so the event cap is per batch
+        with pytest.raises(ValueError, match=r"times 10000000 replicates "
+                                             r"expects \S+ events"):
+            hm.simulate_cluster_batch(d1_model, 1000.0, 10**7)
 
     def test_ties_redrawn_as_in_lone_runs(self, d2_model):
         """With immigrant times on the integers and delays on a grid of
-        four, many rows tie; every log still has strictly increasing
-        times, the trace carries the redrawn times, and each replicate of
-        a batch redraws exactly what its lone run does."""
+        four, many rows tie.  A batch of one redraws exactly what the lone
+        run does; a batch redraws every tie from its own stream, one draw
+        per redrawn row, and leaves no tie in any log, whose times the
+        trace carries."""
         class Coarse(np.random.Generator):
-            # rounds the drawn blocks; single redraws stay continuous
+            # rounds the drawn blocks; single redraws stay continuous and
+            # are counted
             def __init__(self, seed):
                 super().__init__(np.random.PCG64(seed))
+                self.singles = 0
 
             def uniform(self, low=0.0, high=1.0, size=None):
                 u = super().uniform(low, high, size)
+                self.singles += size is None
                 return u if size is None else np.round(u)
 
             def random(self, size=None):
                 u = super().random(size)
+                self.singles += np.ndim(u) == 1
                 if np.ndim(u) == 2:
                     u[0] = np.ceil(4.0 * u[0]) / 4.0 - 0.125
                 return u
 
-        logs, trace = hm.simulate_cluster_batch(
-            d2_model, 30.0, [Coarse(s) for s in range(4)], return_trace=True)
-        assert all(log.meta["tie_redraws"] > 0 for log in logs)
-        for r, log in enumerate(logs):
+        for r in range(2):
+            (log,) = hm.simulate_cluster_batch(d2_model, 30.0, 1,
+                                               seed=Coarse(r))
             ref = hm.simulate_cluster(d2_model, 30.0, seed=Coarse(r))
+            assert log.meta["tie_redraws"] > 0
             for a, b in zip(log.events, ref.events):
                 assert a.tobytes() == b.tobytes()
             assert log.meta == ref.meta
+        gen = Coarse(0)
+        logs, trace = hm.simulate_cluster_batch(d2_model, 30.0, 4, seed=gen,
+                                                return_trace=True)
+        assert all(log.meta["tie_redraws"] > 0 for log in logs)
+        assert gen.singles == sum(log.meta["tie_redraws"] for log in logs)
+        for r, log in enumerate(logs):
             for j, tj in enumerate(log.events):
                 assert np.all(np.diff(tj) > 0.0)
                 inside = ((trace.tags == r) & (trace.comps == j)
@@ -684,10 +698,11 @@ class TestWindowTies:
         return times, comps, parents
 
     @classmethod
-    def window(cls, times, comps, parents, tags, model, gens):
+    def window(cls, times, comps, parents, tags, model, gen):
         """``_window_events`` on rows given as one set of arrays (``tags``
         ``None`` for one replicate), split per component as the cluster
         simulator keeps them; redrawn times are written back to ``times``."""
+        reps = 1 if tags is None else int(tags.max()) + 1
         rows = [np.flatnonzero(comps == j) for j in range(model.d)]
         pos = np.empty(times.size, dtype=np.int64)
         for k in rows:
@@ -700,8 +715,8 @@ class TestWindowTies:
                      pos[parents[k]]) for k in rows]
 
         try:
-            return _window_events(own_t, own_r, origins, model, cls.LO,
-                                  cls.HORIZON, gens)
+            return _window_events(own_t, own_r, reps, origins, model,
+                                  cls.LO, cls.HORIZON, gen)
         finally:
             for k, t in zip(rows, own_t):
                 times[k] = t
@@ -709,7 +724,7 @@ class TestWindowTies:
     def test_same_component_ties_redrawn(self, d2_model):
         times, comps, parents = self.crafted()
         [events], redraws = self.window(times, comps, parents, None,
-                                        d2_model, [np.random.default_rng(5)])
+                                        d2_model, np.random.default_rng(5))
         assert redraws.tolist() == [2]
         # the later row of each tie is redrawn, in row order: the immigrant
         # uniformly on [lo, horizon], the child by kernel [0][1] from row 2
@@ -726,24 +741,22 @@ class TestWindowTies:
         times, comps, parents = times[:4], comps[:4], parents[:4]
         before = times.copy()
         [events], redraws = self.window(times, comps, parents, None,
-                                        d2_model, [np.random.default_rng(5)])
+                                        d2_model, np.random.default_rng(5))
         assert redraws.tolist() == [0]
         assert np.array_equal(times, before)
         assert [tj.tolist() for tj in events] == [[1.0], [1.0]]
 
     def test_ties_checked_per_replicate(self, d2_model):
         # rows 0-1: equal times in different replicates, kept; row 2 ties
-        # row 1 inside replicate 1 and is redrawn by replicate 1's generator
+        # row 1 inside replicate 1 and is redrawn from the batch's stream
         times = np.array([1.0, 1.0, 1.0, 2.0])
         comps = np.array([0, 0, 0, 1])
         parents = np.full(4, -1)
         tags = np.array([0, 1, 1, 0], dtype=np.uint8)
-        gens = [np.random.default_rng(5), np.random.default_rng(6)]
         events, redraws = self.window(times, comps, parents, tags, d2_model,
-                                      gens)
+                                      np.random.default_rng(6))
         assert times[2] == np.random.default_rng(6).uniform(self.LO,
                                                             self.HORIZON)
-        assert gens[0].random() == np.random.default_rng(5).random()
         assert redraws.tolist() == [0, 1]
         assert [tj.tolist() for tj in events[0]] == [[1.0], [2.0]]
         mine = (tags == 1) & (comps == 0) & (times >= 0.0)
@@ -758,7 +771,7 @@ class TestWindowTies:
         times, comps, parents = self.crafted()
         with pytest.raises(NumericError, match="tied event times"):
             self.window(times[:5], comps[:5], parents[:5], None, d2_model,
-                        [StuckGenerator()])
+                        StuckGenerator())
 
 
 class TestBurnIn:

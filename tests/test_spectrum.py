@@ -199,11 +199,15 @@ class TestVarianceProfile:
     def test_overflowing_time_refused(self):
         """``t^2`` times the coupling spectrum overflows past about 1e150,
         so such a time is refused up front, by name, not with a numpy
-        overflow and a NaN; 1e12 is still served."""
+        overflow and a NaN, nor with the ``OverflowError`` of an integer
+        too large for a float; 1e12 is still served."""
         model = clt_exp_model()
         f = hm.TestFunction.constant([1.0, 1.0])
         with pytest.raises(ValueError, match=r"at most 1e\+100, got 1e\+300"):
             hm.variance_profile(model, f, [1.0, 1e300])
+        # an integer beyond the float range does not reach float()
+        with pytest.raises(ValueError, match=r"at most 1e\+100, got inf"):
+            hm.variance_ST(model, f, 10**400)
         assert hm.variance_ST(model, f, 1e12) > 0.0
 
 

@@ -308,46 +308,88 @@ class TestReplicateBatches:
         same = (np.arange(replicates - 1) + 1) % size != 0
         assert within((dev[:-1] * dev[1:])[same], 0.0)
 
+    def test_batched_cross_counts_match_spectral_values(self, d2_model):
+        """The 2-d case, with the count pair ``N_0((0, w])`` and
+        ``N_1((2, 2 + w])``: both have their stationary means and their
+        covariance is the spectral one, and replicates sharing a batch are
+        uncorrelated, within each component and across the two."""
+        horizon, w, replicates = 3.0, 1.0, 4000
+        size = _batch_size(d2_model, horizon)
+        assert 1 < size < replicates // 10
+        counts = stats._replicate_rows(
+            d2_model, horizon, replicates, 12, "cluster",
+            stats._decay_row(0, 1, w, np.array([2.0])))
+
+        def within(values, target):
+            se = np.std(values, ddof=1) / np.sqrt(values.size)
+            return abs(np.mean(values) - target) < 4.0 * se
+
+        dev = counts - d2_model.mean_intensity * w
+        assert within(dev[:, 0], 0.0) and within(dev[:, 1], 0.0)
+        assert within(dev[:, 0] * dev[:, 1],
+                      hm.cov_counts(d2_model, 0, 1, (0.0, w), (2.0, 2.0 + w)))
+        # neighbours inside one batch; the last of a batch starts the next
+        same = (np.arange(replicates - 1) + 1) % size != 0
+        for a in range(2):
+            for b in range(2):
+                assert within((dev[:-1, a] * dev[1:, b])[same], 0.0)
+
     @pytest.mark.parametrize("batch_events", [1, stats._BATCH_EVENTS],
                              ids=["one", "default"])
     def test_clt_harness_is_a_loop_over_spawned_seeds(self, d1_model,
                                                       monkeypatch,
                                                       batch_events):
+        """Replicates run in consecutive blocks of ``_batch_size``, and
+        block ``k`` is one batch drawn from the ``k``-th stream spawned
+        from the seed: by default here one block of all 12, and with
+        blocks of one a stream per replicate."""
         monkeypatch.setattr(stats, "_BATCH_EVENTS", batch_events)
+        size = _batch_size(d1_model, 60.0)
         if batch_events > 1:
-            assert _batch_size(d1_model, 60.0) > 1
+            assert size > 12
         f = hm.TestFunction.constant([1.0])
         grid = [0.5, 1.0]
         rep = hm.clt_harness(d1_model, f, 60.0, 12, seed=5, grid=grid)
         tc = hm.time_change(d1_model, f, 60.0)
         times = np.append(tc(np.array(grid)), 60.0)
         burn_in = hm.default_burn_in(d1_model)
+        blocks = [min(size, 12 - k) for k in range(0, 12, size)]
         manual = np.vstack([
-            hm.partial_statistics(
-                hm.simulate(d1_model, 60.0, burn_in=burn_in, seed=s),
-                d1_model, f, times)
-            for s in hm.spawn_seeds(5, 12)])
+            hm.partial_statistics(log, d1_model, f, times)
+            for s, n in zip(hm.spawn_seeds(5, len(blocks)), blocks)
+            for log in hm.simulate_cluster_batch(d1_model, 60.0, n,
+                                                 burn_in=burn_in, seed=s)])
         assert np.array_equal(rep.samples, manual[:, -1] / rep.sigma_T)
         assert np.array_equal(rep.w_paths, manual[:, :-1] / rep.sigma_T)
 
-    def test_decay_diagnostic_independent_of_batch_size(self, monkeypatch):
+    def test_decay_rows_pin_the_block_partition(self, monkeypatch):
+        """The block partition is fixed by the model, horizon, burn-in and
+        replicate count: 150 power-law replicates on ``[0, 5]`` expect ~297
+        events each, so they run as batches of 55, 55 and 40 replicates
+        drawn from the first three streams spawned from the seed, and
+        whatever the worker count."""
+        calls = []
+        batch = stats.simulate_cluster_batch
+
+        def counted(model, horizon, replicates, *, burn_in, seed):
+            calls.append((replicates, seed.spawn_key))
+            return batch(model, horizon, replicates, burn_in=burn_in,
+                         seed=seed)
+
+        monkeypatch.setattr(stats, "simulate_cluster_batch", counted)
         args = (POWERLAW, 0, 0, 1.0, [2.0, 4.0], 150)
-        batched = hm.mixing_decay_diagnostic(*args, seed=2)
-        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1)
-        single = hm.mixing_decay_diagnostic(*args, seed=2)
-        assert batched.empirical.tobytes() == single.empirical.tobytes()
-        assert batched.empirical_se.tobytes() == single.empirical_se.tobytes()
+        hm.mixing_decay_diagnostic(*args, seed=2)
+        assert calls == [(55, (0,)), (55, (1,)), (40, (2,))]
 
     def test_batch_size_floor(self, d2_model):
-        """A batch holds at most ``_BATCH_EVENTS`` expected events and at
-        least ``_MIN_BATCH`` replicates, since smaller batches cost more
-        than their replicates run one by one."""
+        """A batch holds at most ``_BATCH_EVENTS`` expected events, and a
+        replicate expecting more than half of them runs alone."""
         b = hm.default_burn_in(d2_model)
         rate = float(np.sum(d2_model.mean_intensity))
-        for size in (stats._MIN_BATCH, 40):
+        for size in (1, 2, 40):
             horizon = stats._BATCH_EVENTS / (size + 0.5) / rate - b
             assert stats._batch_size(d2_model, horizon, b) == size
-        horizon = stats._BATCH_EVENTS / (stats._MIN_BATCH - 0.5) / rate - b
+        horizon = 2.0 * stats._BATCH_EVENTS / rate
         assert stats._batch_size(d2_model, horizon, b) == 1
 
     def test_decay_diagnostic_batches_simulator_calls(self, monkeypatch):
@@ -355,7 +397,7 @@ class TestReplicateBatches:
         batch = stats.simulate_cluster_batch
 
         def counted(*args, **kwargs):
-            calls.append(len(args[2]))
+            calls.append(args[2])
             return batch(*args, **kwargs)
 
         monkeypatch.setattr(stats, "simulate_cluster_batch", counted)
