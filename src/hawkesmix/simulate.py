@@ -26,8 +26,14 @@ of arrays from one generator, each event tagged with its replicate
 Which replicate a parent belongs to plays no part in the law of its
 offspring, so each kernel pair draws one Poisson total over the parents
 of every replicate at once, and the children inherit their parents'
-tags.  This is how the Monte Carlo harnesses simulate small replicates,
-whose cost would otherwise be per-call and per-draw overhead.
+tags.  This is how the Monte Carlo harnesses simulate every replicate
+expected to hold at most half of their ``2**16``-event block budget: a
+batch pays the per-call and per-draw overhead once per kernel pair and
+generation instead of once per replicate, which matters up to the ~13.4k
+events of a ``clt-test`` replicate of the 2-d exponential model at
+T = 2000 (four to a batch).  The price is memory: a batch's tag arrays
+and its window regroup by tag bring its peak to ~36 bytes per event,
+against ~25 for a lone run.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -36,7 +42,8 @@ floating point) are checked per replicate and component inside the window
 ``[0, T]`` and resolved by re-drawing the later event, so each log carries
 strictly increasing times per component; ``meta["tie_redraws"]`` counts
 the re-draws.  The cluster simulator redraws one pass of ties component
-by component, each component's in row order.
+by component, each component's in row order, and a re-drawn event
+carries its descendants with it, so every delay from a parent is kept.
 """
 
 from __future__ import annotations
@@ -222,8 +229,10 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
     rows of replicate ``r`` that were redrawn.  The later row of each exact
     tie within one (replicate, component) is redrawn in place from ``gen``
     (an immigrant uniformly on ``[lo, horizon]``, a child by a new delay
-    from its parent), until none is left.  One pass redraws the ties of
-    component 0 in row order, then those of component 1, and so on.
+    from its parent), and every descendant of the row moves with it, so
+    each keeps its delay from its parent; this repeats until no tie is
+    left.  One pass redraws the ties of component 0 in row order, then
+    those of component 1, and so on.
     """
     redraws = np.zeros(reps, dtype=np.int64)
     bounds = np.arange(reps + 1)
@@ -271,13 +280,32 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
             pc, pq = parents[j]
             for q in rows.tolist():
                 c = pc[q]
+                old = times[j][q]
                 if c < 0:
                     times[j][q] = gen.uniform(lo, horizon)
                 else:
                     kern = model.kernels[c][j]
                     times[j][q] = (times[c][pq[q]]
                                    + kern.sample_delays(gen, 1)[0])
+                _move_descendants(times, parents, j, q, times[j][q] - old)
     raise NumericError("could not separate tied event times")
+
+
+def _move_descendants(times, parents, j, q, shift):
+    """Add ``shift`` to the time of every descendant of row ``q`` of
+    component ``j``, generation by generation; ``parents`` is as
+    ``origins()`` of :func:`_window_events` returns it."""
+    front = [(j, np.array([q]))]
+    while front:
+        nxt = []
+        for c, (pc, pq) in enumerate(parents):
+            kids = np.zeros(pc.size, dtype=bool)
+            for i, rows in front:
+                kids |= (pc == i) & np.isin(pq, rows)
+            if kids.any():
+                times[c][kids] += shift
+                nxt.append((c, np.flatnonzero(kids)))
+        front = nxt
 
 
 def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
@@ -710,9 +738,10 @@ def write_event_log(log: EventLog, csv_path) -> Path:
     """Write ``component,time`` rows plus a JSON sidecar next to the CSV."""
     csv_path = Path(csv_path)
     merged = np.concatenate(log.events) if log.d else np.empty(0)
-    comps = np.concatenate(
-        [np.full(len(t), i, dtype=np.int64) for i, t in enumerate(log.events)]
-    )
+    # in the smallest unsigned type holding every component index
+    comp_type = np.min_scalar_type(max(log.d - 1, 0))
+    comps = np.repeat(np.arange(log.d, dtype=comp_type),
+                      [len(t) for t in log.events])
     order = np.argsort(merged, kind="stable")
     with open(csv_path, "w", newline="") as fh:
         fh.write("component,time\r\n")

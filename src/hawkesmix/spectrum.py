@@ -65,12 +65,37 @@ __all__ = [
     "cov_counts",
 ]
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+# the 8-point Gauss-Legendre rule on [-1, 1], as numpy's ``leggauss(8)``
+# gives it; written out, because importing ``numpy.polynomial`` costs every
+# process ~1.2 MB
+_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+    -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+    0.7966664774136267, 0.9602898564975362])
+_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+    0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+    0.22238103445337443, 0.10122853629037706])
+
+
+def _legendre_rows(x: np.ndarray, deg: int) -> np.ndarray:
+    """``P_k(x)`` in row ``k`` for ``k = 0..deg >= 1``, by the three-term
+    recurrence ``k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}`` in the
+    order of operations of numpy's ``legvander``, so bit for bit its
+    values."""
+    v = np.empty((deg + 1, x.size))
+    v[0] = 1.0
+    v[1] = x
+    for k in range(2, deg + 1):
+        v[k] = (v[k - 1] * x * (2 * k - 1) - v[k - 2] * (k - 1)) / k
+    return v
+
+
 # row k maps Gauss nodal values to the degree-k Legendre coefficient of the
 # unique degree-7 interpolant (exact because the rule integrates degree 15)
 _TO_LEGENDRE = (
     (2.0 * np.arange(8) + 1.0) / 2.0
-)[:, None] * np.polynomial.legendre.legvander(_NODES, 7).T * _WEIGHTS[None, :]
+)[:, None] * _legendre_rows(_NODES, 7) * _WEIGHTS[None, :]
 
 # panels per G grid of a count covariance, 2048 points: its (points, d, d)
 # temporaries stay cache-sized, and at d = 2 and 3 it ran fastest of 128 to

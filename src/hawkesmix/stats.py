@@ -210,15 +210,19 @@ _SPECTRAL_ABS_TOL = 1e-9
 # hold at most half of it share a block, simulated as one batch from one
 # random stream, so the simulator's per-call and per-draw overhead is paid
 # once per block and kernel pair.  Per replicate, against lone runs (2-d
-# exponential model, 2-core x86-64, process CPU on one pinned core,
-# medians of 5 interleaved rounds), batches of 2 cost 0.68-0.96x at
-# 250-13.4k expected events each, of 4 0.45-0.86x, of 8 0.28-0.71x, and
-# of 32 0.09-0.33x up to 4k events.  The 1-d power-law decay replicates
-# (~307 events) run in blocks of 53: its 4000-replicate loop took 0.133 s
-# at 2**13 events, 0.087 s at 2**14, 0.079 s at 3 * 2**13 and 0.071 s at
-# 2**16.  2**14 keeps the clt-exp replicates (13.4k expected events)
-# alone: in pairs their bench peak RSS rose from 41.6 to 42.8-42.9 MB.
-_BATCH_EVENTS = 1 << 14
+# exponential model, 2-core x86-64, process CPU on one pinned core, 64
+# replicates, medians of 7 interleaved rounds, two sessions), batches of 2
+# cost 0.65-0.86x at 250-4k expected events each, of 4 0.36-0.53x, of 8
+# 0.23-0.44x and of 32 0.09-0.28x; at clt-test's 13.4k events, 0.76-0.86x,
+# 0.60-0.64x, 0.51-0.61x and 0.52-0.66x.  On the same core, clt-test's
+# 1000 replicates at T = 2000 took 1.83-2.08 s alone (2**14), 1.73-1.76 s
+# in pairs (2**15), 1.11-1.29 s in fours (2**16) and 1.11-1.19 s in nines
+# (2**17), and decay's 4000 power-law replicates (~307 events) 0.08-0.11 s
+# in blocks of 53 and 0.06-0.09 s in blocks of 213.  The batch's tag
+# arrays and window regroup cost memory: the clt-test process (2 workers)
+# peaked at 40.9, 42.5, 43.4 and 47.9 MB at 2**14 to 2**17, so 2**16 takes
+# most of the gain inside a 10% memory rise.
+_BATCH_EVENTS = 1 << 16
 
 
 def _worker_count(requested: int, chunks: int) -> int:

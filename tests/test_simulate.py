@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,28 @@ from scipy import stats
 import hawkesmix as hm
 from hawkesmix.errors import NumericError
 from hawkesmix.simulate import _PRUNE_EVERY, _window_events
+
+
+class Coarse(np.random.Generator):
+    """Rounds the drawn blocks, so cluster rows tie often: immigrant times
+    to the integers and delay uniforms to a grid of four.  Single redraws
+    stay continuous and are counted."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.singles = 0
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = super().uniform(low, high, size)
+        self.singles += size is None
+        return u if size is None else np.round(u)
+
+    def random(self, size=None):
+        u = super().random(size)
+        self.singles += np.ndim(u) == 1
+        if np.ndim(u) == 2:
+            u[0] = np.ceil(4.0 * u[0]) / 4.0 - 0.125
+        return u
 
 
 class TestEventLog:
@@ -37,6 +60,17 @@ class TestEventLog:
         back = hm.read_event_log(tmp_path / "ev.csv")
         assert back.d == log.d and back.horizon == log.horizon
         assert np.array_equal(back.events[0], log.events[0])
+
+    def test_rows_in_time_order_then_component(self, tmp_path):
+        """Rows merge the components by time; equal times keep component
+        order, and an empty component (or log) writes no row."""
+        events = (np.array([0.5, 2.0]), np.array([]), np.array([0.25, 2.0]))
+        hm.write_event_log(hm.EventLog(3, 3.0, events), tmp_path / "ev.csv")
+        assert (tmp_path / "ev.csv").read_bytes() == (
+            b"component,time\r\n2,0.25\r\n0,0.5\r\n0,2.0\r\n2,2.0\r\n")
+        hm.write_event_log(hm.EventLog(0, 3.0, ()), tmp_path / "none.csv")
+        assert (tmp_path / "none.csv").read_bytes() == b"component,time\r\n"
+        assert hm.read_event_log(tmp_path / "none.csv").events == ()
 
 
 SEED_KINDS = {
@@ -643,25 +677,6 @@ class TestClusterBatch:
         run does; a batch redraws every tie from its own stream, one draw
         per redrawn row, and leaves no tie in any log, whose times the
         trace carries."""
-        class Coarse(np.random.Generator):
-            # rounds the drawn blocks; single redraws stay continuous and
-            # are counted
-            def __init__(self, seed):
-                super().__init__(np.random.PCG64(seed))
-                self.singles = 0
-
-            def uniform(self, low=0.0, high=1.0, size=None):
-                u = super().uniform(low, high, size)
-                self.singles += size is None
-                return u if size is None else np.round(u)
-
-            def random(self, size=None):
-                u = super().random(size)
-                self.singles += np.ndim(u) == 1
-                if np.ndim(u) == 2:
-                    u[0] = np.ceil(4.0 * u[0]) / 4.0 - 0.125
-                return u
-
         for r in range(2):
             (log,) = hm.simulate_cluster_batch(d2_model, 30.0, 1,
                                                seed=Coarse(r))
@@ -681,6 +696,40 @@ class TestClusterBatch:
                 inside = ((trace.tags == r) & (trace.comps == j)
                           & (trace.times >= 0.0) & (trace.times <= 30.0))
                 assert np.array_equal(tj, np.sort(trace.times[inside]))
+
+    def test_redrawn_rows_carry_their_descendants(self, d2_model):
+        """A redrawn row moves its descendants by the same amount, so every
+        child stays after its parent: over these 20 coarse streams, 670
+        rows are redrawn, and moving only them left 87 trace children at
+        or before their parent."""
+        redraws = 0
+        for r in range(20):
+            log, trace = hm.simulate_cluster(d2_model, 30.0, seed=Coarse(r),
+                                             return_trace=True)
+            redraws += log.meta["tie_redraws"]
+            kids = trace.parents >= 0
+            assert np.all(trace.times[kids]
+                          > trace.times[trace.parents[kids]])
+        assert redraws > 0
+
+    def test_batch_memory_per_event(self):
+        """The batch's traced peak stays under 40 bytes per returned event
+        for four clt-sized replicates of the 2-d exponential model (~13.4k
+        expected events each); it measures ~36, against ~25 for a lone
+        run, whose logs keep no tags."""
+        model = hm.HawkesModel([1.0, 1.0], [
+            [hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
+            [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)],
+        ])
+        # one-time allocations (caches, the first draws) stay out of it
+        hm.simulate_cluster_batch(model, 10.0, 4, seed=0)
+        tracemalloc.start()
+        try:
+            logs = hm.simulate_cluster_batch(model, 2000.0, 4, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * sum(log.total() for log in logs)
 
 
 class TestWindowTies:
@@ -762,6 +811,22 @@ class TestWindowTies:
         mine = (tags == 1) & (comps == 0) & (times >= 0.0)
         assert np.array_equal(events[1][0], np.sort(times[mine]))
         assert events[1][1].size == 0
+
+    def test_redraw_moves_descendants(self, d2_model):
+        # row 1 (immigrant) ties row 0 and is redrawn; its child (row 2,
+        # component 1) and grandchild (row 3, component 0) move with it,
+        # and row 4, a child of row 0, stays
+        times = np.array([1.0, 1.0, 1.5, 2.25, 3.0])
+        comps = np.array([0, 0, 1, 0, 0])
+        parents = np.array([-1, -1, 1, 2, 0])
+        _, redraws = self.window(times, comps, parents, None, d2_model,
+                                 np.random.default_rng(5))
+        assert redraws.tolist() == [1]
+        assert times[1] == np.random.default_rng(5).uniform(self.LO,
+                                                            self.HORIZON)
+        assert times[2] - times[1] == pytest.approx(0.5, abs=1e-14)
+        assert times[3] - times[2] == pytest.approx(0.75, abs=1e-14)
+        assert times[[0, 4]].tolist() == [1.0, 3.0]
 
     def test_unseparable_tie_raises(self, d2_model):
         class StuckGenerator:

@@ -631,6 +631,18 @@ class TestCovCounts:
 
 
 class TestQuadrature:
+    def test_written_rule_is_numpy_legendre(self):
+        """The written-out Gauss rule is ``leggauss(8)`` (to the last bit on
+        numpy 2.4) and its Legendre matrix is ``legvander``'s bit for bit."""
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        np.testing.assert_allclose(spectrum._NODES, nodes, rtol=0, atol=4e-16)
+        np.testing.assert_allclose(spectrum._WEIGHTS, weights, rtol=0,
+                                   atol=4e-16)
+        vander = np.polynomial.legendre.legvander(spectrum._NODES, 7)
+        assert np.array_equal(
+            spectrum._TO_LEGENDRE,
+            (np.arange(8) + 0.5)[:, None] * vander.T * spectrum._WEIGHTS)
+
     def test_carrier_zero_rule_is_gauss(self):
         rule = spectrum._panel_rule(1.0)
         weights = np.array([rule(e, 0) for e in np.eye(8)])

@@ -363,11 +363,13 @@ class TestReplicateBatches:
         assert np.array_equal(rep.w_paths, manual[:, :-1] / rep.sigma_T)
 
     def test_decay_rows_pin_the_block_partition(self, monkeypatch):
-        """The block partition is fixed by the model, horizon, burn-in and
-        replicate count: 150 power-law replicates on ``[0, 5]`` expect ~297
-        events each, so they run as batches of 55, 55 and 40 replicates
-        drawn from the first three streams spawned from the seed, and
-        whatever the worker count."""
+        """The block partition is fixed by the model, horizon, burn-in,
+        replicate count and block budget: 150 power-law replicates on
+        ``[0, 5]`` expect ~297 events each, so at a budget of ``2**14``
+        events they run as batches of 55, 55 and 40 replicates drawn from
+        the first three streams spawned from the seed, and whatever the
+        worker count."""
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1 << 14)
         calls = []
         batch = stats.simulate_cluster_batch
 
@@ -431,6 +433,8 @@ def _count_parts(monkeypatch) -> list:
 class TestReplicateWorkers:
     def test_clt_rows_independent_of_worker_count(self, d2_model,
                                                   monkeypatch):
+        # several blocks at the budget of 2**14 events
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1 << 14)
         horizon, replicates = 400.0, 12
         assert -(-replicates // _batch_size(d2_model, horizon)) >= 3
         _three_cpus(monkeypatch)
@@ -446,6 +450,7 @@ class TestReplicateWorkers:
             assert rep.to_dict() == reports[0].to_dict()
 
     def test_decay_rows_independent_of_worker_count(self, monkeypatch):
+        monkeypatch.setattr(stats, "_BATCH_EVENTS", 1 << 14)
         args = (POWERLAW, 0, 0, 1.0, [2.0, 4.0], 150)
         assert -(-150 // _batch_size(POWERLAW, 5.0)) >= 3
         _three_cpus(monkeypatch)
