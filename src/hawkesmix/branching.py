@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (HypothesisError, NumericError, SubcriticalityError,
-                     require_integer, to_json)
-from .model import HawkesModel, spectral_radius
+                     require_index, require_integer, require_seed, to_json)
+from .model import HawkesModel, nonnegative_matrix, spectral_radius
 
 __all__ = [
     "g_map",
@@ -41,8 +41,8 @@ _DELTA_MAX = 2.0
 
 
 def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"m must be a square matrix, got shape {m.shape}")
+    """``u`` as a float array: one finite nonnegative argument per type of
+    the checked matrix ``m``."""
     u = np.asarray(u, dtype=float)
     if u.shape != m.shape[:1]:
         raise ValueError(f"expected one argument per type ({m.shape[0]}), "
@@ -54,16 +54,18 @@ def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
 
 def g_map(m: np.ndarray, u) -> np.ndarray:
     """One step of the Laplace-functional recursion: ``g(u) = M (e^u - 1)``."""
-    m = np.asarray(m, dtype=float)
+    m = nonnegative_matrix(m)
     return m @ np.expm1(_laplace_argument(m, u))
 
 
 def _g_iterates(m, u, k):
+    """``u, g(u), ..., g^k(u)`` for a checked matrix ``m`` and argument
+    ``u``, as the rows of a ``(k + 1, d)`` array."""
     out = np.empty((k + 1, len(u)))
     out[0] = u
     for j in range(k + 1):
         if j > 0:
-            out[j] = g_map(m, out[j - 1])
+            out[j] = m @ np.expm1(out[j - 1])
         # cap below the exp overflow threshold so every reported transform
         # is finite; iterates beyond it mean divergence anyway
         if np.any(out[j] > 700.0):
@@ -80,11 +82,10 @@ def laplace_generation(m: np.ndarray, u, k: int, ancestor: int = 0) -> float:
     Uses the exact recursion ``E exp(u . Z_k) = exp(g^k(u)_ancestor)`` where
     ``g(u) = M (e^u - 1)``.
     """
-    m = np.asarray(m, dtype=float)
+    m = nonnegative_matrix(m)
     require_integer(0, k=k)
     u = _laplace_argument(m, np.atleast_1d(u))
-    if not 0 <= ancestor < m.shape[0]:
-        raise ValueError("ancestor type out of range")
+    require_index(m.shape[0], ancestor=ancestor)
     it = _g_iterates(m, u, k)
     return float(np.exp(it[k][ancestor]))
 
@@ -435,12 +436,11 @@ def simulate_generations(m, ancestor: int, k_max: int, n_runs: int,
     ``seed`` (an integer, SeedSequence or generator) is the random stream.
     Returns an integer array of shape ``(n_runs, k_max + 1, d)``.
     """
-    m = np.asarray(m, dtype=float)
+    m = nonnegative_matrix(m)
     d = m.shape[0]
-    if not 0 <= ancestor < d:
-        raise ValueError("ancestor type out of range")
+    require_index(d, ancestor=ancestor)
     require_integer(k_max=k_max, n_runs=n_runs)
-    gen = np.random.default_rng(seed)
+    gen = np.random.default_rng(require_seed(seed))
     out = np.zeros((n_runs, k_max + 1, d), dtype=np.int64)
     out[:, 0, ancestor] = 1
     for k in range(1, k_max + 1):

@@ -160,6 +160,17 @@ def require_integer(minimum: int = 0, **params) -> None:
                              f"got {value!r}")
 
 
+def require_seed(seed):
+    """``seed`` itself, after refusing by name a negative integer and any
+    other number that is not an integer; ``None``, a
+    :class:`~numpy.random.SeedSequence` and a generator pass as they are."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if isinstance(seed, numbers.Number):
+        require_integer(seed=seed)
+    return seed
+
+
 def require_index(d: int, **indices) -> None:
     """Raise ``ValueError`` unless each of ``indices`` is a component index
     in ``[0, d)``; a non-integer is refused before it is compared."""

@@ -28,6 +28,19 @@ __all__ = [
 ]
 
 
+def nonnegative_matrix(m) -> np.ndarray:
+    """``m`` as a float array, after refusing one that is not a square,
+    finite and nonnegative matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"m must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"m must be finite, got {m!r}")
+    if np.any(m < 0.0):
+        raise ValueError(f"m must be nonnegative, got {m!r}")
+    return m
+
+
 def spectral_radius(m: np.ndarray) -> float:
     """Perron root of a nonnegative square matrix.
 
@@ -35,13 +48,7 @@ def spectral_radius(m: np.ndarray) -> float:
     power iteration it needs no primitivity, so imprimitive matrices (whose
     dominant eigenvalues come in modulus tuples) are handled alike.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"m must be finite, got {m!r}")
-    if np.any(m < 0.0):
-        raise ValueError("reproduction matrices are nonnegative")
+    m = nonnegative_matrix(m)
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 

@@ -20,20 +20,21 @@ whatever the source's other kernels are; every other kernel (power-law and
 uniform) is summed over a pruned history of its source's events, kept only
 by sources with such a kernel.
 
-The cluster simulator also draws many independent replicates in one set
-of arrays from one generator, each event tagged with its replicate
-(:func:`simulate_cluster_batch`); a single log is the one-replicate case.
-Which replicate a parent belongs to plays no part in the law of its
-offspring, so each kernel pair draws one Poisson total over the parents
-of every replicate at once, and the children inherit their parents'
-tags.  This is how the Monte Carlo harnesses simulate every replicate
-expected to hold at most half of their ``2**16``-event block budget: a
-batch pays the per-call and per-draw overhead once per kernel pair and
-generation instead of once per replicate, which matters up to the ~13.4k
-events of a ``clt-test`` replicate of the 2-d exponential model at
-T = 2000 (four to a batch).  The price is memory: a batch's tag arrays
-and its window regroup by tag bring its peak to ~36 bytes per event,
-against ~25 for a lone run.
+The cluster simulator draws independent replicates in one set of arrays
+from one generator, each event tagged with its replicate
+(:func:`simulate_cluster_batch`); a single log is the batch of one, by
+the same code, its tags all 0.  Which replicate a parent belongs to
+plays no part in the law of its offspring, so each kernel pair draws one
+Poisson total over the parents of every replicate at once, and the
+children inherit their parents' tags.  This is how the Monte Carlo
+harnesses simulate every replicate expected to hold at most half of
+their ``2**16``-event block budget: a batch pays the per-call and
+per-draw overhead once per kernel pair and generation instead of once
+per replicate, which matters up to the ~13.4k events of a ``clt-test``
+replicate of the 2-d exponential model at T = 2000 (four to a batch).
+The tags cost one byte per event up to 256 replicates; with them and the
+window regroup by tag, the traced peak is ~34 bytes per returned event,
+for a lone run and a batch alike.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -56,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, require_index, require_integer
+from .errors import NumericError, require_index, require_integer, require_seed
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -137,13 +138,6 @@ class ClusterTrace:
             root = np.where(has_parent, parent[root], root)
 
 
-def _seed(seed):
-    """``seed`` itself, after refusing a negative integer by name."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
 def _seed_meta(seed):
     """``seed`` as ``meta["seed"]`` records it, ready for JSON: a Python
     ``int`` for an integer seed, the entropy and spawn key of a
@@ -159,7 +153,8 @@ def _seed_meta(seed):
 
 def spawn_seeds(seed, n: int):
     """Independent per-replicate seed streams derived from one master seed."""
-    return np.random.SeedSequence(_seed(seed)).spawn(n)
+    require_integer(n=n)
+    return np.random.SeedSequence(require_seed(seed)).spawn(n)
 
 
 def default_burn_in(model: HawkesModel) -> float:
@@ -220,63 +215,50 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
     """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
     ``times[j]`` holds every row of component ``j``, and ``tags[j]`` their
-    replicates among ``reps`` (``tags`` is ``None`` for one replicate).
-    ``origins()`` returns the rows' parents, per component ``j`` a pair of
-    arrays: the parent's component (-1 for an immigrant) and its row in
-    ``times`` of that component; it is called only when a tie must be
-    redrawn.  Returns ``(events, redraws)``: ``events[r][j]`` holds
-    replicate ``r``'s component-``j`` times and ``redraws[r]`` counts the
-    rows of replicate ``r`` that were redrawn.  The later row of each exact
-    tie within one (replicate, component) is redrawn in place from ``gen``
-    (an immigrant uniformly on ``[lo, horizon]``, a child by a new delay
-    from its parent), and every descendant of the row moves with it, so
-    each keeps its delay from its parent; this repeats until no tie is
-    left.  One pass redraws the ties of component 0 in row order, then
-    those of component 1, and so on.
+    replicates among ``reps``.  ``origins()`` returns the rows' parents,
+    per component ``j`` a pair of arrays: the parent's component (-1 for
+    an immigrant) and its row in ``times`` of that component; it is called
+    only when a tie must be redrawn.  Returns ``(events, redraws)``:
+    ``events[r][j]`` holds replicate ``r``'s component-``j`` times and
+    ``redraws[r]`` counts the rows of replicate ``r`` that were redrawn.
+    The later row of each exact tie within one (replicate, component) is
+    redrawn in place from ``gen`` (an immigrant uniformly on ``[lo,
+    horizon]``, a child by a new delay from its parent), and every
+    descendant of the row moves with it, so each keeps its delay from its
+    parent; this repeats until no tie is left.  One pass redraws the ties
+    of component 0 in row order, then those of component 1, and so on.
     """
     redraws = np.zeros(reps, dtype=np.int64)
-    bounds = np.arange(reps + 1)
     parents = None
     for _ in range(100):
         events = [[] for _ in range(reps)]
         tied = []
         for j, tj in enumerate(times):
-            rows = (tj >= 0.0) & (tj <= horizon)
-            rj = None
-            if tags is not None:
-                # the window rows grouped by replicate, each replicate's in
-                # row order; one sort of each replicate's times then
-                # orders them
-                rows = np.flatnonzero(rows)
-                rj = tags[j][rows]
-                by_tag = np.argsort(rj, kind="stable")
-                rows, rj = rows[by_tag], rj[by_tag]
+            # the window rows grouped by replicate, each replicate's in row
+            # order; one sort of each replicate's times then orders them
+            rows = np.flatnonzero((tj >= 0.0) & (tj <= horizon))
+            rj = tags[j][rows]
+            by_tag = np.argsort(rj, kind="stable")
+            rows, rj = rows[by_tag], rj[by_tag]
             wj = tj[rows]
-            cuts = [0, wj.size] if rj is None else np.searchsorted(
-                rj, bounds).tolist()
+            # searched in the tags' own type, so rj is not cast
+            cuts = np.searchsorted(rj, np.arange(reps, dtype=rj.dtype))
+            cuts = cuts.tolist() + [rj.size]
             for r in range(reps):
                 seg = wj[cuts[r]:cuts[r + 1]]
                 seg.sort()
                 events[r].append(seg)
-            same = wj[1:] == wj[:-1]
-            if rj is not None:
-                same &= rj[1:] == rj[:-1]
+            same = (wj[1:] == wj[:-1]) & (rj[1:] == rj[:-1])
             if same.any():
                 # the rows behind the sorted times, ties in row order
-                if rj is None:
-                    rows = np.flatnonzero(rows)
-                    order = np.argsort(tj[rows], kind="stable")
-                else:
-                    order = np.lexsort((tj[rows], rj))
+                order = np.lexsort((tj[rows], rj))
                 tied.append((j, np.sort(rows[order[1:][same]])))
         if not tied:
             return [tuple(e) for e in events], redraws
         if parents is None:
             parents = origins()
         for j, rows in tied:
-            owners = (np.zeros(rows.size, dtype=np.int64) if tags is None
-                      else tags[j][rows])
-            redraws += np.bincount(owners, minlength=reps)
+            redraws += np.bincount(tags[j][rows], minlength=reps)
             pc, pq = parents[j]
             for q in rows.tolist():
                 c = pc[q]
@@ -330,25 +312,22 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
     each parent belongs to.  The only approximation is the ``2**-53`` grid
     of ``u``, on which the delays already sit.
 
-    The frontier is kept per component: one array of times (and, for a
-    batch, of replicate tags) per component, whose rows are the
-    immigrants of that component, then in later generations the children
-    of pairs ``(0, j), (1, j), ...`` in that order.  The parents of
-    component ``i`` are therefore read straight from its array, and the
-    window of each component is cut from its own rows.  The genealogy
-    (every child's parent row) is kept only as the per-pair parent picks,
-    and built from them when a trace is asked for or a tie must be
-    redrawn.  One replicate needs no tags, and its draws are those of a
-    batch of one.  ``seed`` goes to every log's ``meta``.
+    The frontier is kept per component: one array of times and one of
+    replicate tags per component, whose rows are the immigrants of that
+    component, then in later generations the children of pairs ``(0, j),
+    (1, j), ...`` in that order.  The parents of component ``i`` are
+    therefore read straight from its arrays, and the window of each
+    component is cut from its own rows.  The genealogy (every child's
+    parent row) is kept only as the per-pair parent picks, and built from
+    them when a trace is asked for or a tie must be redrawn.  A lone run
+    is the batch of one, its tags all 0.  ``seed`` goes to every log's
+    ``meta``, and ``meta["replicate"]`` is kept only for ``reps > 1``.
     """
     d = model.d
     span = horizon + b
     # the smallest unsigned type holding every tag keeps the tag arrays
     # small and their stable sorts radix sorts
     tag_type = np.min_scalar_type(reps - 1)
-    # a single replicate needs no tags, which spares long single logs the
-    # tag arrays
-    tagged = reps > 1
 
     sizes = np.empty((reps, d), dtype=np.int64)
     cur = []
@@ -356,15 +335,15 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
         sizes[:, j] = gen.poisson(model.eta[j] * span, size=reps)
         cur.append(gen.uniform(-b, horizon, size=int(sizes[:, j].sum())))
     immigrants = sizes.sum(axis=1)
-    # the frontier, per component: its times and (tagged) replicate tags
-    cur_r = ([np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
-              for j in range(d)] if tagged else None)
+    # the frontier, per component: its times and replicate tags
+    cur_r = [np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
+             for j in range(d)]
     no_times, no_tags = np.empty(0), np.empty(0, dtype=tag_type)
-    # per component, its frontier times (and tags) of every generation;
-    # per generation after the first, per component, the (i, pick) of each
+    # per component, its frontier times and tags of every generation; per
+    # generation after the first, per component, the (i, pick) of each
     # pair feeding it
     hist_t = [[t] for t in cur]
-    hist_r = [[r] for r in cur_r] if tagged else None
+    hist_r = [[r] for r in cur_r]
     links = []
     # per replicate, the deepest generation holding an event (0: immigrants
     # only)
@@ -401,19 +380,15 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
                 child_t += kern._inverse_cdf(u[0])
                 nxt_t[j].append(child_t)
                 nxt_p[j].append((i, pick))
-                if tagged:
-                    nxt_r[j].append(cur_r[i][pick])
+                nxt_r[j].append(cur_r[i][pick])
         if not any(nxt_t):
             break
         for j in range(d):
             cur[j] = np.concatenate(nxt_t[j]) if nxt_t[j] else no_times
             hist_t[j].append(cur[j])
-            if tagged:
-                cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
-                deepest[cur_r[j]] = generation
-                hist_r[j].append(cur_r[j])
-        if not tagged:
-            deepest[0] = generation
+            cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
+            deepest[cur_r[j]] = generation
+            hist_r[j].append(cur_r[j])
         links.append(nxt_p)
 
     # each component's rows in one array; its per-generation arrays are
@@ -422,8 +397,7 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
     times, tags = hist_t, hist_r
     for j in range(d):
         times[j] = np.concatenate(times[j])
-        if tagged:
-            tags[j] = np.concatenate(tags[j])
+        tags[j] = np.concatenate(tags[j])
     events, redraws = _window_events(times, tags, reps,
                                      lambda: _lineage(counts, links), model,
                                      -b, horizon, gen)
@@ -431,13 +405,13 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
             "horizon": horizon}
     logs = [
         EventLog(d, horizon, events[r],
-                 {**meta, **({"replicate": r} if tagged else {}),
+                 {**meta, **({"replicate": r} if reps > 1 else {}),
                   "immigrants": int(immigrants[r]),
                   "generations": int(deepest[r]),
                   "tie_redraws": int(redraws[r])})
         for r in range(reps)
     ]
-    trace = (_trace(times, tags, _lineage(counts, links), counts, tag_type)
+    trace = (_trace(times, tags, _lineage(counts, links), counts)
              if return_trace else None)
     return logs, trace
 
@@ -462,10 +436,10 @@ def _lineage(counts, links):
     return out
 
 
-def _trace(times, tags, lineage, counts, tag_type) -> ClusterTrace:
+def _trace(times, tags, lineage, counts) -> ClusterTrace:
     """The :class:`ClusterTrace` of per-component rows ``times[j]`` (tags
-    ``tags[j]``, ``None`` for one replicate) with parents ``lineage`` (see
-    :func:`_lineage`), in the order generation, then component, then row."""
+    ``tags[j]``) with parents ``lineage`` (see :func:`_lineage`), in the
+    order generation, then component, then row."""
     sizes = np.array(counts, dtype=np.int64)
     d, depth = sizes.shape
     # the trace row of each component's row: where its (generation,
@@ -479,13 +453,12 @@ def _trace(times, tags, lineage, counts, tag_type) -> ClusterTrace:
     comps = np.empty(total, dtype=np.int64)
     gens = np.empty(total, dtype=np.int64)
     parents = np.full(total, -1, dtype=np.int64)
-    out_r = np.zeros(total, dtype=tag_type)
+    out_r = np.empty(total, dtype=tags[0].dtype)
     for j, k in enumerate(rows):
         out_t[k] = times[j]
         comps[k] = j
         gens[k] = np.repeat(np.arange(depth), sizes[j])
-        if tags is not None:
-            out_r[k] = tags[j]
+        out_r[k] = tags[j]
         pc, pq = lineage[j]
         for i in range(d):
             mine = pc == i
@@ -513,8 +486,7 @@ def simulate_cluster_batch(
     offspring of each parent are thus i.i.d. Poisson(``M_ij``) whatever
     its replicate, and the replicates are independent.  A batched
     replicate is therefore not the log :func:`simulate_cluster` draws from
-    any seed; a batch of one is bit for bit the :func:`simulate_cluster`
-    log of ``seed``.
+    any seed; :func:`simulate_cluster` is the batch of one.
 
     Parameters
     ----------
@@ -541,7 +513,7 @@ def simulate_cluster_batch(
     """
     require_integer(minimum=1, replicates=replicates)
     b = _burn_in(model, horizon, burn_in, replicates)
-    gen = np.random.default_rng(_seed(seed))
+    gen = np.random.default_rng(require_seed(seed))
     logs, trace = _cluster(model, horizon, b, gen, seed, int(replicates),
                            return_trace)
     return (logs, trace) if return_trace else logs
@@ -554,7 +526,8 @@ def simulate_cluster(
     seed=None,
     return_trace: bool = False,
 ):
-    """Simulate by the Poisson cluster representation.
+    """Simulate by the Poisson cluster representation: the one-replicate
+    :func:`simulate_cluster_batch`, whose log has no ``meta["replicate"]``.
 
     Parameters
     ----------
@@ -570,10 +543,9 @@ def simulate_cluster(
     return_trace : bool
         Also return the :class:`ClusterTrace` genealogy.
     """
-    b = _burn_in(model, horizon, burn_in)
-    gen = np.random.default_rng(_seed(seed))
-    (log,), trace = _cluster(model, horizon, b, gen, seed, 1, return_trace)
-    return (log, trace) if return_trace else log
+    out = simulate_cluster_batch(model, horizon, 1, burn_in, seed,
+                                 return_trace)
+    return (out[0][0], out[1]) if return_trace else out[0]
 
 
 _PRUNE_EVERY = 2048
@@ -614,7 +586,7 @@ def simulate_thinning(
     accepted time.
     """
     b = _burn_in(model, horizon, burn_in)
-    gen = np.random.default_rng(_seed(seed))
+    gen = np.random.default_rng(require_seed(seed))
     d = model.d
     eta = model.eta.tolist()
     # an event of a history source is pruned once its summed contribution

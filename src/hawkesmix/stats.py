@@ -23,9 +23,9 @@ import numpy as np
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
 from .errors import (HypothesisError, NumericError, require_index,
-                     require_integer, to_json)
+                     require_integer, require_seed, to_json)
 from .model import HawkesModel
-from .simulate import (EventLog, _seed, _simulator, default_burn_in,
+from .simulate import (EventLog, _simulator, default_burn_in,
                        simulate, simulate_cluster_batch, spawn_seeds)
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
@@ -151,9 +151,23 @@ class PathSample:
     to_dict = to_json
 
 
+def _unit_grid(grid) -> np.ndarray:
+    """``grid`` as a float array, which must be nonempty and strictly
+    increasing inside ``(0, 1]``."""
+    grid = np.asarray(grid, dtype=float)
+    # negated, so a NaN point fails
+    if not (grid.ndim == 1 and grid.size and np.all(grid > 0.0)
+            and np.all(grid <= 1.0) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError("grid must be nonempty and strictly increasing "
+                         "inside (0, 1]")
+    return grid
+
+
 def path_sample(log: EventLog, model: HawkesModel, f: TestFunction,
                 tc: TimeChange, grid) -> PathSample:
-    grid = np.asarray(grid, dtype=float)
+    """The path of ``log`` at the points of ``grid``, nonempty and strictly
+    increasing inside ``(0, 1]``."""
+    grid = _unit_grid(grid)
     v = tc(grid)
     sigma_t = float(np.sqrt(tc.sigma_T2))
     values = partial_statistics(log, model, f, v) / sigma_t
@@ -296,7 +310,7 @@ def _check_replicates(replicates, seed) -> None:
     count or seed that is not an integer."""
     if isinstance(replicates, numbers.Integral) and replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
-    require_integer(replicates=replicates, seed=_seed(seed))
+    require_integer(replicates=replicates, seed=require_seed(seed))
 
 
 def _batch_size(model: HawkesModel, horizon: float, burn_in: float) -> int:
@@ -405,12 +419,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
             f"limit theorem needs (beta - 1) * delta > 2, got "
             f"({beta} - 1) * {delta} = {(beta - 1.0) * delta:.6g}"
         )
-    grid = _DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
-    # negated, so a NaN point fails
-    if not (grid.size and np.all(grid > 0.0) and np.all(grid <= 1.0)
-            and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("grid must be nonempty and strictly increasing "
-                         "inside (0, 1]")
+    grid = _unit_grid(_DEFAULT_GRID if grid is None else grid)
 
     tc = time_change(model, f, horizon, grid_step)
     sigma_t = float(np.sqrt(tc.sigma_T2))

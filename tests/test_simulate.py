@@ -712,11 +712,12 @@ class TestClusterBatch:
                           > trace.times[trace.parents[kids]])
         assert redraws > 0
 
-    def test_batch_memory_per_event(self):
-        """The batch's traced peak stays under 40 bytes per returned event
-        for four clt-sized replicates of the 2-d exponential model (~13.4k
-        expected events each); it measures ~36, against ~25 for a lone
-        run, whose logs keep no tags."""
+    @pytest.mark.parametrize("replicates", [1, 4])
+    def test_batch_memory_per_event(self, replicates):
+        """The traced peak stays under 40 bytes per returned event for a
+        lone run and for a batch of four clt-sized replicates of the 2-d
+        exponential model (~13.4k expected events each); both keep tags,
+        and they measure ~35 and ~34."""
         model = hm.HawkesModel([1.0, 1.0], [
             [hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
             [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)],
@@ -725,7 +726,8 @@ class TestClusterBatch:
         hm.simulate_cluster_batch(model, 10.0, 4, seed=0)
         tracemalloc.start()
         try:
-            logs = hm.simulate_cluster_batch(model, 2000.0, 4, seed=1)
+            logs = hm.simulate_cluster_batch(model, 2000.0, replicates,
+                                             seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -749,15 +751,18 @@ class TestWindowTies:
     @classmethod
     def window(cls, times, comps, parents, tags, model, gen):
         """``_window_events`` on rows given as one set of arrays (``tags``
-        ``None`` for one replicate), split per component as the cluster
-        simulator keeps them; redrawn times are written back to ``times``."""
-        reps = 1 if tags is None else int(tags.max()) + 1
+        ``None`` for one replicate, whose tags are all 0), split per
+        component as the cluster simulator keeps them; redrawn times are
+        written back to ``times``."""
+        if tags is None:
+            tags = np.zeros(times.size, dtype=np.uint8)
+        reps = int(tags.max()) + 1
         rows = [np.flatnonzero(comps == j) for j in range(model.d)]
         pos = np.empty(times.size, dtype=np.int64)
         for k in rows:
             pos[k] = np.arange(k.size)
         own_t = [times[k] for k in rows]
-        own_r = None if tags is None else [tags[k] for k in rows]
+        own_r = [tags[k] for k in rows]
 
         def origins():
             return [(np.where(parents[k] < 0, -1, comps[parents[k]]),

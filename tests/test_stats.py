@@ -538,7 +538,38 @@ BAD_ARGUMENTS = {
         "replicates must be an integer >= 0, got 20.5"),
     "decay-fractional-seed": (lambda m, log, f: hm.mixing_decay_diagnostic(
         m, 0, 0, 1.0, [3.0], 20, 1.5), "seed must be an integer >= 0, got 1.5"),
+    "path-nan-grid-point": (lambda m, log, f: hm.path_sample(
+        log, m, f, _time_change(), [np.nan]), "grid must be nonempty"),
+    "path-zero-grid-point": (lambda m, log, f: hm.path_sample(
+        log, m, f, _time_change(), [0.0, 0.5]), "grid must be nonempty"),
+    "path-grid-past-one": (lambda m, log, f: hm.path_sample(
+        log, m, f, _time_change(), [1.5]), "grid must be nonempty"),
+    "simulate-fractional-seed": (lambda m, log, f: hm.simulate(
+        m, 10.0, seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    "batch-fractional-seed": (lambda m, log, f: hm.simulate_cluster_batch(
+        m, 10.0, 2, seed=1.5), "seed must be an integer >= 0, got 1.5"),
+    "spawn-negative-count": (lambda m, log, f: hm.spawn_seeds(1, -2),
+                             "n must be an integer >= 0, got -2"),
+    "generations-negative-seed": (lambda m, log, f: hm.simulate_generations(
+        m.reproduction, 0, 3, 2, seed=-1), "seed must be >= 0, got -1"),
+    "generations-negative-matrix": (lambda m, log, f: hm.simulate_generations(
+        [[-0.5]], 0, 3, 2), "m must be nonnegative"),
+    "generations-nan-matrix": (lambda m, log, f: hm.simulate_generations(
+        [[np.nan]], 0, 3, 2), "m must be finite"),
+    "generations-vector-matrix": (lambda m, log, f: hm.simulate_generations(
+        [0.5, 0.2], 0, 3, 2), r"m must be a square matrix, got shape \(2,\)"),
+    "generations-non-square": (lambda m, log, f: hm.simulate_generations(
+        [[0.5, 0.2]], 0, 3, 2), "m must be a square matrix"),
+    "laplace-negative-matrix": (lambda m, log, f: hm.laplace_generation(
+        [[-0.5]], [0.1], 3), "m must be nonnegative"),
+    "g-map-nan-matrix": (lambda m, log, f: hm.g_map(
+        [[np.nan]], [0.1]), "m must be finite"),
 }
+
+
+def _time_change():
+    """A time change built without spectral work."""
+    return hm.TimeChange(np.array([5.0, 10.0]), np.array([1.0, 2.0]))
 
 
 class TestBadArguments:
@@ -562,6 +593,10 @@ NON_INTEGER_INDEX = {
     "decay-diagnostic": lambda m, log: hm.mixing_decay_diagnostic(
         m, 0, 0.5, 1.0, [3.0], 20, 1),
     "event-log-count": lambda m, log: log.count(0.5, 0.0, 1.0),
+    "generations-ancestor": lambda m, log: hm.simulate_generations(
+        m.reproduction, 0.5, 3, 2),
+    "laplace-ancestor": lambda m, log: hm.laplace_generation(
+        m.reproduction, [0.1], 3, ancestor=0.5),
 }
 
 
@@ -581,6 +616,8 @@ def test_non_integer_component_index_refused(d1_model, monkeypatch, call):
     lambda m, log: hm.cov_counts(m, "x", 0, (0.0, 1.0), (2.0, 3.0)),
     lambda m, log: hm.mixing_decay_diagnostic(m, 0, "x", 1.0, [3.0], 20, 1),
     lambda m, log: log.count("x", 0.0, 1.0),
+    lambda m, log: hm.simulate_generations(m.reproduction, "x", 3, 2),
+    lambda m, log: hm.laplace_generation(m.reproduction, [0.1], 3, "x"),
 ], ids=NON_INTEGER_INDEX.keys())
 def test_string_component_index_refused_before_comparison(d1_model, call):
     log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
