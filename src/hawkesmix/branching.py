@@ -52,27 +52,42 @@ def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
     return u
 
 
+def _capped(u: np.ndarray) -> np.ndarray:
+    """``u``, after raising :class:`NumericError` if any entry is past 700.
+
+    The cap sits below the exp overflow threshold so every reported
+    transform is finite; iterates beyond it mean divergence anyway.
+    """
+    if np.any(u > 700.0):
+        raise NumericError(
+            "Laplace recursion overflowed; the matrix is supercritical "
+            "or the argument is too large"
+        )
+    return u
+
+
 def g_map(m: np.ndarray, u) -> np.ndarray:
-    """One step of the Laplace-functional recursion: ``g(u) = M (e^u - 1)``."""
+    """One step of the Laplace-functional recursion: ``g(u) = M (e^u - 1)``.
+
+    Raises :class:`NumericError` for an argument past the recursion's cap
+    of 700 and for a result that is not finite.
+    """
     m = nonnegative_matrix(m)
-    return m @ np.expm1(_laplace_argument(m, u))
+    with np.errstate(over="ignore"):
+        out = m @ np.expm1(_capped(_laplace_argument(m, u)))
+    if not np.all(np.isfinite(out)):
+        raise NumericError(f"g(u) overflowed: {out}")
+    return out
 
 
 def _g_iterates(m, u, k):
     """``u, g(u), ..., g^k(u)`` for a checked matrix ``m`` and argument
     ``u``, as the rows of a ``(k + 1, d)`` array."""
     out = np.empty((k + 1, len(u)))
-    out[0] = u
-    for j in range(k + 1):
-        if j > 0:
-            out[j] = m @ np.expm1(out[j - 1])
-        # cap below the exp overflow threshold so every reported transform
-        # is finite; iterates beyond it mean divergence anyway
-        if np.any(out[j] > 700.0):
-            raise NumericError(
-                "Laplace recursion overflowed; the matrix is supercritical "
-                "or the argument is too large"
-            )
+    out[0] = _capped(u)
+    with np.errstate(over="ignore"):  # an infinite iterate fails the cap
+        for j in range(1, k + 1):
+            out[j] = _capped(m @ np.expm1(out[j - 1]))
     return out
 
 

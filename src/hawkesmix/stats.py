@@ -248,69 +248,51 @@ def _worker_count(requested: int, chunks: int) -> int:
     return max(1, min(requested, len(os.sched_getaffinity(0)), chunks))
 
 
-def _send_result(work, part, conn) -> None:
-    """Send ``(True, work(part))``, or ``(False, exc)`` if it raised, on
-    ``conn``; the body of a forked worker."""
-    try:
-        result = (True, work(part))
-    except Exception as exc:  # noqa: BLE001 - re-raised by the parent
-        result = (False, exc)
-    conn.send(result)
-    conn.close()
+# the ``work`` of the pool this process serves; set only in pool processes
+_work = None
+
+
+def _serve(work) -> None:
+    """Pool initializer: keep ``work``, inherited through the fork."""
+    global _work
+    _work = work
+
+
+def _run(part):
+    """``work(part)``: what every pool process runs for each part."""
+    return _work(part)
 
 
 def _forked(work, parts: list) -> list:
     """``[work(part) for part in parts]``, every part but the first computed
-    in a forked process while this one computes the first.
+    in a pool of forked processes while this one computes the first.
 
-    A forked child inherits ``work`` with its closure, so only results are
-    pickled.  An exception raised in a child is raised here with its type
-    and message; on any error every child is stopped and reaped.  A fork
-    copies only the calling thread, so the caller should run no other.
+    The pool processes inherit ``work`` with its closure, so only parts and
+    results are pickled.  An exception raised in a pool process is raised
+    here with its type and message, and a pool process that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`, a
+    ``RuntimeError``.  On an error the other pool processes finish their
+    current part before they are joined.  A fork copies only the calling
+    thread, so the caller should run no other.
     """
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    ctx = multiprocessing.get_context("fork")
-    procs, conns = [], []
-    try:
-        for part in parts[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            conns.append(recv)
-            proc = ctx.Process(target=_send_result, args=(work, part, send),
-                               daemon=True)
-            proc.start()
-            procs.append(proc)
-            send.close()
-        results = [work(parts[0])]
-        for proc, recv in zip(procs, conns):
-            try:
-                ok, value = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"replicate worker exited with code "
-                                   f"{proc.exitcode} before sending its "
-                                   f"rows") from None
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        for proc in procs:
-            proc.join()
-        for recv in conns:
-            recv.close()
+    with ProcessPoolExecutor(len(parts) - 1,
+                             multiprocessing.get_context("fork"),
+                             initializer=_serve, initargs=(work,)) as pool:
+        futures = [pool.submit(_run, part) for part in parts[1:]]
+        return [work(parts[0])] + [future.result() for future in futures]
 
 
-def _check_replicates(replicates, seed) -> None:
-    """Refuse fewer than 10 replicates, a negative seed, and a replicate
-    count or seed that is not an integer."""
+def _check_replicates(replicates, seed, workers) -> None:
+    """Refuse fewer than 10 replicates, a negative seed, a replicate count
+    or seed that is not an integer, and a worker count that is not an
+    integer >= 1."""
     if isinstance(replicates, numbers.Integral) and replicates < 10:
         raise ValueError(f"need at least 10 replicates, got {replicates}")
     require_integer(replicates=replicates, seed=require_seed(seed))
+    require_integer(1, workers=workers)
 
 
 def _batch_size(model: HawkesModel, horizon: float, burn_in: float) -> int:
@@ -404,10 +386,10 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     grid_step : float, optional
         Step of the time-change grid; see :func:`time_change`.
     workers : int
-        Processes the replicates are spread over, forked from this one;
-        the report does not depend on it.
+        Processes the replicates are spread over, an integer >= 1; all but
+        this one are forked from it, and the report does not depend on it.
     """
-    _check_replicates(replicates, seed)
+    _check_replicates(replicates, seed, workers)
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if not 0.0 < level < 1.0:
@@ -544,7 +526,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     The replicates are spread over ``workers`` processes, which changes no
     value.
     """
-    _check_replicates(replicates, seed)
+    _check_replicates(replicates, seed, workers)
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0:
         raise ValueError("need at least one lag")

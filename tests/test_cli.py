@@ -682,7 +682,8 @@ class TestImports:
         assert self._fresh_import(code) == "[]"
 
     def test_cli_import_loads_no_multiprocessing(self):
-        # only a run with more than one replicate worker imports it
+        # only a run with more than one replicate worker imports them
         code = ("import sys, hawkesmix.cli; "
-                "print('multiprocessing' in sys.modules)")
-        assert self._fresh_import(code) == "False"
+                "print('multiprocessing' in sys.modules, "
+                "'concurrent.futures' in sys.modules)")
+        assert self._fresh_import(code) == "False False"

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -477,23 +478,34 @@ class TestReplicateWorkers:
         monkeypatch.delattr(os, "fork")
         assert stats._worker_count(10_000, 500) == 1
 
-    @pytest.mark.parametrize("bad", [2, 9], ids=["parent-part", "child-part"])
+    @pytest.mark.parametrize("bad,dies", [(2, False), (9, False), (9, True)],
+                             ids=["parent-part", "child-part", "child-dies"])
     def test_worker_error_reaches_the_caller(self, d1_model, monkeypatch,
-                                             bad):
+                                             bad, dies):
         """Replicates 0-5 run here and 6-11 in a forked child; an error in
-        either part is raised with its type and message, and no worker is
-        left running."""
+        either part is raised with its type and message, a child that dies
+        raises ``RuntimeError`` at once, and no worker is left running."""
         _three_cpus(monkeypatch)
         monkeypatch.setattr(stats, "_BATCH_EVENTS", 1)
         simulate = stats.simulate
+        here = os.getpid()
 
         def failing(*args, seed, **kwargs):
             if seed.spawn_key == (bad,):
+                if dies and os.getpid() != here:
+                    os._exit(3)
                 raise NumericError(f"replicate {bad} diverged")
             return simulate(*args, seed=seed, **kwargs)
 
         monkeypatch.setattr(stats, "simulate", failing)
         f = hm.TestFunction.constant([1.0])
+        if dies:
+            start = time.monotonic()
+            with pytest.raises(RuntimeError):
+                hm.clt_harness(d1_model, f, 20.0, 12, seed=1, workers=2)
+            assert time.monotonic() - start < 30.0
+            assert multiprocessing.active_children() == []
+            return
         with pytest.raises(NumericError,
                            match=f"^replicate {bad} diverged$") as caught:
             hm.clt_harness(d1_model, f, 20.0, 12, seed=1, workers=2)
@@ -564,6 +576,28 @@ BAD_ARGUMENTS = {
         [[-0.5]], [0.1], 3), "m must be nonnegative"),
     "g-map-nan-matrix": (lambda m, log, f: hm.g_map(
         [[np.nan]], [0.1]), "m must be finite"),
+    "g-map-overflow": (lambda m, log, f: hm.g_map(
+        [[0.5, 0.3], [0.2, 0.4]], [1000.0, 0.0]),
+        "Laplace recursion overflowed", NumericError),
+    "g-map-infinite-result": (lambda m, log, f: hm.g_map(
+        [[1e300]], [600.0]), r"g\(u\) overflowed", NumericError),
+    "laplace-infinite-iterate": (lambda m, log, f: hm.laplace_generation(
+        [[1e300]], [600.0], 1), "Laplace recursion overflowed", NumericError),
+    "clt-string-workers": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, workers="2"),
+        "workers must be an integer >= 1, got '2'"),
+    "clt-boolean-workers": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, workers=True),
+        "workers must be an integer >= 1, got True"),
+    "clt-zero-workers": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, workers=0),
+        "workers must be an integer >= 1, got 0"),
+    "decay-negative-workers": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 20, 1, workers=-3),
+        "workers must be an integer >= 1, got -3"),
+    "decay-fractional-workers": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 20, 1, workers=2.5),
+        "workers must be an integer >= 1, got 2.5"),
 }
 
 
@@ -573,17 +607,20 @@ def _time_change():
 
 
 class TestBadArguments:
-    @pytest.mark.parametrize("call,message", BAD_ARGUMENTS.values(),
+    @pytest.mark.parametrize("case", BAD_ARGUMENTS.values(),
                              ids=BAD_ARGUMENTS.keys())
-    def test_refused_before_spectral_work(self, d1_model, monkeypatch, call,
-                                          message):
+    def test_refused_before_spectral_work(self, d1_model, monkeypatch, case):
+        """Each case is ``(call, message)``, refused with a ``ValueError``,
+        or ``(call, message, error)``."""
+        call, message, error = (*case, ValueError)[:3]
+
         def no_spectrum(*args, **kwargs):
             raise AssertionError("spectral work started")
 
         monkeypatch.setattr(hm.spectrum, "bartlett_grid", no_spectrum)
         log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
         f = hm.TestFunction.constant([1.0])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(error, match=message):
             call(d1_model, log, f)
 
 
