@@ -160,6 +160,14 @@ def require_integer(minimum: int = 0, **params) -> None:
                              f"got {value!r}")
 
 
+def require_real(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that is not a real
+    number; booleans fail, and NaN and infinities pass."""
+    for name, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def require_seed(seed):
     """``seed`` itself, after refusing by name a negative integer and any
     other number that is not an integer; ``None``, a

@@ -26,15 +26,15 @@ from one generator, each event tagged with its replicate
 the same code, its tags all 0.  Which replicate a parent belongs to
 plays no part in the law of its offspring, so each kernel pair draws one
 Poisson total over the parents of every replicate at once, and the
-children inherit their parents' tags.  This is how the Monte Carlo
-harnesses simulate every replicate expected to hold at most half of
-their ``2**16``-event block budget: a batch pays the per-call and
-per-draw overhead once per kernel pair and generation instead of once
-per replicate, which matters up to the ~13.4k events of a ``clt-test``
-replicate of the 2-d exponential model at T = 2000 (four to a batch).
-The tags cost one byte per event up to 256 replicates; with them and the
-window regroup by tag, the traced peak is ~34 bytes per returned event,
-for a lone run and a batch alike.
+children inherit their parents' tags.  The Monte Carlo harnesses
+simulate all their replicates this way, in batches of up to ``2**16``
+expected events (one expecting more than half of that is a batch of
+one): a batch pays the per-call and per-draw overhead once per kernel
+pair and generation instead of once per replicate, which matters up to
+the ~13.4k events of a ``clt-test`` replicate of the 2-d exponential
+model at T = 2000 (four to a batch).  The tags cost one byte per event up to 256 replicates;
+with them and the window regroup by tag, the traced peak is ~33-34
+bytes per returned event, for a lone run and a batch alike.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -57,7 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericError, require_index, require_integer, require_seed
+from .errors import (NumericError, require_index, require_integer, require_real,
+                     require_seed)
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -193,11 +194,15 @@ def default_burn_in(model: HawkesModel) -> float:
 def _burn_in(model: HawkesModel, horizon: float, burn_in,
              replicates: int = 1) -> float:
     """Checked burn-in of a simulation (default per :func:`default_burn_in`);
-    refuses a non-finite or out-of-range window, and ``replicates`` windows
-    expected to hold ``_MAX_EXPECTED_EVENTS`` events or more."""
+    refuses a horizon or burn-in that is not a finite real number in range,
+    and ``replicates`` windows expected to hold ``_MAX_EXPECTED_EVENTS``
+    events or more."""
     model.validate()
+    require_real(horizon=horizon)
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    if burn_in is not None:
+        require_real(burn_in=burn_in)
     b = default_burn_in(model) if burn_in is None else float(burn_in)
     if not (np.isfinite(b) and b >= 0.0):
         raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
@@ -235,12 +240,15 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
         tied = []
         for j, tj in enumerate(times):
             # the window rows grouped by replicate, each replicate's in row
-            # order; one sort of each replicate's times then orders them
-            rows = np.flatnonzero((tj >= 0.0) & (tj <= horizon))
-            rj = tags[j][rows]
+            # order; one sort of each replicate's times then orders them.
+            # wj, which the logs keep, is cut before the temporaries, so the
+            # heap they free can be returned (2.5 MB of peak RSS at T = 1e5)
+            inside = (tj >= 0.0) & (tj <= horizon)
+            wj = tj[inside]
+            rj = tags[j][inside]
             by_tag = np.argsort(rj, kind="stable")
-            rows, rj = rows[by_tag], rj[by_tag]
-            wj = tj[rows]
+            rj = rj[by_tag]
+            wj[:] = wj[by_tag]
             # searched in the tags' own type, so rj is not cast
             cuts = np.searchsorted(rj, np.arange(reps, dtype=rj.dtype))
             cuts = cuts.tolist() + [rj.size]
@@ -251,6 +259,7 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
             same = (wj[1:] == wj[:-1]) & (rj[1:] == rj[:-1])
             if same.any():
                 # the rows behind the sorted times, ties in row order
+                rows = np.flatnonzero(inside)[by_tag]
                 order = np.lexsort((tj[rows], rj))
                 tied.append((j, np.sort(rows[order[1:][same]])))
         if not tied:
@@ -692,18 +701,13 @@ def simulate_thinning(
 _SIMULATORS = {"cluster": simulate_cluster, "thinning": simulate_thinning}
 
 
-def _simulator(name: str):
-    """The simulation mechanism called ``name``."""
-    if name not in _SIMULATORS:
-        raise ValueError(f"unknown simulator {name!r}")
-    return _SIMULATORS[name]
-
-
 def simulate(model, horizon: float, simulator: str = "cluster",
              burn_in: float | None = None, seed: int | None = None):
     """Dispatch to one of the two simulation mechanisms by name; ``seed``
     (an integer, SeedSequence or generator) is their random stream."""
-    return _simulator(simulator)(model, horizon, burn_in=burn_in, seed=seed)
+    if not (isinstance(simulator, str) and simulator in _SIMULATORS):
+        raise ValueError(f"unknown simulator {simulator!r}")
+    return _SIMULATORS[simulator](model, horizon, burn_in=burn_in, seed=seed)
 
 
 def write_event_log(log: EventLog, csv_path) -> Path:

@@ -228,8 +228,6 @@ def _g_norm_const(model: HawkesModel, xi_from: float) -> float:
     ``G = R D + D R^H + R D R^H``.
     """
     ah, dn = _envelope_consts(model)
-    if ah == 0.0:
-        return 0.0
     a0 = ah / xi_from
     if a0 > 0.5:
         raise ValueError("certified tail needs xi_from >= 2 * envelope constant")

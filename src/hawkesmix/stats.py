@@ -23,10 +23,11 @@ import numpy as np
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, mixing_bound
 from .errors import (HypothesisError, NumericError, require_index,
-                     require_integer, require_seed, to_json)
+                     require_integer, require_real, require_seed, to_json)
 from .model import HawkesModel
-from .simulate import (EventLog, _simulator, default_burn_in,
-                       simulate, simulate_cluster_batch, spawn_seeds)
+from .simulate import (EventLog, default_burn_in, simulate_cluster_batch,
+                       spawn_seeds)
+from .simulate import simulate  # noqa: F401 - bench/tracing.py wraps it
 from .spectrum import cov_counts, variance_profile
 from .testfunctions import TestFunction
 
@@ -124,10 +125,12 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
     curve matters here and adjacent grid variances differ at order
     ``sigma_T^2 / n``, far above the quadrature error.
     """
+    require_real(horizon=horizon)
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if grid_step is None:
         grid_step = horizon / 1000.0
+    require_real(grid_step=grid_step)
     if not 0.0 < grid_step <= horizon:
         raise ValueError("grid step must lie in (0, horizon]")
     if horizon / grid_step > _MAX_GRID:
@@ -186,7 +189,6 @@ class HarnessReport:
 
     replicates: int
     horizon: float
-    simulator: str
     seed: int
     grid: np.ndarray
     sigma_T: float
@@ -305,21 +307,17 @@ def _batch_size(model: HawkesModel, horizon: float, burn_in: float) -> int:
 
 
 def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
-                    seed: int, simulator: str, row, *,
-                    workers: int = 1) -> np.ndarray:
+                    seed: int, row, *, workers: int = 1) -> np.ndarray:
     """Stack ``row(log)`` over seeded replicate logs, in replicate order.
 
     The replicates are cut into consecutive blocks of :func:`_batch_size`
-    cluster replicates (the last block may be shorter), or of one thinning
-    replicate, and block ``k`` draws from the ``k``-th stream spawned from
-    ``seed``.  A block of several replicates is one
-    :func:`~hawkesmix.simulate.simulate_cluster_batch` call on its stream,
-    and a block of one is one :func:`~hawkesmix.simulate.simulate` call, so
-    with blocks of one replicate ``r`` draws from the ``r``-th stream.  The
-    rows therefore depend on the block partition, which the model, horizon,
-    burn-in and replicate count fix.  The burn-in depends only on the model
-    and is computed once, before any fork, like the model's mean intensity,
-    which the callers' validation caches.
+    replicates (the last may be shorter), and block ``k`` is one
+    :func:`~hawkesmix.simulate.simulate_cluster_batch` call on the ``k``-th
+    stream spawned from ``seed``, so the rows depend on the block
+    partition, which the model, horizon, burn-in and replicate count fix.
+    The burn-in depends only on the model and is computed once, before any
+    fork, like the model's mean intensity, which the callers' validation
+    caches.
 
     The blocks are split into ``workers`` contiguous parts, capped by
     :func:`_worker_count`; this process computes the first part and forked
@@ -327,22 +325,14 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
     the rows do not depend on the worker count.
     """
     burn_in = default_burn_in(model)
-    size = 1
-    if simulator == "cluster":
-        size = _batch_size(model, horizon, burn_in)
+    size = _batch_size(model, horizon, burn_in)
     sizes = [min(size, replicates - k) for k in range(0, replicates, size)]
     blocks = list(zip(spawn_seeds(seed, len(sizes)), sizes))
 
     def rows(part) -> np.ndarray:
-        if size == 1:
-            logs = (simulate(model, horizon, simulator=simulator,
-                             burn_in=burn_in, seed=s) for s, _ in part)
-        else:
-            logs = (log for s, n in part
-                    for log in simulate_cluster_batch(model, horizon, n,
-                                                      burn_in=burn_in,
-                                                      seed=s))
-        return np.vstack([row(log) for log in logs])
+        return np.vstack([row(log) for s, n in part
+                          for log in simulate_cluster_batch(
+                              model, horizon, n, burn_in=burn_in, seed=s)])
 
     n = _worker_count(workers, len(blocks))
     if n == 1:
@@ -355,10 +345,9 @@ def _replicate_rows(model: HawkesModel, horizon: float, replicates: int,
 def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
                 replicates: int, seed: int, beta: float = 3.0,
                 delta: float = 2.0, grid: list[float] | None = None,
-                simulator: str = "cluster", level: float = 0.01,
-                grid_step: float | None = None, *,
+                level: float = 0.01, grid_step: float | None = None, *,
                 workers: int = 1) -> HarnessReport:
-    """Simulate replicate logs and test the normal and Brownian limits.
+    """Simulate cluster replicate logs and test the normal and Brownian limits.
 
     The limit theory needs kernels with a finite moment of order
     ``1 + beta``, weights locally ``(2 + delta)``-integrable (automatic
@@ -379,8 +368,6 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     grid : array_like, optional
         Time-change evaluation grid in ``(0, 1]``; defaults to
         ``{0.1, ..., 1.0}``.
-    simulator : str
-        ``"cluster"`` or ``"thinning"``.
     level : float
         Test level in ``(0, 1)`` for the Kolmogorov-Smirnov critical value.
     grid_step : float, optional
@@ -394,7 +381,6 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         raise ValueError(f"delta must be > 0, got {delta}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    _simulator(simulator)  # fails on an unknown name before any spectral work
     model.validate(beta)
     if (beta - 1.0) * delta <= 2.0:
         raise HypothesisError(
@@ -409,7 +395,7 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     eval_times = np.append(v_times, horizon)
 
     stats = _replicate_rows(
-        model, horizon, replicates, seed, simulator,
+        model, horizon, replicates, seed,
         lambda log: partial_statistics(log, model, f, eval_times),
         workers=workers,
     )
@@ -440,7 +426,6 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
     return HarnessReport(
         replicates=replicates,
         horizon=horizon,
-        simulator=simulator,
         seed=seed,
         grid=grid,
         sigma_T=sigma_t,
@@ -481,7 +466,6 @@ class DecayReport:
     bound: np.ndarray | None
     replicates: int
     seed: int
-    simulator: str
     mixing: MixingBoundReport | None = None
 
     to_dict = to_json
@@ -513,20 +497,21 @@ def _decay_row(i: int, j: int, window_len: float, lags: np.ndarray):
 def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
                             window: float, lags: list[float], replicates: int,
                             seed: int, beta: float | None = None,
-                            gamma: float | None = None,
-                            simulator: str = "cluster", *,
+                            gamma: float | None = None, *,
                             workers: int = 1) -> DecayReport:
     """Estimate count covariances across lags and compare with theory.
 
     For each lag ``tau``, estimates ``Cov(N_i((0, w]), N_j((tau, tau + w]))``
-    over independent replicates and reports it beside the spectral value
-    from :func:`hawkesmix.spectrum.cov_counts` (``abs_tol`` 1e-9, default
-    ``rel_tol``) and, when ``beta`` and ``gamma`` are given (both or
-    neither), the branching covariance-decay bound at the window gap.
-    The replicates are spread over ``workers`` processes, which changes no
-    value.
+    over independent replicates simulated by the cluster representation,
+    spread over ``workers`` processes, which changes no value.  It reports
+    it beside the spectral value from :func:`hawkesmix.spectrum.cov_counts`
+    (``abs_tol`` 1e-9, default ``rel_tol``) and, when ``beta`` and
+    ``gamma`` are given (both or neither), the branching covariance-decay
+    bound at the window gap.
     """
     _check_replicates(replicates, seed, workers)
+    require_real(window=window,
+                 **{f"lags[{k}]": lag for k, lag in enumerate(lags)})
     lags = np.asarray(lags, dtype=float)
     if lags.size == 0:
         raise ValueError("need at least one lag")
@@ -543,7 +528,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     require_index(model.d, i=i, j=j)
     horizon = float(np.max(lags)) + window
 
-    counts = _replicate_rows(model, horizon, replicates, seed, simulator,
+    counts = _replicate_rows(model, horizon, replicates, seed,
                              _decay_row(i, j, window, lags), workers=workers)
 
     base = counts[:, 0] - counts[:, 0].mean()
@@ -577,6 +562,5 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
         bound=bound,
         replicates=replicates,
         seed=seed,
-        simulator=simulator,
         mixing=mixing,
     )

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,9 +516,10 @@ REJECTED = [
     _case(("clt", "delta"), -10.0, 1, "delta must be > 0, got -10.0"),
     _case(("clt", "grid"), [], 1, "grid must be nonempty"),
     _case(("clt", "grid_step"), 0.0, 1, "grid step must lie in (0, horizon]"),
-    _case(("clt", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
+    _case(("clt", "simulator"), "bogus", 1,
+          "config invalid at /clt: unknown fields ['simulator']"),
     _case(("clt", "simulator"), 1, 1,
-          "config invalid at /clt/simulator: expected a string, got 1"),
+          "config invalid at /clt: unknown fields ['simulator']"),
     _case(("clt", "level"), 0.0, 1, "level must lie in (0, 1), got 0.0"),
     _case(("clt", "level"), 1.5, 1, "level must lie in (0, 1), got 1.5"),
     _case(("clt", "level"), NAN, 1,
@@ -545,7 +547,8 @@ REJECTED = [
           "beta=1.0, gamma=None"),
     _case(("decay", "beta"), DROP, 1, "needs both beta and gamma",
           "beta=None, gamma=0.5"),
-    _case(("decay", "simulator"), "bogus", 1, "unknown simulator 'bogus'"),
+    _case(("decay", "simulator"), "bogus", 1,
+          "config invalid at /decay: unknown fields ['simulator']"),
 ]
 
 
@@ -606,11 +609,11 @@ BLOCK_CONTRACT = {
                ("beta", "gamma", "lags")),
     "clt": ({"f": "TestFunction", "horizon": "float", "replicates": "int",
              "seed": "int", "beta": "float", "delta": "float",
-             "grid": "list[float]", "grid_step": "float", "simulator": "str",
-             "level": "float"}, ("f", "horizon", "replicates", "seed")),
+             "grid": "list[float]", "grid_step": "float", "level": "float"},
+            ("f", "horizon", "replicates", "seed")),
     "decay": ({"i": "int", "j": "int", "window": "float",
                "lags": "list[float]", "replicates": "int", "seed": "int",
-               "beta": "float", "gamma": "float", "simulator": "str"},
+               "beta": "float", "gamma": "float"},
               ("i", "j", "window", "lags", "replicates", "seed")),
 }
 
@@ -620,6 +623,26 @@ class TestContract:
         derived = {name: _block_keys(callee)
                    for name, callee in _BLOCKS.items()}
         assert derived == BLOCK_CONTRACT
+
+    def test_readme_command_table_matches_the_blocks(self):
+        """Each row of the README's command table lists its block's keys:
+        the back-ticked names of its keys column, less the parenthesised
+        defaults."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        table = readme.read_text().split("| command | block |", 1)[1]
+
+        def names(cell):
+            return re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", cell))
+
+        documented = {}
+        for line in table.splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            _, _, block, _, keys, _ = line.split("|")
+            (name,) = names(block)
+            documented[name] = sorted(names(keys))
+        assert documented == {name: sorted(_block_keys(callee)[0])
+                              for name, callee in _BLOCKS.items()}
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"

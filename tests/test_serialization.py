@@ -23,8 +23,8 @@ CERT_KEYS = {"rho", "delta", "eps", "u0", "u", "c", "k0"}
 MIXING_KEYS = {"beta", "gamma", "p", "q", "r", "nu", "c1_p", "c1_q",
                "c1_pair", "lags", "bounds", "truncation", "cert"}
 DECAY_KEYS = {"i", "j", "window_len", "lags", "empirical", "empirical_se",
-              "spectral", "bound", "replicates", "seed", "simulator", "mixing"}
-HARNESS_KEYS = {"replicates", "horizon", "simulator", "seed", "grid",
+              "spectral", "bound", "replicates", "seed", "mixing"}
+HARNESS_KEYS = {"replicates", "horizon", "seed", "grid",
                 "sigma_T", "statistic_mean", "statistic_mean_se", "ks_stat",
                 "ks_pvalue", "ks_critical", "level", "w_cov", "cov_target",
                 "max_cov_dev", "cov_tol", "var_w1", "var_w1_tol", "flags",
@@ -42,7 +42,7 @@ def _mixing():
 
 def _harness():
     return HarnessReport(
-        replicates=10, horizon=100.0, simulator="cluster", seed=1, grid=A,
+        replicates=10, horizon=100.0, seed=1, grid=A,
         sigma_T=2.0, statistic_mean=0.1, statistic_mean_se=0.2, ks_stat=0.3,
         ks_pvalue=0.4, ks_critical=0.5, level=0.01, w_cov=np.eye(2),
         cov_target=np.eye(2), max_cov_dev=0.1, cov_tol=1.0, var_w1=1.0,
@@ -53,7 +53,7 @@ def _harness():
 def _decay(mixing):
     return DecayReport(0, 1, 1.0, A, A, A, A,
                        None if mixing is None else mixing.bounds, 10, 3,
-                       "cluster", mixing)
+                       mixing)
 
 
 def _paths(payload, prefix=""):

@@ -717,7 +717,7 @@ class TestClusterBatch:
         """The traced peak stays under 40 bytes per returned event for a
         lone run and for a batch of four clt-sized replicates of the 2-d
         exponential model (~13.4k expected events each); both keep tags,
-        and they measure ~35 and ~34."""
+        and they measure ~33.9 and ~32.7."""
         model = hm.HawkesModel([1.0, 1.0], [
             [hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
             [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)],

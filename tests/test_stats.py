@@ -188,17 +188,6 @@ class TestCltHarness:
         with pytest.raises(ValueError, match="level must lie in"):
             hm.clt_harness(d2_model, f, 100.0, 20, seed=1, level=level)
 
-    def test_unknown_simulator_before_spectral_work(self, d2_model,
-                                                    monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("variance profile built for a bad simulator")
-
-        monkeypatch.setattr(hm.stats, "variance_profile", fail)
-        f = hm.TestFunction.constant([1.0, 1.0])
-        with pytest.raises(ValueError, match="unknown simulator 'thining'"):
-            hm.clt_harness(d2_model, f, 2000.0, 20, seed=1,
-                           simulator="thining")
-
     def test_grid_validated(self, d2_model):
         f = hm.TestFunction.constant([1.0, 1.0])
         with pytest.raises(ValueError):
@@ -293,7 +282,7 @@ class TestReplicateBatches:
         size = _batch_size(POWERLAW, horizon)
         assert 1 < size < replicates // 10
         counts = stats._replicate_rows(
-            POWERLAW, horizon, replicates, 12, "cluster",
+            POWERLAW, horizon, replicates, 12,
             lambda log: [log.count(0, 0.0, w)])[:, 0]
 
         def within(values, target):
@@ -318,7 +307,7 @@ class TestReplicateBatches:
         size = _batch_size(d2_model, horizon)
         assert 1 < size < replicates // 10
         counts = stats._replicate_rows(
-            d2_model, horizon, replicates, 12, "cluster",
+            d2_model, horizon, replicates, 12,
             stats._decay_row(0, 1, w, np.array([2.0])))
 
         def within(values, target):
@@ -487,7 +476,7 @@ class TestReplicateWorkers:
         raises ``RuntimeError`` at once, and no worker is left running."""
         _three_cpus(monkeypatch)
         monkeypatch.setattr(stats, "_BATCH_EVENTS", 1)
-        simulate = stats.simulate
+        batch = stats.simulate_cluster_batch
         here = os.getpid()
 
         def failing(*args, seed, **kwargs):
@@ -495,9 +484,9 @@ class TestReplicateWorkers:
                 if dies and os.getpid() != here:
                     os._exit(3)
                 raise NumericError(f"replicate {bad} diverged")
-            return simulate(*args, seed=seed, **kwargs)
+            return batch(*args, seed=seed, **kwargs)
 
-        monkeypatch.setattr(stats, "simulate", failing)
+        monkeypatch.setattr(stats, "simulate_cluster_batch", failing)
         f = hm.TestFunction.constant([1.0])
         if dies:
             start = time.monotonic()
@@ -598,6 +587,25 @@ BAD_ARGUMENTS = {
     "decay-fractional-workers": (lambda m, log, f: hm.mixing_decay_diagnostic(
         m, 0, 0, 1.0, [3.0], 20, 1, workers=2.5),
         "workers must be an integer >= 1, got 2.5"),
+    "simulate-list-simulator": (lambda m, log, f: hm.simulate(
+        m, 10.0, simulator=["cluster"]), r"unknown simulator \['cluster'\]"),
+    "simulate-string-horizon": (lambda m, log, f: hm.simulate(m, "10"),
+                                "horizon must be a real number, got '10'"),
+    "simulate-none-horizon": (lambda m, log, f: hm.simulate(m, None),
+                              "horizon must be a real number, got None"),
+    "simulate-boolean-horizon": (lambda m, log, f: hm.simulate(
+        m, True, seed=1), "horizon must be a real number, got True"),
+    "thinning-string-burn-in": (lambda m, log, f: hm.simulate_thinning(
+        m, 10.0, burn_in="1"), "burn_in must be a real number, got '1'"),
+    "time-change-string-horizon": (lambda m, log, f: hm.time_change(
+        m, f, "10"), "horizon must be a real number, got '10'"),
+    "time-change-string-grid-step": (lambda m, log, f: hm.time_change(
+        m, f, 10.0, grid_step="1"), "grid_step must be a real number, got '1'"),
+    "decay-string-window": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, "1", [2.0], 10, 1), "window must be a real number, got '1'"),
+    "decay-string-lag": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0, "4"], 10, 1),
+        r"lags\[1\] must be a real number, got '4'"),
 }
 
 
