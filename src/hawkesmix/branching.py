@@ -11,6 +11,13 @@ covariance in the lag is what gives strong mixing of the process.
 
 All infinite series carry certified geometric tail bounds, which are added
 to the reported values so every number produced here is a true upper bound.
+Past the generation cut ``K`` of :func:`mixing_bound`, the tails decay at
+the rate of the Laplace iterates themselves: a Collatz-Wielandt bound
+``rho_v`` on the spectral radius from strictly positive Perron weights
+``v``, times the slope ``expm1(s) / s`` of ``e^x - 1`` over the iterates'
+range ``s`` at the cut.  For ``d = 1``, ``v = 1`` and ``rho_v`` is the
+spectral radius, so the cut stays near the generation where the series has
+converged.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (HypothesisError, NumericError, SubcriticalityError,
-                     require_index, require_integer, require_seed, to_json)
+                     real_number, require_index, require_integer,
+                     require_seed, to_json)
 from .model import HawkesModel, nonnegative_matrix, spectral_radius
 
 __all__ = [
@@ -38,6 +46,7 @@ __all__ = [
 
 _KSCAN_MAX = 10_000
 _DELTA_MAX = 2.0
+_MAX_GENERATIONS = 4000  # cap on the generation cut of mixing_bound
 
 
 def _laplace_argument(m: np.ndarray, u) -> np.ndarray:
@@ -176,7 +185,7 @@ def contraction_certificate(m) -> ContractionCert:
         raise NumericError("could not certify norm decay of matrix powers")
     worst = max(ratios[:k1]) if k1 > 1 else 1.0
     needed = 0
-    if worst > 1.0:
+    if worst > 1.0 and ratios[k1] > 0.0:  # M^k1 = 0 needs no more powers
         needed = int(np.ceil(np.log(worst) / -np.log(ratios[k1])))
     k_direct = needed * k1 + k1
     p = powers[k1]
@@ -211,7 +220,9 @@ def c1_constant(u_i: float, p: float) -> float:
 
     Since ``e^{u n} - 1 >= e^{u n}(1 - e^{-u})`` for ``n >= 1``, the series
     is dominated termwise by a geometric one; the partial sum is extended by
-    that certified geometric tail.
+    that certified geometric tail.  Each term is taken as ``e^{-u_i n / p}
+    (1 - e^{-u_i n})^{-1/p}``, which does not overflow for ``u_i n`` past
+    ~709 as ``e^{u_i n} - 1`` does.
     """
     if not (np.isfinite(u_i) and u_i > 0.0):
         raise ValueError(f"needs a strictly positive exponent, got {u_i}")
@@ -222,7 +233,7 @@ def c1_constant(u_i: float, p: float) -> float:
     n = 0
     while True:
         n += 1
-        term = np.expm1(u_i * n) ** (-1.0 / p)
+        term = np.exp(-u_i * n / p) * (-np.expm1(-u_i * n)) ** (-1.0 / p)
         head += term
         tail = (1.0 - np.exp(-u_i)) ** (-1.0 / p) * ratio ** (n + 1) / (1.0 - ratio)
         if tail <= 1e-12 * head:
@@ -256,13 +267,54 @@ def arrival_tail_bound(nu: float, beta: float, gen_l: int, horizon: float) -> fl
     return float(min(1.0, gen_l ** (1.0 + beta) * nu / horizon ** (1.0 + beta)))
 
 
-def _poly_geom_tail(first_index: int, w: float, q: float, scale: float) -> float:
-    """Certified bound on ``scale * sum_{l > first_index} l**w q**l``."""
-    l1 = first_index + 1
+def _poly_geom_tail(cut: int, w: float, q: float, scale: float) -> float:
+    """Certified bound on ``scale * sum_{l > cut} l**w q**(l - cut)``."""
+    l1 = cut + 1
     ratio = q * ((l1 + 1) / l1) ** w
     if ratio >= 1.0:
         raise NumericError("series ratio not contracting; increase the cut")
-    return scale * l1**w * q**l1 / (1.0 - ratio)
+    return scale * l1**w * q / (1.0 - ratio)
+
+
+def _up(x: float) -> float:
+    """``x`` raised by a few ulps, so that a bound computed in floating
+    point stays a bound of the exact value it rounds."""
+    return x * (1.0 + 8.0 * np.finfo(float).eps)
+
+
+def _perron_weights(m: np.ndarray, rho: float) -> tuple[np.ndarray, float]:
+    """A strictly positive ``v`` with ``max v = 1``, and ``rho_v`` with
+    ``M v <= rho_v v`` in floating point.
+
+    ``v`` is ``(r I - M)^{-1} 1`` for ``r = rho + (1 - rho) / 100``: the
+    Perron vector of ``M + eps 11^T``, whose Perron root is ``r`` for
+    ``eps = 1 / (1^T (r I - M)^{-1} 1)``.  So ``M v = r v - 1 < r v``, and
+    by Collatz-Wielandt ``rho <= rho_v = max_i (M v)_i / v_i < r``; for
+    ``d = 1``, ``rho_v = rho`` up to rounding.
+    """
+    d = m.shape[0]
+    v = np.linalg.solve((rho + 0.01 * (1.0 - rho)) * np.eye(d) - m, np.ones(d))
+    if not np.all(v > 0.0):
+        raise NumericError(f"no positive Perron weights for the matrix: {v}")
+    v = v / np.max(v)
+    return v, _up(float(np.max((m @ v) / v)))
+
+
+def _tail_rate(v: np.ndarray, rho_v: float, g_cut: np.ndarray
+               ) -> tuple[float, float, float]:
+    """``(s, delta, rate)`` of the iterates past the cut ``K``, for the
+    weights ``v, rho_v`` of :func:`_perron_weights` and ``g_cut = g^K(u)``.
+
+    With ``s = max_i g^K(u)_i / v_i`` and ``delta = expm1(s) / s`` (1 at
+    ``s = 0``), ``e^y - 1 <= delta y`` on ``[0, s]``, because ``expm1(y) /
+    y`` grows with ``y``.  So when ``rate = delta rho_v < 1``, induction on
+    ``g(u) = M (e^u - 1)``, with every entry in ``[0, s]`` as ``max v =
+    1``, gives ``g^(K+j)(u) <= rate**j s v`` and ``e^{g^k(u)} - 1 <= delta
+    g^k(u)`` for every ``k >= K``.
+    """
+    s = _up(float(np.max(g_cut / v)))
+    delta = _up(float(np.expm1(s) / s)) if s > 0.0 else 1.0
+    return s, delta, _up(delta * rho_v)
 
 
 @dataclass
@@ -271,7 +323,8 @@ class MixingBoundReport:
 
     ``bounds[t]`` dominates the covariance between any pair of bounded count
     functionals of the past and of the window starting ``lags[t]`` later;
-    ``truncation[t]`` is the certified, already-included series remainder.
+    ``truncation[t]`` is the certified, already-included series remainder,
+    and ``generations`` the cut ``K`` of the finite ``(k, l)`` grid.
     """
 
     beta: float
@@ -287,8 +340,29 @@ class MixingBoundReport:
     lags: np.ndarray
     bounds: np.ndarray
     truncation: np.ndarray
+    generations: int
 
     to_dict = to_json
+
+
+def _max_product_sum(a1, b1, a2, b2) -> float:
+    """``sum_{k, l} max(a1_k b1_l, a2_k b2_l)`` for nonnegative vectors, in
+    ``O(K log K)`` time and ``O(K)`` memory.
+
+    For each ``k`` the first product is the larger exactly for the ``l``
+    with ``b2_l / b1_l <= a1_k / a2_k``, a prefix of the ``l`` sorted by that
+    ratio, so prefix sums of ``b1`` and suffix sums of ``b2`` give the row.
+    A ``0 / 0`` ratio, where both products vanish, is taken as 0, and one
+    past the float range as infinite.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = np.nan_to_num(b2 / b1, nan=0.0, posinf=np.inf)
+        split = np.nan_to_num(a1 / a2, nan=0.0, posinf=np.inf)
+    order = np.argsort(ratio)
+    first = np.concatenate([[0.0], np.cumsum(b1[order])])
+    second = np.concatenate([np.cumsum(b2[order][::-1])[::-1], [0.0]])
+    n = np.searchsorted(ratio[order], split, side="right")
+    return float(a1 @ first[n] + a2 @ second[n])
 
 
 def _assemble(model: HawkesModel, cert: ContractionCert, gamma: float, terms,
@@ -299,53 +373,54 @@ def _assemble(model: HawkesModel, cert: ContractionCert, gamma: float, terms,
 
     ``cert`` is the contraction certificate of the reproduction matrix, and
     ``terms`` holds the exponent and ``c1`` constant of each of the three
-    factors, ``((p, c1_p), (q, c1_q), (pair, c1_pair))``.  Raises
-    :class:`NumericError` where the weighted tail series do not contract
-    yet at this cut.
+    factors, ``((p, c1_p), (q, c1_q), (pair, c1_pair))``.
+
+    The tails decay at the rate of the iterates themselves.  With the
+    Perron weights ``v, rho_v`` of :func:`_perron_weights` and ``s, delta,
+    rate`` of :func:`_tail_rate` at the cut ``K``, every ``k > K`` has
+    ``e^{g^k(u)_z} - 1 <= delta s v_z rate**(k - K)`` and ``(M^k)_{zi} <=
+    rho_v**k v_z / v_i``.  Raises :class:`NumericError` where ``rate >= 1``
+    or the weighted tail series do not contract yet at this cut.
     """
     (p, c1_p), (q, c1_q), (pair, c1_pair) = terms
     m = model.reproduction
     d = model.d
-    unorm = float(np.sum(cert.u))
-    base = cert.rho + cert.eps
     iters = _g_iterates(m, cert.u, k_cut)
     lap_minus1 = np.expm1(iters)  # exp(g^k(u)_z) - 1, shape (k_cut+1, d)
+    v, rho_v = _perron_weights(m, cert.rho)
+    s, delta, rate = _tail_rate(v, rho_v, iters[k_cut])
+    if rate >= 1.0:
+        raise NumericError(f"iterate tail rate {rate:.6g} >= 1 at cut {k_cut}")
 
     weight_l = np.arange(k_cut + 1) ** (1.0 + gamma)
     weight_l[0] = 0.0  # the ancestor generation never reaches the far window
-
-    x_tail = cert.c ** (k_cut + 1) * unorm
-    lin = np.exp(x_tail) * unorm  # e^x - 1 <= lin * c^k beyond the cut
-
-    def series_tail(expo, c1, weighted):
-        ratio = cert.c ** (1.0 / expo)
-        scale = c1 * lin ** (1.0 / expo)
-        if weighted:
-            return _poly_geom_tail(k_cut, 1.0 + gamma, ratio, scale)
-        return scale * ratio ** (k_cut + 1) / (1.0 - ratio)
 
     mk = np.empty((k_cut + 1, d, d))
     mk[0] = np.eye(d)
     for k in range(1, k_cut + 1):
         mk[k] = mk[k - 1] @ m
-    mean_tail = _poly_geom_tail(k_cut, 0.0, base, 1.0)
+
+    def series_tail(lin, expo, c1, w):
+        return _poly_geom_tail(k_cut, w, rate ** (1.0 / expo),
+                               c1 * lin ** (1.0 / expo))
 
     total_finite = np.zeros(d)
     total_trunc = np.zeros(d)
-    a1_tail = series_tail(p, c1_p, weighted=False)
-    b1_tail = series_tail(q, c1_q, weighted=True)
-    b2_tail = series_tail(pair, c1_pair, weighted=True)
     for z0 in range(d):
+        lin = delta * s * v[z0]  # e^{g^k(u)_z0} - 1 <= lin rate^(k - K)
+        a1_tail = series_tail(lin, p, c1_p, 0.0)
+        b1_tail = series_tail(lin, q, c1_q, 1.0 + gamma)
+        b2_tail = series_tail(lin, pair, c1_pair, 1.0 + gamma)
         a1 = c1_p * lap_minus1[:, z0] ** (1.0 / p)
         b1 = c1_q * lap_minus1[:, z0] ** (1.0 / q) * weight_l
         b2 = c1_pair * lap_minus1[:, z0] ** (1.0 / pair) * weight_l
-        t1 = np.outer(a1, b1)
         fin = 0.0
         trunc = 0.0
         for i in range(d):
             a2 = mk[:, z0, i]
-            t2 = np.outer(a2, b2)
-            fin += float(np.maximum(t1, t2).sum())
+            fin += _max_product_sum(a1, b1, a2, b2)
+            mean_tail = _poly_geom_tail(k_cut, 0.0, rho_v,
+                                        rho_v**k_cut * v[z0] / v[i])
             # outside the finite grid, max(x, y) <= x + y
             trunc += (
                 a1_tail * (b1.sum() + b1_tail)
@@ -356,6 +431,18 @@ def _assemble(model: HawkesModel, cert: ContractionCert, gamma: float, terms,
         total_finite[z0] = d * fin
         total_trunc[z0] = d * trunc
     return float(model.eta @ total_finite), float(model.eta @ total_trunc)
+
+
+def check_exponents(model: HawkesModel, beta: float, gamma: float) -> None:
+    """Refuse exponents of the decay bound that are not real numbers
+    (:func:`~hawkesmix.errors.real_number`) with ``0 < gamma < beta``, and
+    a model that :meth:`HawkesModel.validate` refuses at ``beta``: one that
+    is not subcritical or lacks a finite kernel moment of order ``1 +
+    beta``."""
+    b, g = real_number("beta", beta), real_number("gamma", gamma)
+    if not 0.0 < g < b:
+        raise HypothesisError(f"need 0 < gamma < beta, got gamma={gamma}, beta={beta}")
+    model.validate(b)
 
 
 def mixing_bound(model: HawkesModel, beta: float, gamma: float,
@@ -371,6 +458,12 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
     2(1+beta)/(beta-gamma)``.  The immigrant-location integral has the
     closed form ``tau**(-gamma) / gamma``, so every reported bound scales
     exactly like ``tau**(-gamma)``.
+
+    The series is summed over generations up to a cut ``K`` and the rest
+    is bounded by :func:`_assemble`'s certified tails, which decay at the
+    rate of the Laplace iterates.  ``K`` starts at ``max(k0 + 1, 8)`` and
+    grows by half until those tails are at most 0.5% of the bound; the
+    report's ``generations`` is the ``K`` used.
 
     Parameters
     ----------
@@ -388,13 +481,17 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
     ------
     HypothesisError
         If the exponents are inadmissible or a kernel moment is infinite.
+    NumericError
+        If the tails are not below 0.5% of the bound by the cap of 4000
+        generations; the message names the last cut and its tail rate.
     """
-    if not 0.0 < gamma < beta:
-        raise HypothesisError(f"need 0 < gamma < beta, got gamma={gamma}, beta={beta}")
-    lags = np.asarray(lags, dtype=float)
+    check_exponents(model, beta, gamma)
+    try:
+        lags = np.asarray(lags, dtype=float)
+    except OverflowError:  # an integer beyond the float range is not finite
+        lags = np.array([np.inf])
     if lags.size == 0 or not np.all(np.isfinite(lags) & (lags > 0.0)):
         raise ValueError("lags must be nonempty and strictly positive")
-    model.validate(beta)
     nu = model.delay_moment(1.0 + beta)
     cert = contraction_certificate(model.reproduction)
 
@@ -421,9 +518,15 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
         else:
             if trunc_weight <= 0.005 * (eta_weight + trunc_weight):
                 break
-        if k_cut >= 4000:
-            raise NumericError("generation series truncation failed to converge")
-        k_cut = min(4000, max(k_cut + 8, int(1.5 * k_cut)))
+        if k_cut >= _MAX_GENERATIONS:
+            m = model.reproduction
+            rate = _tail_rate(*_perron_weights(m, cert.rho),
+                              _g_iterates(m, cert.u, k_cut)[k_cut])[2]
+            raise NumericError(
+                f"generation series truncation failed to converge: at the "
+                f"last cut, {k_cut} generations, the iterate tail rate is "
+                f"{rate:.6g}")
+        k_cut = min(_MAX_GENERATIONS, max(k_cut + 8, int(1.5 * k_cut)))
     shape = nu ** (1.0 / r) * lags ** (-gamma) / gamma
     bounds = (eta_weight + trunc_weight) * shape
     truncation = trunc_weight * shape
@@ -441,6 +544,7 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
         lags=lags,
         bounds=bounds,
         truncation=truncation,
+        generations=k_cut,
     )
 
 

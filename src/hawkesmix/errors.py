@@ -90,13 +90,20 @@ def check_fields(spec, required, optional=()) -> None:
         raise ConfigError("", f"unknown fields {unknown}")
 
 
+def _as_float(value: numbers.Real) -> float:
+    """``float(value)``, where an integer beyond the float range, which
+    ``float`` refuses with ``OverflowError``, reads as the infinity of its
+    sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def finite_number(value, pointer: str = "") -> float:
     """``value`` as a float: any real number but a boolean, and finite."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
-        try:
-            number = float(value)  # an int beyond the float range overflows
-        except OverflowError:
-            number = math.inf
+        number = _as_float(value)
         if math.isfinite(number):
             return number
     raise ConfigError(pointer, f"expected a finite number, got {value!r}")
@@ -160,12 +167,14 @@ def require_integer(minimum: int = 0, **params) -> None:
                              f"got {value!r}")
 
 
-def require_real(**params) -> None:
-    """Raise ``ValueError`` naming the first parameter that is not a real
-    number; booleans fail, and NaN and infinities pass."""
-    for name, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+def real_number(name: str, value) -> float:
+    """``value`` as a float, after raising ``ValueError`` under ``name`` if
+    it is not a real number; booleans fail, and NaN and infinities pass.
+    An integer beyond the float range reads as an infinity, so that the
+    caller's range check refuses it by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return _as_float(value)
 
 
 def require_seed(seed):

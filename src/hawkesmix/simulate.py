@@ -57,8 +57,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (NumericError, require_index, require_integer, require_real,
-                     require_seed)
+from .errors import (NumericError, real_number, require_index,
+                     require_integer, require_seed)
 from .kernels import redraw_zeros
 from .model import HawkesModel
 
@@ -198,19 +198,18 @@ def _burn_in(model: HawkesModel, horizon: float, burn_in,
     and ``replicates`` windows expected to hold ``_MAX_EXPECTED_EVENTS``
     events or more."""
     model.validate()
-    require_real(horizon=horizon)
-    if not (np.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    if burn_in is not None:
-        require_real(burn_in=burn_in)
-    b = default_burn_in(model) if burn_in is None else float(burn_in)
+    t = real_number("horizon", horizon)
+    if not (np.isfinite(t) and t > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {t}")
+    b = (default_burn_in(model) if burn_in is None
+         else real_number("burn_in", burn_in))
     if not (np.isfinite(b) and b >= 0.0):
         raise ValueError(f"burn-in must be >= 0 and finite, got {b}")
-    expected = float(np.sum(model.mean_intensity)) * (horizon + b) * replicates
+    expected = float(np.sum(model.mean_intensity)) * (t + b) * replicates
     if not expected < _MAX_EXPECTED_EVENTS:
         times = f" times {replicates} replicates" if replicates > 1 else ""
         raise ValueError(
-            f"horizon {horizon:g} with burn-in {b:g}{times} expects "
+            f"horizon {t:g} with burn-in {b:g}{times} expects "
             f"{expected:.3g} events; a simulation must expect fewer than "
             f"{_MAX_EXPECTED_EVENTS}")
     return b

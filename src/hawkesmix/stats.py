@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._special import kolmogi, kolmogorov, ndtr
-from .branching import MixingBoundReport, mixing_bound
-from .errors import (HypothesisError, NumericError, require_index,
-                     require_integer, require_real, require_seed, to_json)
+from .branching import MixingBoundReport, check_exponents, mixing_bound
+from .errors import (HypothesisError, NumericError, real_number,
+                     require_index, require_integer, require_seed, to_json)
 from .model import HawkesModel
 from .simulate import (EventLog, default_burn_in, simulate_cluster_batch,
                        spawn_seeds)
@@ -125,12 +125,11 @@ def time_change(model: HawkesModel, f: TestFunction, horizon: float,
     curve matters here and adjacent grid variances differ at order
     ``sigma_T^2 / n``, far above the quadrature error.
     """
-    require_real(horizon=horizon)
+    horizon = real_number("horizon", horizon)
     if not (np.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if grid_step is None:
-        grid_step = horizon / 1000.0
-    require_real(grid_step=grid_step)
+    grid_step = (horizon / 1000.0 if grid_step is None
+                 else real_number("grid_step", grid_step))
     if not 0.0 < grid_step <= horizon:
         raise ValueError("grid step must lie in (0, horizon]")
     if horizon / grid_step > _MAX_GRID:
@@ -377,6 +376,9 @@ def clt_harness(model: HawkesModel, f: TestFunction, horizon: float,
         this one are forked from it, and the report does not depend on it.
     """
     _check_replicates(replicates, seed, workers)
+    beta, delta, level = (real_number("beta", beta),
+                          real_number("delta", delta),
+                          real_number("level", level))
     if not delta > 0.0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if not 0.0 < level < 1.0:
@@ -507,29 +509,33 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     it beside the spectral value from :func:`hawkesmix.spectrum.cov_counts`
     (``abs_tol`` 1e-9, default ``rel_tol``) and, when ``beta`` and
     ``gamma`` are given (both or neither), the branching covariance-decay
-    bound at the window gap.
+    bound at the window gap; those exponents are checked by
+    :func:`~hawkesmix.branching.check_exponents` before any simulation.
     """
     _check_replicates(replicates, seed, workers)
-    require_real(window=window,
-                 **{f"lags[{k}]": lag for k, lag in enumerate(lags)})
-    lags = np.asarray(lags, dtype=float)
+    w = real_number("window", window)
+    lags = np.array([real_number(f"lags[{k}]", lag)
+                     for k, lag in enumerate(lags)])
     if lags.size == 0:
         raise ValueError("need at least one lag")
-    if not (np.isfinite(window) and window > 0.0):
+    if not (np.isfinite(w) and w > 0.0):
         raise ValueError(f"window length must be positive and finite, got "
-                         f"{window}")
-    if not np.all((lags > window) & np.isfinite(lags)):
+                         f"{w}")
+    if not np.all((lags > w) & np.isfinite(lags)):
         raise ValueError("lags must exceed the window length and be finite, "
                          f"got {lags.tolist()}")
     if (beta is None) != (gamma is None):
         raise ValueError("the decay bound needs both beta and gamma, or "
                          f"neither; got beta={beta}, gamma={gamma}")
-    model.validate()
+    if beta is None:
+        model.validate()
+    else:
+        check_exponents(model, beta, gamma)
     require_index(model.d, i=i, j=j)
-    horizon = float(np.max(lags)) + window
+    horizon = float(np.max(lags)) + w
 
     counts = _replicate_rows(model, horizon, replicates, seed,
-                             _decay_row(i, j, window, lags), workers=workers)
+                             _decay_row(i, j, w, lags), workers=workers)
 
     base = counts[:, 0] - counts[:, 0].mean()
     emp = np.empty(lags.size)
@@ -549,7 +555,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     bound = None
     mixing = None
     if beta is not None and gamma is not None:
-        mixing = mixing_bound(model, beta, gamma, lags - window)
+        mixing = mixing_bound(model, beta, gamma, lags - w)
         bound = mixing.bounds
     return DecayReport(
         i=i,

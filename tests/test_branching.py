@@ -1,13 +1,15 @@
 """Galton-Watson Laplace recursion, contraction certificates, mixing bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import hawkesmix as hm
-from hawkesmix.branching import _assemble
+from hawkesmix.branching import (_assemble, _max_product_sum,
+                                 _perron_weights, _tail_rate)
 from hawkesmix.errors import (HypothesisError, InfiniteMomentError,
                               NumericError, SubcriticalityError)
 
@@ -247,12 +249,14 @@ class TestArrivalTail:
             hm.arrival_tail_bound(*args)
 
 
-def random_mixing_model(rng):
+def random_mixing_model(rng, share=(0.1, 0.6)):
     """A random subcritical model of 1-3 components mixing exponential,
     uniform and power-law kernels, with exponents ``beta > gamma > 0``
-    that every kernel's moments admit.  ``gamma`` stays below ``0.6 beta``:
-    nearer ``beta`` the Hoelder exponent ``p`` grows and the tail series
-    can need more than the 4000-generation cap of :func:`mixing_bound`."""
+    that every kernel's moments admit, and ``gamma / beta`` uniform on
+    ``share``.  The default keeps ``gamma`` below ``0.6 beta``, so the
+    cuts stay short: the Hoelder exponent ``p = 2 (1 + beta) / (beta -
+    gamma)`` grows as ``gamma`` nears ``beta``, and the generation cut of
+    :func:`mixing_bound` grows about like ``p``."""
     d = int(rng.integers(1, 4))
     beta = rng.uniform(0.5, 2.0)
     alphas = rng.uniform(0.05, 1.0, (d, d)) * (rng.random((d, d)) < 0.8)
@@ -273,7 +277,72 @@ def random_mixing_model(rng):
 
     model = hm.HawkesModel(rng.uniform(0.5, 1.5, d),
                            [[kernel(a) for a in row] for row in alphas])
-    return model, beta, rng.uniform(0.1, 0.6) * beta
+    return model, beta, rng.uniform(*share) * beta
+
+
+def _terms(rep):
+    """The ``terms`` argument of :func:`_assemble` for report ``rep``."""
+    pair = (1.0 + rep.beta) / (rep.beta - rep.gamma)
+    return ((rep.p, rep.c1_p), (rep.q, rep.c1_q), (pair, rep.c1_pair))
+
+
+def test_max_product_sum_matches_outer_products():
+    """The sorted double sum equals the sum over the full ``K x K`` grid
+    of ``max(a1_k b1_l, a2_k b2_l)`` to rounding, with zero entries, a
+    zero ``a2`` and ratios past the float range among the inputs."""
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        k = int(rng.integers(1, 80))
+        # products stay below 1e300, ratios b2 / b1 reach 1e350
+        a1, b1, a2, b2 = (rng.random(k) * (rng.random(k) < 0.8)
+                          * 10.0 ** rng.uniform(-200, 150, k)
+                          for _ in range(4))
+        if trial % 3 == 0:
+            a2[:] = 0.0
+        b1[0] = b2[0] = 0.0
+        grid = np.maximum(np.outer(a1, b1), np.outer(a2, b2))
+        got = _max_product_sum(a1, b1, a2, b2)
+        assert got == pytest.approx(math.fsum(grid.ravel()), rel=1e-13,
+                                    abs=0.0)
+
+
+ENVELOPE_MATRICES = {
+    "d1": np.array([[0.4]]),
+    "d2": M2,
+    "d2-zero": np.zeros((2, 2)),
+    "d2-reducible": np.array([[0.4, 0.5], [0.0, 0.3]]),
+    "d2-nilpotent": np.array([[0.0, 2.0], [0.0, 0.0]]),
+    "d3": np.array([[0.3, 0.2, 0.1], [0.1, 0.2, 0.3], [0.2, 0.1, 0.2]]),
+    "d3-reducible": np.array([[0.5, 0.3, 0.0], [0.0, 0.2, 0.4],
+                              [0.0, 0.0, 0.6]]),
+}
+
+
+@pytest.mark.parametrize("m", ENVELOPE_MATRICES.values(),
+                         ids=ENVELOPE_MATRICES.keys())
+def test_tail_envelope_brute_force(m):
+    """For 200 generations past the first cut whose rate is below 1, the
+    iterates stay under ``s rate**(k - K) v``, ``e^g - 1 <= delta g``,
+    and the matrix powers under ``rho_v**k v_z / v_i``."""
+    cert = hm.contraction_certificate(m)
+    v, rho_v = _perron_weights(m, cert.rho)
+    assert np.all(v > 0.0) and np.max(v) == 1.0
+    assert cert.rho <= rho_v * (1.0 + 1e-12) and rho_v < 1.0
+    assert np.all(m @ v <= rho_v * v)
+    k_cut = 8
+    iters = hm.branching._g_iterates(m, cert.u, k_cut + 200)
+    s, delta, rate = _tail_rate(v, rho_v, iters[k_cut])
+    while rate >= 1.0:
+        k_cut += 8
+        iters = hm.branching._g_iterates(m, cert.u, k_cut + 200)
+        s, delta, rate = _tail_rate(v, rho_v, iters[k_cut])
+    power = np.linalg.matrix_power(m, k_cut)
+    for j in range(201):
+        g = iters[k_cut + j]
+        assert np.all(g <= s * rate**j * v)
+        assert np.all(np.expm1(g) <= delta * g)
+        assert np.all(power <= rho_v ** (k_cut + j) * np.outer(v, 1.0 / v))
+        power = power @ m
 
 
 class TestMixingBound:
@@ -299,6 +368,53 @@ class TestMixingBound:
             longer, _ = _assemble(model, rep.cert, gamma, terms, 4 * k_cut)
             assert truncation > 0.0
             assert finite <= longer <= finite + truncation
+
+    def test_gamma_near_beta_converges(self):
+        """20 seeded random models with ``gamma`` in ``(0.6 beta, 0.9
+        beta)`` converge, and the finite sum at each cut plus its
+        truncation dominates the finite sum at four times the cut."""
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            model, beta, gamma = random_mixing_model(rng, share=(0.6, 0.9))
+            rep = hm.mixing_bound(model, beta, gamma, [1.0])
+            finite, truncation = _assemble(model, rep.cert, gamma,
+                                           _terms(rep), rep.generations)
+            longer, _ = _assemble(model, rep.cert, gamma, _terms(rep),
+                                  4 * rep.generations)
+            assert finite <= longer <= finite + truncation
+            assert rep.truncation[0] / rep.bounds[0] == pytest.approx(
+                truncation / (finite + truncation), rel=1e-12)
+
+    def test_exponents_near_each_other_converge(self):
+        """rho = 0.7 at beta 1.4, gamma 1.2 needs the tail to decay at
+        the rate of the iterates; at the contraction rate it passed the
+        4000-generation cap."""
+        model = hm.HawkesModel([1.0], [[hm.ExponentialKernel(0.7, 1.0)]])
+        rep = hm.mixing_bound(model, 1.4, 1.2, [10.0])
+        assert np.isfinite(rep.bounds[0]) and rep.bounds[0] > 0.0
+        assert rep.truncation[0] <= 0.005 * rep.bounds[0]
+        assert rep.generations < 4000
+
+    def test_cap_names_last_cut_and_rate(self, monkeypatch):
+        model = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+        monkeypatch.setattr(hm.branching, "_MAX_GENERATIONS", 40)
+        with pytest.raises(NumericError, match="at the last cut, 40 "
+                           "generations, the iterate tail rate is 0.4"):
+            hm.mixing_bound(model, 1.4, 0.5, [8.0])
+
+    def test_bench_model_cut_and_memory(self):
+        """The power-law model of the benchmark (rho = 0.4) takes at most
+        64 generations, and its bound allocates under 1 MB at its peak."""
+        model = hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]])
+        tracemalloc.start()
+        try:
+            rep = hm.mixing_bound(model, 1.4, 0.5,
+                                  [8.0, 16.0, 32.0, 64.0, 128.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.generations <= 64
+        assert peak < 1e6
 
     def test_pure_power_shape(self, d1_model):
         """The lag enters only through tau^(-gamma)."""

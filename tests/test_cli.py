@@ -183,6 +183,20 @@ class TestMixingBound:
             2.0**0.5, rel=1e-12
         )
 
+    def test_gamma_near_beta(self, tmp_path):
+        """beta 1.4, gamma 1.2 on a rho = 0.7 model converges, and the
+        report names its generation cut."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "model": {"eta": [1.0], "kernels": [[
+                {"family": "exponential", "alpha": 0.7, "beta": 1.0}]]},
+            "mixing": {"beta": 1.4, "gamma": 1.2, "lags": [10.0]}}))
+        out = tmp_path / "out"
+        assert run("mixing-bound", cfg, out) == 0
+        payload = json.loads((out / "mixing_bound.json").read_text())
+        assert np.isfinite(payload["bounds"][0])
+        assert 0 < payload["generations"] < 4000
+
 
 class TestCltCommand:
     def test_passing_run(self, tmp_path):

@@ -21,7 +21,8 @@ A = np.array([1.0, 2.0])
 
 CERT_KEYS = {"rho", "delta", "eps", "u0", "u", "c", "k0"}
 MIXING_KEYS = {"beta", "gamma", "p", "q", "r", "nu", "c1_p", "c1_q",
-               "c1_pair", "lags", "bounds", "truncation", "cert"}
+               "c1_pair", "lags", "bounds", "truncation", "generations",
+               "cert"}
 DECAY_KEYS = {"i", "j", "window_len", "lags", "empirical", "empirical_se",
               "spectral", "bound", "replicates", "seed", "mixing"}
 HARNESS_KEYS = {"replicates", "horizon", "seed", "grid",
@@ -37,7 +38,7 @@ def _cert():
 
 def _mixing():
     return hm.MixingBoundReport(1.0, 0.5, 6.0, 6.0, 4 / 3, 1.5, 2.0, 2.0,
-                                3.0, _cert(), A, A, A)
+                                3.0, _cert(), A, A, A, 54)
 
 
 def _harness():

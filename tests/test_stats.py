@@ -10,7 +10,8 @@ import pytest
 
 import hawkesmix as hm
 from hawkesmix import stats
-from hawkesmix.errors import HypothesisError, NumericError
+from hawkesmix.errors import (HypothesisError, InfiniteMomentError,
+                              NumericError)
 
 
 def hand_log() -> hm.EventLog:
@@ -606,6 +607,39 @@ BAD_ARGUMENTS = {
     "decay-string-lag": (lambda m, log, f: hm.mixing_decay_diagnostic(
         m, 0, 0, 1.0, [3.0, "4"], 10, 1),
         r"lags\[1\] must be a real number, got '4'"),
+    "decay-string-beta": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 200, 1, beta="1", gamma=0.5),
+        "beta must be a real number, got '1'"),
+    "decay-string-gamma": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 200, 1, beta=1.0, gamma="0.5"),
+        "gamma must be a real number, got '0.5'"),
+    "decay-gamma-past-beta": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, [3.0], 200, 1, beta=1.0, gamma=1.5),
+        "need 0 < gamma < beta", HypothesisError),
+    "decay-missing-moment": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        hm.HawkesModel([1.0], [[hm.PowerLawKernel(0.4, 1.0, 2.5)]]),
+        0, 0, 1.0, [3.0], 200, 1, beta=1.6, gamma=0.5),
+        "moment of order 2.6 requires theta > 2.6", InfiniteMomentError),
+    "mixing-string-gamma": (lambda m, log, f: hm.mixing_bound(
+        m, 1.0, "0.5", [4.0]), "gamma must be a real number, got '0.5'"),
+    "mixing-int-beyond-float-lag": (lambda m, log, f: hm.mixing_bound(
+        m, 1.0, 0.5, [4.0, 10**400]),
+        "lags must be nonempty and strictly positive"),
+    "clt-string-beta": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, beta="3"), "beta must be a real number, got '3'"),
+    "clt-string-delta": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, delta="2"), "delta must be a real number, got '2'"),
+    "clt-string-level": (lambda m, log, f: hm.clt_harness(
+        m, f, 10.0, 20, 1, level="0.1"),
+        "level must be a real number, got '0.1'"),
+    "simulate-int-beyond-float-horizon": (lambda m, log, f: hm.simulate(
+        m, 10**400), "horizon must be positive and finite, got inf"),
+    "time-change-int-beyond-float-horizon": (lambda m, log, f: hm.time_change(
+        m, f, 10**400), "horizon must be > 0, got inf"),
+    "decay-int-beyond-float-window": (lambda m, log, f:
+                                      hm.mixing_decay_diagnostic(
+        m, 0, 0, 10**400, [3.0], 20, 1),
+        "window length must be positive and finite, got inf"),
 }
 
 
@@ -619,17 +653,27 @@ class TestBadArguments:
                              ids=BAD_ARGUMENTS.keys())
     def test_refused_before_spectral_work(self, d1_model, monkeypatch, case):
         """Each case is ``(call, message)``, refused with a ``ValueError``,
-        or ``(call, message, error)``."""
+        or ``(call, message, error)``, before any spectral work and before
+        a harness simulates a replicate."""
         call, message, error = (*case, ValueError)[:3]
 
         def no_spectrum(*args, **kwargs):
             raise AssertionError("spectral work started")
 
+        batches = []
+
+        def counted(*args, **kwargs):
+            batches.append(args)
+            return batch(*args, **kwargs)
+
+        batch = stats.simulate_cluster_batch
         monkeypatch.setattr(hm.spectrum, "bartlett_grid", no_spectrum)
+        monkeypatch.setattr(stats, "simulate_cluster_batch", counted)
         log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
         f = hm.TestFunction.constant([1.0])
         with pytest.raises(error, match=message):
             call(d1_model, log, f)
+        assert batches == []
 
 
 NON_INTEGER_INDEX = {
