@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (HypothesisError, NumericError, SubcriticalityError,
-                     real_number, require_index, require_integer,
-                     require_seed, to_json)
+                     real_number, real_numbers, require_index,
+                     require_integer, require_seed, to_json)
 from .model import HawkesModel, nonnegative_matrix, spectral_radius
 
 __all__ = [
@@ -486,10 +486,8 @@ def mixing_bound(model: HawkesModel, beta: float, gamma: float,
         generations; the message names the last cut and its tail rate.
     """
     check_exponents(model, beta, gamma)
-    try:
-        lags = np.asarray(lags, dtype=float)
-    except OverflowError:  # an integer beyond the float range is not finite
-        lags = np.array([np.inf])
+    # an integer beyond the float range reads as inf, which is refused
+    lags = real_numbers("lags", lags)
     if lags.size == 0 or not np.all(np.isfinite(lags) & (lags > 0.0)):
         raise ValueError("lags must be nonempty and strictly positive")
     nu = model.delay_moment(1.0 + beta)

@@ -177,6 +177,19 @@ def real_number(name: str, value) -> float:
     return _as_float(value)
 
 
+def real_numbers(name: str, values) -> np.ndarray:
+    """``values`` as a float array: an integer or float array as it is, a
+    single number as an array of one, and any other sequence entry by
+    entry through :func:`real_number`, each entry named ``name[k]``, so a
+    string or a boolean is refused by name."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values.astype(float)
+    if isinstance(values, numbers.Real):
+        return np.array([real_number(name, values)])
+    return np.array([real_number(f"{name}[{k}]", v)
+                     for k, v in enumerate(values)], dtype=float)
+
+
 def require_seed(seed):
     """``seed`` itself, after refusing by name a negative integer and any
     other number that is not an integer; ``None``, a

@@ -32,9 +32,11 @@ expected events (one expecting more than half of that is a batch of
 one): a batch pays the per-call and per-draw overhead once per kernel
 pair and generation instead of once per replicate, which matters up to
 the ~13.4k events of a ``clt-test`` replicate of the 2-d exponential
-model at T = 2000 (four to a batch).  The tags cost one byte per event up to 256 replicates;
-with them and the window regroup by tag, the traced peak is ~33-34
-bytes per returned event, for a lone run and a batch alike.
+model at T = 2000 (four to a batch).  The tags cost one byte per event
+up to 256 replicates, and each parent pick is kept in the smallest
+unsigned type holding its row; with them and the window regroup by tag,
+the traced peak is ~28-30 bytes per returned event, for a lone run and a
+batch alike.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -80,7 +82,9 @@ _MAX_GENERATIONS = 10_000
 # not fit in memory, numpy's Poisson sampler refuses the immigrant counts
 # (past ~9e18) and thinning would run for ever
 _MAX_EXPECTED_EVENTS = 2**31
-_WRITE_BLOCK = 1 << 16
+# the rows :func:`write_event_log` merges and formats at once: its memory
+# is one block of rows, not the whole log
+_WRITE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -373,6 +377,10 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
             n = pt.size
             if not n:
                 continue
+            # the picks are kept until the run ends, in the smallest
+            # unsigned type holding every row of the parents, as the tags;
+            # they index as int64, which numpy takes faster than a narrow type
+            pick_type = np.min_scalar_type(n - 1)
             for j, kern in model.active[i]:
                 k = gen.poisson(n * kern.l1_norm)
                 if not k:
@@ -387,7 +395,7 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
                 child_t = pt[pick]
                 child_t += kern._inverse_cdf(u[0])
                 nxt_t[j].append(child_t)
-                nxt_p[j].append((i, pick))
+                nxt_p[j].append((i, pick.astype(pick_type)))
                 nxt_r[j].append(cur_r[i][pick])
         if not any(nxt_t):
             break
@@ -429,7 +437,8 @@ def _lineage(counts, links):
     parent's component (-1 for an immigrant) and its row within that
     component.  ``counts[j][g]`` is the number of component-``j`` rows in
     generation ``g``, and ``links[g - 1][j]`` lists the ``(i, pick)`` of
-    each pair that fed component ``j`` in generation ``g``, in order."""
+    each pair that fed component ``j`` in generation ``g``, in order; a
+    pick may be of any integer type, and the rows come out as ``int64``."""
     # where each component's generation-g rows start
     starts = [np.cumsum([0] + c[:-1]) for c in counts]
     out = []
@@ -439,7 +448,10 @@ def _lineage(counts, links):
         for g, pairs in enumerate(links, start=1):
             for i, p in pairs[j]:
                 pc.append(np.full(p.size, i, dtype=np.int64))
-                pq.append(starts[i][g - 1] + p)
+                # in int64 whatever the picks' type: numpy 1's value-based
+                # casting would keep a uint16 pick plus a small offset in
+                # uint16, which wraps
+                pq.append(np.add(p, starts[i][g - 1], dtype=np.int64))
         out.append((np.concatenate(pc), np.concatenate(pq)))
     return out
 
@@ -710,22 +722,51 @@ def simulate(model, horizon: float, simulator: str = "cluster",
 
 
 def write_event_log(log: EventLog, csv_path) -> Path:
-    """Write ``component,time`` rows plus a JSON sidecar next to the CSV."""
+    """Write ``component,time`` rows plus a JSON sidecar next to the CSV.
+
+    Rows run in time order, equal times in component order.  Each
+    component's times are sorted, as in every :class:`EventLog`, so the
+    components are merged by blocks of time: a block takes each
+    component's next ``_WRITE_BLOCK // d`` rows, ends at the earliest of
+    their last times, and holds every row of every component up to that
+    time, so a tie at its end stays in it.  Only the block is sorted,
+    which gives the order one stable sort of the whole log would, and the
+    writer holds one block of rows, not the whole log.  A component whose
+    times are out of order raises ``ValueError``.
+    """
     csv_path = Path(csv_path)
-    merged = np.concatenate(log.events) if log.d else np.empty(0)
+    events = log.events
+    step = max(_WRITE_BLOCK // max(log.d, 1), 1)
     # in the smallest unsigned type holding every component index
     comp_type = np.min_scalar_type(max(log.d - 1, 0))
-    comps = np.repeat(np.arange(log.d, dtype=comp_type),
-                      [len(t) for t in log.events])
-    order = np.argsort(merged, kind="stable")
+    at = [0] * log.d
     with open(csv_path, "w", newline="") as fh:
         fh.write("component,time\r\n")
-        # blocks bound the row strings held at once; tolist() because under
-        # numpy 2 a numpy float's repr is "np.float64(...)"
-        for lo in range(0, order.size, _WRITE_BLOCK):
-            k = order[lo:lo + _WRITE_BLOCK]
+        while True:
+            ends = [t[min(a + step, t.size) - 1]
+                    for t, a in zip(events, at) if a < t.size]
+            if not ends:
+                break
+            end = min(ends)
+            upto = [a + int(np.searchsorted(t[a:], end, side="right"))
+                    for t, a in zip(events, at)]
+            # each component's rows of the block, with the row before
+            # them, must be in order, and a sorted log never leaves a
+            # block empty
+            runs = [t[max(a - 1, 0):b] for t, a, b in zip(events, at, upto)]
+            if upto == at or any((r[1:] < r[:-1]).any() for r in runs):
+                raise ValueError("event times must be sorted in each "
+                                 "component")
+            times = np.concatenate([t[a:b] for t, a, b
+                                    in zip(events, at, upto)])
+            comps = np.repeat(np.arange(log.d, dtype=comp_type),
+                              [b - a for a, b in zip(at, upto)])
+            k = np.argsort(times, kind="stable")
+            at = upto
+            # tolist() because under numpy 2 a numpy float's repr is
+            # "np.float64(...)"
             fh.write("".join(f"{c},{t!r}\r\n" for c, t in
-                             zip(comps[k].tolist(), merged[k].tolist())))
+                             zip(comps[k].tolist(), times[k].tolist())))
     sidecar = csv_path.with_suffix(".json")
     with open(sidecar, "w") as fh:
         json.dump(

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._special import spherical_jn
-from .errors import (HypothesisError, NumericError, require_index,
-                     require_integer, to_json)
+from .errors import (HypothesisError, NumericError, real_number,
+                     real_numbers, require_index, require_integer, to_json)
 from .model import HawkesModel
 from .testfunctions import TestFunction
 
@@ -464,11 +464,8 @@ def variance_profile(model: HawkesModel, f: TestFunction,
     """
     _check_tolerances(rel_tol, abs_tol)
     summary = model.validate()
-    try:
-        ts = np.asarray(horizons, dtype=float)
-    except OverflowError:
-        # an integer beyond the float range is past the cap as well
-        ts = np.array([np.inf])
+    # an integer beyond the float range reads as inf, past the cap as well
+    ts = real_numbers("horizons", horizons)
     bad = ts[~((ts > 0.0) & (ts <= _T_CAP))]
     if ts.size == 0 or bad.size:
         raise ValueError("profile horizons must be nonempty, finite and "
@@ -583,7 +580,8 @@ def variance_ST(model: HawkesModel, f: TestFunction, horizon: float,
     Evaluates ``sum_ij int conj(Ff_i) Ff_j gamma_ij`` with the windowed
     transforms of ``f``; see :func:`variance_profile` for the method.
     """
-    return float(variance_profile(model, f, np.array([horizon]),
+    return float(variance_profile(model, f,
+                                  [real_number("horizon", horizon)],
                                   rel_tol=rel_tol, abs_tol=abs_tol)[0])
 
 
@@ -705,8 +703,8 @@ def cov_counts(model: HawkesModel, i: int, j: int, window_a, window_b,
     summary = model.validate()
     d = model.d
     require_index(d, i=i, j=j)
-    a_lo, a_hi = map(float, window_a)
-    b_lo, b_hi = map(float, window_b)
+    a_lo, a_hi = real_numbers("window_a", window_a).tolist()
+    b_lo, b_hi = real_numbers("window_b", window_b).tolist()
     for name, lo, hi in (("A", a_lo, a_hi), ("B", b_lo, b_hi)):
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise ValueError(f"window {name} = ({lo}, {hi}] must be finite "

@@ -23,7 +23,8 @@ import numpy as np
 from ._special import kolmogi, kolmogorov, ndtr
 from .branching import MixingBoundReport, check_exponents, mixing_bound
 from .errors import (HypothesisError, NumericError, real_number,
-                     require_index, require_integer, require_seed, to_json)
+                     real_numbers, require_index, require_integer,
+                     require_seed, to_json)
 from .model import HawkesModel
 from .simulate import (EventLog, default_burn_in, simulate_cluster_batch,
                        spawn_seeds)
@@ -514,8 +515,7 @@ def mixing_decay_diagnostic(model: HawkesModel, i: int, j: int,
     """
     _check_replicates(replicates, seed, workers)
     w = real_number("window", window)
-    lags = np.array([real_number(f"lags[{k}]", lag)
-                     for k, lag in enumerate(lags)])
+    lags = real_numbers("lags", lags)
     if lags.size == 0:
         raise ValueError("need at least one lag")
     if not (np.isfinite(w) and w > 0.0):

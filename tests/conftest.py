@@ -1,6 +1,7 @@
 """Shared fixtures and the acceptance summary section."""
 
 import sys
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,28 @@ def mixed_model():
 def poisson2_model():
     """Two independent unit-rate Poisson components (no excitation)."""
     return hm.HawkesModel([1.0, 1.0], hm.zero_coupling(2))
+
+
+def _traced_peak(call, warm_up):
+    """``(result, peak)``: what ``call()`` returns and the peak of the
+    memory it allocates, as tracemalloc counts it.  ``warm_up()`` runs
+    first, untraced, so one-time allocations (caches, first draws, lazy
+    imports) stay out of the peak."""
+    warm_up()
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture
+def traced_peak():
+    """The tracemalloc peak of a call after an untraced warm-up; see
+    :func:`_traced_peak`."""
+    return _traced_peak
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -640,6 +640,20 @@ BAD_ARGUMENTS = {
                                       hm.mixing_decay_diagnostic(
         m, 0, 0, 10**400, [3.0], 20, 1),
         "window length must be positive and finite, got inf"),
+    "cov-int-beyond-float-window": (lambda m, log, f: hm.cov_counts(
+        m, 0, 0, (0, 10**400), (1, 2)),
+        r"window A = \(0.0, inf\] must be finite"),
+    "cov-string-window": (lambda m, log, f: hm.cov_counts(
+        m, 0, 0, ("0", "1"), (1, 2)),
+        r"window_a\[0\] must be a real number, got '0'"),
+    "variance-string-horizon": (lambda m, log, f: hm.variance_ST(m, f, "5"),
+                                "horizon must be a real number, got '5'"),
+    "profile-string-horizon": (lambda m, log, f: hm.variance_profile(
+        m, f, [10.0, "5"]), r"horizons\[1\] must be a real number, got '5'"),
+    "mixing-numeric-string-lag": (lambda m, log, f: hm.mixing_bound(
+        m, 1.0, 0.5, ["5"]), r"lags\[0\] must be a real number, got '5'"),
+    "mixing-string-lag": (lambda m, log, f: hm.mixing_bound(
+        m, 1.0, 0.5, ["a"]), r"lags\[0\] must be a real number, got 'a'"),
 }
 
 
