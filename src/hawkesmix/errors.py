@@ -178,12 +178,18 @@ def real_number(name: str, value) -> float:
 
 
 def real_numbers(name: str, values) -> np.ndarray:
-    """``values`` as a float array: an integer or float array as it is, a
-    single number as an array of one, and any other sequence entry by
-    entry through :func:`real_number`, each entry named ``name[k]``, so a
-    string or a boolean is refused by name."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        return values.astype(float)
+    """``values`` as a one-dimensional float array: an integer or float
+    array as it is, a single number or a 0-d array as an array of one,
+    and any other sequence entry by entry through :func:`real_number`,
+    each entry named ``name[k]``, so a string or a boolean is refused by
+    name.  An array of more than one dimension is refused by name."""
+    if isinstance(values, np.ndarray):
+        if values.ndim > 1:
+            raise ValueError(f"{name} must be one-dimensional, got shape "
+                             f"{values.shape}")
+        values = values.reshape(-1)
+        if values.dtype.kind in "iuf":
+            return values.astype(float)
     if isinstance(values, numbers.Real):
         return np.array([real_number(name, values)])
     return np.array([real_number(f"{name}[{k}]", v)

@@ -83,8 +83,16 @@ _MAX_GENERATIONS = 10_000
 # (past ~9e18) and thinning would run for ever
 _MAX_EXPECTED_EVENTS = 2**31
 # the rows :func:`write_event_log` merges and formats at once: its memory
-# is one block of rows, not the whole log
-_WRITE_BLOCK = 1 << 14
+# is one block of rows and its digit arrays (~1.8 MB traced at 8k rows,
+# ~3.6 MB at 16k), not the whole log
+_WRITE_BLOCK = 1 << 13
+# the times :func:`_shortest_digits` formats: ``repr`` writes them
+# positionally, their fractions have at most 52 bits, and each power of
+# two among them (whose lower gap is half as wide) is an integer, which
+# is its own shortest decimal
+_DIGITS_LO, _DIGITS_HI = 1.0, 2.0**50
+_POW10 = 10 ** np.arange(17, dtype=np.int64)
+_POW10U = _POW10.astype(np.uint64)
 
 
 @dataclass
@@ -721,18 +729,134 @@ def simulate(model, horizon: float, simulator: str = "cluster",
     return _SIMULATORS[simulator](model, horizon, burn_in=burn_in, seed=seed)
 
 
+def _shortest_digits(x: np.ndarray):
+    """``(whole, fraction, places)`` with ``whole + fraction * 10**-places``
+    the decimal ``repr`` writes for each ``x`` in ``[_DIGITS_LO,
+    _DIGITS_HI)``: the fewest fractional digits that read back as ``x``,
+    and of those decimals the nearest, a tie going to the even one.
+
+    The stop rule of Steele & White's free-format digit loop (1990), in
+    exact integer arithmetic.  Write ``x = m 2**-sh``, ``m`` the 53-bit
+    significand (``3 <= sh <= 52`` on this range).  After ``s`` fractional
+    digits, ``rem`` is twice what is left of the fraction, in units of
+    ``2**-(sh + 1) 10**-s``: the low ``sh + 1`` bits of ``2 frac(x) 10**s``,
+    which a wrapping uint64 product keeps exactly.  The half ulp is
+    ``10**s`` of these units, so ``s`` digits read back as ``x`` when
+    cutting them (``rem``) or rounding them up (``2**(sh + 1) - rem``)
+    moves ``x`` by less than that.
+
+    - No move is exactly a half ulp: that decimal has ``sh + 1``
+      fractional digits, more than ``x`` itself, so round-half-even at
+      the boundary never decides.
+    - Whether ``s`` digits suffice only grows with ``s``, and it holds once
+      ``10**s >= 2**sh``, so ``places`` is found by stepping down from
+      there; most rows stop after one or two steps.
+    - Of the two decimals around ``x``, the nearer one reads back if
+      either does, so the digits are ``x`` rounded to ``places``.  The
+      cut digits come from a float estimate, off by at most one, set
+      right by the next ``63 - sh >= 11`` bits of the same product.
+    - A rounded-up fraction never ends in a zero, which would make a
+      shorter decimal suffice, so it never carries into ``whole``.
+    """
+    frac, exp = np.frexp(x)
+    m = (frac * 2.0**53).astype(np.uint64)
+    sh = (53 - exp).astype(np.uint64)
+    whole = m >> sh
+    rem0 = (m - (whole << sh)) << 1
+    one = np.uint64(1) << (sh + 1)
+    places = np.searchsorted(_POW10U, one >> 1)
+    rows, s = np.arange(x.size), places - 1
+    while rows.size:
+        rows, s = rows[s >= 0], s[s >= 0]
+        p = _POW10U[s]
+        rem = (rem0[rows] * p) & (one[rows] - 1)
+        fits = (rem < p) | (one[rows] - rem < p)
+        rows, s = rows[fits], s[fits]
+        places[rows] = s
+        s = s - 1
+    product = rem0 * _POW10U[places]
+    rem = product & (one - 1)
+    cut = np.floor((x - np.floor(x)) * _POW10[places]).astype(np.int64)
+    span = np.int64(1) << (63 - sh.astype(np.int64))
+    cut += (((product >> (sh + 1)).astype(np.int64) - cut + 1)
+            & (span - 1)) - 1
+    up = (2 * rem > one) | ((2 * rem == one) & (cut & 1 == 1))
+    return whole.astype(np.int64), cut + up, places
+
+
+def _put_digits(cells, keep, end: int, values: np.ndarray, count,
+                width: int) -> None:
+    """Write the last ``width`` decimal digits of ``values`` into the
+    columns of ``cells`` before ``end``, right-aligned, and keep the last
+    ``count`` of each row."""
+    for col in range(end - 1, end - width - 1, -1):
+        tens = values // 10
+        cells[:, col] = values - 10 * tens
+        values = tens
+    keep[:, end - width:end] = np.arange(width - 1, -1, -1) < count[:, None]
+
+
+def _row_bytes(comps: np.ndarray, times: np.ndarray) -> bytes:
+    """The ``component,time`` rows, CRLF-ended, with each time as its
+    ``repr``: :func:`_shortest_digits` for the times in its range, and
+    Python's ``repr`` for the rest, spliced in at their rows.  The first
+    are laid out in a fixed-width byte matrix, each number right-aligned
+    in its columns (the fraction's too, so the cells between it and its
+    point drop out with the other unused ones)."""
+    ok = (times >= _DIGITS_LO) & (times < _DIGITS_HI)
+    whole, fraction, places = _shortest_digits(times[ok])
+    comps_ok = comps[ok].astype(np.int64)
+    counts = [np.maximum(np.searchsorted(_POW10, comps_ok, side="right"), 1),
+              np.searchsorted(_POW10, whole, side="right"),
+              np.maximum(places, 1)]
+    widths = [int(c.max(initial=1)) for c in counts]
+    comma = widths[0]
+    point = comma + 1 + widths[1]
+    cells = np.empty((whole.size, point + widths[2] + 3), dtype=np.uint8)
+    keep = np.empty(cells.shape, dtype=bool)
+    for end, values, count, width in zip(
+            (comma, point, cells.shape[1] - 2), (comps_ok, whole, fraction),
+            counts, widths):
+        _put_digits(cells, keep, end, values, count, width)
+    cells += ord("0")
+    for col, char in ((comma, ","), (point, "."), (-2, "\r"), (-1, "\n")):
+        cells[:, col] = ord(char)
+        keep[:, col] = True
+    out = cells[keep].tobytes()
+    if ok.all():
+        return out
+    rest = np.flatnonzero(~ok)
+    # the byte offset of each row the kernel wrote, and the rows before
+    # each of the others
+    ends = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).tolist()
+    before = (rest - np.arange(rest.size)).tolist()
+    pieces, cut = [], 0
+    # tolist() because under numpy 2 a numpy float's repr is
+    # "np.float64(...)"
+    for k, c, t in zip(before, comps[rest].tolist(), times[rest].tolist()):
+        pieces += [out[cut:ends[k]], f"{c},{t!r}\r\n".encode()]
+        cut = ends[k]
+    pieces.append(out[cut:])
+    return b"".join(pieces)
+
+
 def write_event_log(log: EventLog, csv_path) -> Path:
     """Write ``component,time`` rows plus a JSON sidecar next to the CSV.
 
-    Rows run in time order, equal times in component order.  Each
+    Rows end in CRLF and run in time order, equal times in component
+    order; each time is written as Python's ``repr`` writes it.  Each
     component's times are sorted, as in every :class:`EventLog`, so the
     components are merged by blocks of time: a block takes each
     component's next ``_WRITE_BLOCK // d`` rows, ends at the earliest of
     their last times, and holds every row of every component up to that
     time, so a tie at its end stays in it.  Only the block is sorted,
     which gives the order one stable sort of the whole log would, and the
-    writer holds one block of rows, not the whole log.  A component whose
-    times are out of order raises ``ValueError``.
+    writer holds one block of rows, not the whole log.  The block's times
+    are formatted at once, by exact integer arithmetic
+    (:func:`_shortest_digits`) on ``[1, 2**50)`` and by ``repr`` for the
+    rare rest, into the bytes ``repr`` gives.  A component whose times are
+    out of order, and a time that is NaN or infinite, raise
+    ``ValueError``.
     """
     csv_path = Path(csv_path)
     events = log.events
@@ -740,21 +864,25 @@ def write_event_log(log: EventLog, csv_path) -> Path:
     # in the smallest unsigned type holding every component index
     comp_type = np.min_scalar_type(max(log.d - 1, 0))
     at = [0] * log.d
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("component,time\r\n")
+    with open(csv_path, "wb") as fh:
+        fh.write(b"component,time\r\n")
         while True:
-            ends = [t[min(a + step, t.size) - 1]
-                    for t, a in zip(events, at) if a < t.size]
+            heads = [t[a:a + step] for t, a in zip(events, at)]
+            for h in heads:
+                if not np.isfinite(h).all():
+                    raise ValueError("event times must be finite, got "
+                                     f"{h[~np.isfinite(h)][0]}")
+            ends = [h[-1] for h in heads if h.size]
             if not ends:
                 break
             end = min(ends)
             upto = [a + int(np.searchsorted(t[a:], end, side="right"))
                     for t, a in zip(events, at)]
             # each component's rows of the block, with the row before
-            # them, must be in order, and a sorted log never leaves a
-            # block empty
+            # them, must be in order (a NaN the search ran past is not),
+            # and a sorted log never leaves a block empty
             runs = [t[max(a - 1, 0):b] for t, a, b in zip(events, at, upto)]
-            if upto == at or any((r[1:] < r[:-1]).any() for r in runs):
+            if upto == at or not all((r[1:] >= r[:-1]).all() for r in runs):
                 raise ValueError("event times must be sorted in each "
                                  "component")
             times = np.concatenate([t[a:b] for t, a, b
@@ -763,10 +891,7 @@ def write_event_log(log: EventLog, csv_path) -> Path:
                               [b - a for a, b in zip(at, upto)])
             k = np.argsort(times, kind="stable")
             at = upto
-            # tolist() because under numpy 2 a numpy float's repr is
-            # "np.float64(...)"
-            fh.write("".join(f"{c},{t!r}\r\n" for c, t in
-                             zip(comps[k].tolist(), times[k].tolist())))
+            fh.write(_row_bytes(comps[k], times[k]))
     sidecar = csv_path.with_suffix(".json")
     with open(sidecar, "w") as fh:
         json.dump(

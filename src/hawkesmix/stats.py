@@ -64,7 +64,7 @@ def partial_statistics(log: EventLog, model: HawkesModel, f: TestFunction,
     Sorted per-component prefix sums of the weights make the whole profile
     one pass over the events.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = real_numbers("ts", ts)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError("statistic times must be finite and >= 0")
     _check_compatible(log, model, f, float(np.max(ts)) if ts.size else 0.0)
@@ -83,7 +83,8 @@ def partial_statistics(log: EventLog, model: HawkesModel, f: TestFunction,
 def statistic_ST(log: EventLog, model: HawkesModel, f: TestFunction,
                  horizon: float) -> float:
     """Centered statistic ``S_T`` of one event log over ``[0, horizon]``."""
-    return float(partial_statistics(log, model, f, np.array([horizon]))[0])
+    return float(partial_statistics(log, model, f,
+                                    [real_number("horizon", horizon)])[0])
 
 
 class TimeChange:

@@ -140,10 +140,19 @@ class TestWriterBlocks:
             hm.write_event_log(hm.EventLog(len(events), 5.0, events),
                                tmp_path / "ev.csv")
 
+    def test_nan_past_the_block_refused(self, tmp_path, monkeypatch):
+        """A block's search runs past its rows to keep a tie whole; a NaN
+        it runs past is out of order."""
+        monkeypatch.setattr(SIMULATE, "_WRITE_BLOCK", 3)
+        events = (np.array([1.0, 2.0, 3.0, np.nan, 3.0]),)
+        with pytest.raises(ValueError, match="must be sorted"):
+            hm.write_event_log(hm.EventLog(1, 5.0, events),
+                               tmp_path / "ev.csv")
+
     def test_memory_does_not_grow_with_the_log(self, tmp_path, traced_peak):
         """The writer holds one block of rows: its traced peak stays under
         the same bound for a 2-d log of 50k rows and one of 500k (it
-        measures ~2.2 MB at either; one sort of the whole log peaks at
+        measures ~1.4 and ~1.8 MB; one sort of the whole log peaks at
         6.8 and 16.3 MB)."""
         gen = np.random.default_rng(0)
         for rows in (50_000, 500_000):
@@ -155,6 +164,109 @@ class TestWriterBlocks:
                 lambda: hm.write_event_log(log, tmp_path / "ev.csv"),
                 lambda: hm.write_event_log(small, tmp_path / "ev.csv"))
             assert peak < 3e6, rows
+
+    @pytest.mark.parametrize("events", [
+        (np.array([1.0, np.nan, 3.0]),),
+        (np.array([np.nan, np.nan, 5.0]),),
+        (np.array([1.0, 2.0, np.inf]),),
+        (np.array([-np.inf, 1.0]),),
+        (np.array([1.0, 2.0]), np.array([0.5, 1.5, np.nan])),
+    ])
+    @pytest.mark.parametrize("block", [1, 2, 64])
+    def test_non_finite_time_refused(self, tmp_path, monkeypatch, block,
+                                     events):
+        monkeypatch.setattr(SIMULATE, "_WRITE_BLOCK", block)
+        with pytest.raises(ValueError, match="event times must be finite"):
+            hm.write_event_log(hm.EventLog(len(events), 5.0, events),
+                               tmp_path / "ev.csv")
+
+
+def _short_decimals(gen):
+    """Decimals of up to 15 significant digits and 0-12 fractional ones,
+    from 1 up, with the floats next to them on both sides."""
+    places = gen.integers(0, 13, 20_000)
+    digits = (gen.integers(1, 10**15, 20_000)
+              // 10**gen.integers(0, 12, 20_000))
+    short = digits / 10.0**places
+    short = short[short >= 1.0]
+    return np.concatenate([short, np.nextafter(short, np.inf),
+                           np.nextafter(short, 0.0)])
+
+
+def _dyadics(gen):
+    """Integers and dyadic fractions, and runs of 2**7 neighbouring
+    floats around random points of every binade below 2**50, where the
+    coarse ulps give ties between two shortest decimals."""
+    ints = np.arange(1.0, 501.0)
+    fractions = [ints + k / 2.0**j for j in range(1, 11)
+                 for k in range(1, 2**j, max(2**j // 8, 1))]
+    runs = [(gen.integers(2**e, 2**(e + 1), 8)[:, None]
+             + 2.0**(e - 52) * np.arange(-64, 64)).ravel()
+            for e in range(50)]
+    return np.concatenate([ints, *fractions, *runs])
+
+
+def _domain_edges(gen):
+    """Powers of two and their neighbours, the range's own ends and the
+    floats past them."""
+    powers = 2.0 ** np.arange(-2, 53)
+    return np.concatenate([powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf),
+                           [1.0, 2.0**50, np.nextafter(2.0**50, 0.0)]])
+
+
+KERNEL_SETS = {
+    "short-decimals": _short_decimals,
+    "dyadics": _dyadics,
+    # mostly 16 and 17 significant digits
+    "uniform": lambda g: np.concatenate([g.uniform(1.0, 1e5, 20_000),
+                                         2.0 ** g.uniform(0.0, 50.0, 20_000)]),
+    "domain-edges": _domain_edges,
+}
+
+
+class TestWriterDigits:
+    """Each time in the CSV is the ``repr`` of the float: the block
+    kernel's digits on ``[1, 2**50)`` and ``repr`` itself elsewhere."""
+
+    @pytest.mark.parametrize("make", KERNEL_SETS.values(),
+                             ids=KERNEL_SETS.keys())
+    def test_times_match_repr(self, tmp_path, make):
+        events = (np.unique(make(np.random.default_rng(5))),)
+        hm.write_event_log(hm.EventLog(1, 1.0, events), tmp_path / "ev.csv")
+        assert ((tmp_path / "ev.csv").read_bytes()
+                == _globally_sorted_rows(events))
+
+    def test_two_digit_components(self, tmp_path):
+        gen = np.random.default_rng(6)
+        events = tuple(np.sort(gen.uniform(0.0, 100.0, gen.integers(0, 40)))
+                       for _ in range(12))
+        hm.write_event_log(hm.EventLog(12, 100.0, events), tmp_path / "ev.csv")
+        assert ((tmp_path / "ev.csv").read_bytes()
+                == _globally_sorted_rows(events))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_rows_outside_the_kernel_range(self, tmp_path, monkeypatch,
+                                           block):
+        """Rows the kernel leaves to ``repr`` land in order within a
+        block and at its ends."""
+        monkeypatch.setattr(SIMULATE, "_WRITE_BLOCK", block)
+        events = (np.array([-2.5, -0.0, 5e-324, 1e-05, 0.5, 1.0, 3.25,
+                            2.0**50, 1e16, 1e17]),
+                  np.array([-1.0, 0.0, 1e-05, 0.75, 1.5, 7.0, 1e15, 1e16]),
+                  np.array([0.25, 0.9999999999999999, 2.0, 1e17]))
+        hm.write_event_log(hm.EventLog(3, 1.0, events), tmp_path / "ev.csv")
+        assert ((tmp_path / "ev.csv").read_bytes()
+                == _globally_sorted_rows(events))
+        back = hm.read_event_log(tmp_path / "ev.csv")
+        assert [t.tobytes() for t in back.events] == [
+            t.tobytes() for t in events]
+
+    def test_seeded_cluster_log(self, d2_model, tmp_path):
+        log = hm.simulate(d2_model, 2e4, seed=9)
+        hm.write_event_log(log, tmp_path / "ev.csv")
+        assert ((tmp_path / "ev.csv").read_bytes()
+                == _globally_sorted_rows(log.events))
 
 
 SEED_KINDS = {

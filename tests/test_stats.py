@@ -654,6 +654,25 @@ BAD_ARGUMENTS = {
         m, 1.0, 0.5, ["5"]), r"lags\[0\] must be a real number, got '5'"),
     "mixing-string-lag": (lambda m, log, f: hm.mixing_bound(
         m, 1.0, 0.5, ["a"]), r"lags\[0\] must be a real number, got 'a'"),
+    "mixing-2d-lags": (lambda m, log, f: hm.mixing_bound(
+        m, 1.0, 0.5, np.array([[4.0, 8.0]])),
+        r"lags must be one-dimensional, got shape \(1, 2\)"),
+    "profile-2d-horizons": (lambda m, log, f: hm.variance_profile(
+        m, f, np.array([[5.0, 6.0]])),
+        r"horizons must be one-dimensional, got shape \(1, 2\)"),
+    "cov-2d-window": (lambda m, log, f: hm.cov_counts(
+        m, 0, 0, np.array([[0.0, 1.0]]), (1, 2)),
+        r"window_a must be one-dimensional, got shape \(1, 2\)"),
+    "decay-2d-lags": (lambda m, log, f: hm.mixing_decay_diagnostic(
+        m, 0, 0, 1.0, np.array([[3.0, 4.0]]), 20, 1),
+        r"lags must be one-dimensional, got shape \(1, 2\)"),
+    "partial-string-time": (lambda m, log, f: hm.partial_statistics(
+        log, m, f, ["1"]), r"ts\[0\] must be a real number, got '1'"),
+    "partial-2d-times": (lambda m, log, f: hm.partial_statistics(
+        log, m, f, np.array([[1.0, 2.0]])),
+        r"ts must be one-dimensional, got shape \(1, 2\)"),
+    "statistic-string-horizon": (lambda m, log, f: hm.statistic_ST(
+        log, m, f, "5"), "horizon must be a real number, got '5'"),
 }
 
 
@@ -688,6 +707,28 @@ class TestBadArguments:
         with pytest.raises(error, match=message):
             call(d1_model, log, f)
         assert batches == []
+
+
+class TestZeroDimensionalArrays:
+    """A 0-d array of times or lags reads as a list of one."""
+
+    def test_mixing_bound(self, d1_model):
+        got = hm.mixing_bound(d1_model, 1.0, 0.5, np.array(5.0))
+        want = hm.mixing_bound(d1_model, 1.0, 0.5, [5.0])
+        assert got.lags.shape == got.bounds.shape == (1,)
+        assert np.array_equal(got.bounds, want.bounds)
+
+    def test_variance_profile(self, d1_model):
+        f = hm.TestFunction.constant([1.0])
+        assert np.array_equal(hm.variance_profile(d1_model, f, np.array(5.0)),
+                              hm.variance_profile(d1_model, f, [5.0]))
+
+    def test_partial_statistics(self, d1_model):
+        log = hm.EventLog(1, 10.0, (np.array([1.0, 2.0]),))
+        f = hm.TestFunction.constant([1.0])
+        assert np.array_equal(
+            hm.partial_statistics(log, d1_model, f, np.array(5.0)),
+            hm.partial_statistics(log, d1_model, f, [5.0]))
 
 
 NON_INTEGER_INDEX = {
