@@ -33,10 +33,13 @@ one): a batch pays the per-call and per-draw overhead once per kernel
 pair and generation instead of once per replicate, which matters up to
 the ~13.4k events of a ``clt-test`` replicate of the 2-d exponential
 model at T = 2000 (four to a batch).  The tags cost one byte per event
-up to 256 replicates, and each parent pick is kept in the smallest
-unsigned type holding its row; with them and the window regroup by tag,
-the traced peak is ~28-30 bytes per returned event, for a lone run and a
-batch alike.
+up to 256 replicates.  The genealogy is kept only for a trace: without
+one, no parent pick is kept, and the window is cut from the generations'
+rows in groups as they are drawn, each group freed once it is cut.  A
+tie, which needs the genealogy to be redrawn, replays the batch's
+stream with it.  The traced peak of that model is ~14.7 bytes per
+returned event for a lone run at T = 2000, ~17.4 for a batch of four,
+and ~12.2 for a lone run at T = 1e5.
 
 Both simulate on ``[-B, T]`` and return events clipped to ``[0, T]``; with
 the default burn-in ``B`` the result is statistically indistinguishable from
@@ -86,6 +89,12 @@ _MAX_EXPECTED_EVENTS = 2**31
 # is one block of rows and its digit arrays (~1.8 MB traced at 8k rows,
 # ~3.6 MB at 16k), not the whole log
 _WRITE_BLOCK = 1 << 13
+# the most rows of one component the cluster simulator cuts its window from
+# at once (see :class:`_WindowCut`).  A harness batch (~2**16 events) is
+# one group, so it makes as many numpy calls as one cut of all its rows.
+# A lone run at T = 1e5 (2-d exponential model) traced 8.09-8.18 MB at
+# 2**14 to 2**18: its peak is the final join of the cut windows, not a cut
+_CUT_ROWS = 1 << 17
 # the times :func:`_shortest_digits` formats: ``repr`` writes them
 # positionally, their fractions have at most 52 bits, and each power of
 # two among them (whose lower gap is half as wide) is an integer, which
@@ -227,6 +236,67 @@ def _burn_in(model: HawkesModel, horizon: float, burn_in,
     return b
 
 
+def _cut(pieces, reps, horizon):
+    """The rows of ``pieces``, a list of ``(times, tags)`` it empties,
+    inside ``[0, horizon]``, as ``(wj, cuts)``: their times grouped by
+    replicate, each replicate's in row order, and the ``reps + 1`` offsets
+    of the groups in ``wj``.  Rows no one else holds are freed once their
+    window is taken, before the regroup's temporaries are made."""
+    tj, rj = (np.concatenate(x) if len(x) > 1 else x[0]
+              for x in zip(*pieces))
+    pieces.clear()
+    inside = (tj >= 0.0) & (tj <= horizon)
+    wj = tj[inside]
+    if reps == 1:
+        return wj, [0, wj.size]
+    rj = rj[inside]
+    del tj, inside
+    by_tag = np.argsort(rj, kind="stable")
+    rj = rj[by_tag]
+    wj[:] = wj[by_tag]
+    # searched in the tags' own type, so rj is not cast
+    cuts = np.searchsorted(rj, np.arange(reps, dtype=rj.dtype))
+    return wj, cuts.tolist() + [rj.size]
+
+
+def _join(groups, reps):
+    """The ``(wj, cuts)`` of rows cut in ``groups`` by :func:`_cut`, as
+    one cut of their joined rows would give it, up to the order of each
+    replicate's times."""
+    if len(groups) == 1:
+        return groups[0]
+    wj = np.concatenate([w[c[r]:c[r + 1]]
+                         for r in range(reps) for w, c in groups])
+    sizes = [sum(c[r + 1] - c[r] for _, c in groups) for r in range(reps)]
+    return wj, np.cumsum([0] + sizes).tolist()
+
+
+def _sorted_window(wj, cuts):
+    """Sort each replicate's times of a cut in place.  Returns the
+    replicates' times and whether any of them holds two equal times."""
+    segments = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        seg = wj[a:b]
+        seg.sort()
+        segments.append(seg)
+    same = wj[1:] == wj[:-1]
+    # a replicate's first time may equal the one before it
+    same[[c - 1 for c in cuts[1:-1] if 0 < c < wj.size]] = False
+    return segments, bool(same.any())
+
+
+def _tied_rows(tj, rj, horizon):
+    """The rows of ``tj`` (tags ``rj``) inside ``[0, horizon]`` whose time
+    and tag equal those of an earlier such row, in row order."""
+    rows = np.flatnonzero((tj >= 0.0) & (tj <= horizon))
+    # by tag, then time, equal keys in row order
+    order = np.lexsort((tj[rows], rj[rows]))
+    rows = rows[order]
+    t, r = tj[rows], rj[rows]
+    same = (t[1:] == t[:-1]) & (r[1:] == r[:-1])
+    return np.sort(rows[1:][same])
+
+
 def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
     """Sorted event times inside ``[0, horizon]`` per replicate and component.
 
@@ -250,29 +320,12 @@ def _window_events(times, tags, reps, origins, model, lo, horizon, gen):
         events = [[] for _ in range(reps)]
         tied = []
         for j, tj in enumerate(times):
-            # the window rows grouped by replicate, each replicate's in row
-            # order; one sort of each replicate's times then orders them.
-            # wj, which the logs keep, is cut before the temporaries, so the
-            # heap they free can be returned (2.5 MB of peak RSS at T = 1e5)
-            inside = (tj >= 0.0) & (tj <= horizon)
-            wj = tj[inside]
-            rj = tags[j][inside]
-            by_tag = np.argsort(rj, kind="stable")
-            rj = rj[by_tag]
-            wj[:] = wj[by_tag]
-            # searched in the tags' own type, so rj is not cast
-            cuts = np.searchsorted(rj, np.arange(reps, dtype=rj.dtype))
-            cuts = cuts.tolist() + [rj.size]
-            for r in range(reps):
-                seg = wj[cuts[r]:cuts[r + 1]]
-                seg.sort()
+            segments, tie = _sorted_window(
+                *_cut([(tj, tags[j])], reps, horizon))
+            for r, seg in enumerate(segments):
                 events[r].append(seg)
-            same = (wj[1:] == wj[:-1]) & (rj[1:] == rj[:-1])
-            if same.any():
-                # the rows behind the sorted times, ties in row order
-                rows = np.flatnonzero(inside)[by_tag]
-                order = np.lexsort((tj[rows], rj))
-                tied.append((j, np.sort(rows[order[1:][same]])))
+            if tie:
+                tied.append((j, _tied_rows(tj, tags[j], horizon)))
         if not tied:
             return [tuple(e) for e in events], redraws
         if parents is None:
@@ -310,6 +363,136 @@ def _move_descendants(times, parents, j, q, shift):
         front = nxt
 
 
+class _WindowCut:
+    """The window of a batch, cut from each generation's rows as they are
+    drawn.  Per component, consecutive generations are joined into groups
+    of up to ``_CUT_ROWS`` rows, and a bigger one is cut in slices of that
+    many; each group is released once it is cut, so the rows held are the
+    group being joined, the cut windows and one group's temporaries."""
+
+    def __init__(self, d: int, reps: int, horizon: float):
+        self.reps, self.horizon = reps, horizon
+        # per component: the (times, tags) waiting to be joined, their row
+        # count, and the (wj, cuts) of each group cut so far
+        self.held = [[] for _ in range(d)]
+        self.rows = [0] * d
+        self.groups = [[] for _ in range(d)]
+
+    def take(self, j: int, times, tags) -> None:
+        """Hand over one generation's component-``j`` rows."""
+        if self.rows[j] + times.size > _CUT_ROWS:
+            self._cut_held(j)
+        if times.size <= _CUT_ROWS:
+            self.held[j].append((times, tags))
+            self.rows[j] += times.size
+            return
+        for a in range(0, times.size, _CUT_ROWS):
+            self.groups[j].append(
+                _cut([(times[a:a + _CUT_ROWS], tags[a:a + _CUT_ROWS])],
+                     self.reps, self.horizon))
+
+    def _cut_held(self, j: int) -> None:
+        if self.held[j]:
+            self.rows[j] = 0
+            self.groups[j].append(_cut(self.held[j], self.reps,
+                                       self.horizon))
+
+    def events(self):
+        """``events[r][j]``, replicate ``r``'s sorted component-``j``
+        times, or ``None`` if one of them holds two equal times."""
+        events = [[] for _ in range(self.reps)]
+        for j, groups in enumerate(self.groups):
+            self._cut_held(j)
+            window = _join(groups, self.reps)
+            # the groups are released as the joined window takes their place
+            groups.clear()
+            segments, tie = _sorted_window(*window)
+            if tie:
+                return None
+            for r, seg in enumerate(segments):
+                events[r].append(seg)
+        return [tuple(e) for e in events]
+
+
+def _generations(model: HawkesModel, horizon: float, b: float, gen,
+                 reps: int, take, links):
+    """Draw the immigrants and the generations of ``reps`` replicates from
+    ``gen``, as :func:`_cluster` describes.
+
+    ``take(j, times, tags)`` receives each generation's component-``j``
+    rows (empty ones too) as they are drawn.  Unless ``links`` is
+    ``None``, it gets per generation after the first, per component, the
+    ``(i, pick)`` of each pair feeding it, each pick in the smallest
+    unsigned type holding the parents' rows.  Returns per replicate its
+    immigrant count and deepest generation holding an event (0:
+    immigrants only).
+    """
+    d = model.d
+    span = horizon + b
+    # the smallest unsigned type holding every tag keeps the tag arrays
+    # small and their stable sorts radix sorts
+    tag_type = np.min_scalar_type(reps - 1)
+
+    sizes = np.empty((reps, d), dtype=np.int64)
+    cur = []
+    for j in range(d):
+        sizes[:, j] = gen.poisson(model.eta[j] * span, size=reps)
+        cur.append(gen.uniform(-b, horizon, size=int(sizes[:, j].sum())))
+    # the frontier, per component: its times and replicate tags
+    cur_r = [np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
+             for j in range(d)]
+    for j in range(d):
+        take(j, cur[j], cur_r[j])
+    no_times, no_tags = np.empty(0), np.empty(0, dtype=tag_type)
+    deepest = np.zeros(reps, dtype=np.int64)
+    generation = 0
+    while any(t.size for t in cur):
+        generation += 1
+        if generation > _MAX_GENERATIONS:
+            raise NumericError(
+                f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
+            )
+        # per child component, per kernel pair feeding it: the children's
+        # times, their parents' component and picks, and their tags
+        nxt_t = [[] for _ in range(d)]
+        nxt_p = [[] for _ in range(d)]
+        nxt_r = [[] for _ in range(d)]
+        for i in range(d):
+            pt = cur[i]
+            n = pt.size
+            if not n:
+                continue
+            for j, kern in model.active[i]:
+                k = gen.poisson(n * kern.l1_norm)
+                if not k:
+                    continue
+                # row 0 gives the children's delays by the inverse CDF once
+                # its exact zeros are redrawn, and row 1 picks their parents
+                u = gen.random((2, k))
+                if not u[0].all():
+                    redraw_zeros(gen, u[0])
+                # int64 indexes faster than a narrow type
+                pick = np.minimum((u[1] * n).astype(np.int64), n - 1)
+                # u[0] lies in (0, 1), so the kernel need not check it
+                child_t = pt[pick]
+                child_t += kern._inverse_cdf(u[0])
+                nxt_t[j].append(child_t)
+                if links is not None:
+                    nxt_p[j].append(
+                        (i, pick.astype(np.min_scalar_type(n - 1))))
+                nxt_r[j].append(cur_r[i][pick])
+        if not any(nxt_t):
+            break
+        for j in range(d):
+            cur[j] = np.concatenate(nxt_t[j]) if nxt_t[j] else no_times
+            cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
+            deepest[cur_r[j]] = generation
+            take(j, cur[j], cur_r[j])
+        if links is not None:
+            links.append(nxt_p)
+    return sizes.sum(axis=1), deepest
+
+
 def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
              reps: int, return_trace: bool):
     """Cluster simulation of ``reps`` replicates drawn from ``gen``.
@@ -336,95 +519,53 @@ def _cluster(model: HawkesModel, horizon: float, b: float, gen, seed,
     replicate tags per component, whose rows are the immigrants of that
     component, then in later generations the children of pairs ``(0, j),
     (1, j), ...`` in that order.  The parents of component ``i`` are
-    therefore read straight from its arrays, and the window of each
-    component is cut from its own rows.  The genealogy (every child's
-    parent row) is kept only as the per-pair parent picks, and built from
-    them when a trace is asked for or a tie must be redrawn.  A lone run
-    is the batch of one, its tags all 0.  ``seed`` goes to every log's
-    ``meta``, and ``meta["replicate"]`` is kept only for ``reps > 1``.
+    therefore read straight from its arrays.  Without a trace, no parent
+    pick is kept: each component's window is cut from its generations'
+    rows as they are drawn (:class:`_WindowCut`), and each generation is
+    released once it is cut and no longer a frontier.  The genealogy
+    (every child's parent row) is built only for a trace or a tie.  A
+    tie, which needs it to be redrawn, is rare: the generator's state is
+    saved before the first draw, and a window holding a tie draws the
+    batch again from that state, keeping every row and the parent picks,
+    and redraws its ties as :func:`_window_events` describes.  The draws
+    repeat exactly, so the logs and the generator's final state are those
+    of a traced run.  A lone run is the batch of one, its tags all 0.
+    ``seed`` goes to every log's ``meta``, and ``meta["replicate"]`` is
+    kept only for ``reps > 1``.
     """
     d = model.d
-    span = horizon + b
-    # the smallest unsigned type holding every tag keeps the tag arrays
-    # small and their stable sorts radix sorts
-    tag_type = np.min_scalar_type(reps - 1)
+    state = gen.bit_generator.state
+    events = None
+    if not return_trace:
+        window = _WindowCut(d, reps, horizon)
+        immigrants, deepest = _generations(model, horizon, b, gen, reps,
+                                           window.take, None)
+        events = window.events()
+        del window
+        redraws = np.zeros(reps, dtype=np.int64)
+    if events is None:
+        # a trace, or a tie to redraw: every row of each component in one
+        # array, and the genealogy, drawn again from the saved state
+        gen.bit_generator.state = state
+        times = [[] for _ in range(d)]
+        tags = [[] for _ in range(d)]
+        links = []
 
-    sizes = np.empty((reps, d), dtype=np.int64)
-    cur = []
-    for j in range(d):
-        sizes[:, j] = gen.poisson(model.eta[j] * span, size=reps)
-        cur.append(gen.uniform(-b, horizon, size=int(sizes[:, j].sum())))
-    immigrants = sizes.sum(axis=1)
-    # the frontier, per component: its times and replicate tags
-    cur_r = [np.repeat(np.arange(reps, dtype=tag_type), sizes[:, j])
-             for j in range(d)]
-    no_times, no_tags = np.empty(0), np.empty(0, dtype=tag_type)
-    # per component, its frontier times and tags of every generation; per
-    # generation after the first, per component, the (i, pick) of each
-    # pair feeding it
-    hist_t = [[t] for t in cur]
-    hist_r = [[r] for r in cur_r]
-    links = []
-    # per replicate, the deepest generation holding an event (0: immigrants
-    # only)
-    deepest = np.zeros(reps, dtype=np.int64)
-    generation = 0
-    while any(t.size for t in cur):
-        generation += 1
-        if generation > _MAX_GENERATIONS:
-            raise NumericError(
-                f"cluster recursion exceeded {_MAX_GENERATIONS} generations"
-            )
-        # per child component, per kernel pair feeding it: the children's
-        # times, their parents' component and picks, and their tags
-        nxt_t = [[] for _ in range(d)]
-        nxt_p = [[] for _ in range(d)]
-        nxt_r = [[] for _ in range(d)]
-        for i in range(d):
-            pt = cur[i]
-            n = pt.size
-            if not n:
-                continue
-            # the picks are kept until the run ends, in the smallest
-            # unsigned type holding every row of the parents, as the tags;
-            # they index as int64, which numpy takes faster than a narrow type
-            pick_type = np.min_scalar_type(n - 1)
-            for j, kern in model.active[i]:
-                k = gen.poisson(n * kern.l1_norm)
-                if not k:
-                    continue
-                # row 0 gives the children's delays by the inverse CDF once
-                # its exact zeros are redrawn, and row 1 picks their parents
-                u = gen.random((2, k))
-                if not u[0].all():
-                    redraw_zeros(gen, u[0])
-                pick = np.minimum((u[1] * n).astype(np.int64), n - 1)
-                # u[0] lies in (0, 1), so the kernel need not check it
-                child_t = pt[pick]
-                child_t += kern._inverse_cdf(u[0])
-                nxt_t[j].append(child_t)
-                nxt_p[j].append((i, pick.astype(pick_type)))
-                nxt_r[j].append(cur_r[i][pick])
-        if not any(nxt_t):
-            break
+        def keep(j, t, r):
+            times[j].append(t)
+            tags[j].append(r)
+
+        immigrants, deepest = _generations(model, horizon, b, gen, reps,
+                                           keep, links)
+        counts = [[t.size for t in h] for h in times]
+        # each component's per-generation arrays are released as its one
+        # array is built
         for j in range(d):
-            cur[j] = np.concatenate(nxt_t[j]) if nxt_t[j] else no_times
-            hist_t[j].append(cur[j])
-            cur_r[j] = np.concatenate(nxt_r[j]) if nxt_r[j] else no_tags
-            deepest[cur_r[j]] = generation
-            hist_r[j].append(cur_r[j])
-        links.append(nxt_p)
-
-    # each component's rows in one array; its per-generation arrays are
-    # released as it is built
-    counts = [[t.size for t in h] for h in hist_t]
-    times, tags = hist_t, hist_r
-    for j in range(d):
-        times[j] = np.concatenate(times[j])
-        tags[j] = np.concatenate(tags[j])
-    events, redraws = _window_events(times, tags, reps,
-                                     lambda: _lineage(counts, links), model,
-                                     -b, horizon, gen)
+            times[j] = np.concatenate(times[j])
+            tags[j] = np.concatenate(tags[j])
+        events, redraws = _window_events(times, tags, reps,
+                                         lambda: _lineage(counts, links),
+                                         model, -b, horizon, gen)
     meta = {"simulator": "cluster", "seed": _seed_meta(seed), "burn_in": b,
             "horizon": horizon}
     logs = [
@@ -854,12 +995,16 @@ def write_event_log(log: EventLog, csv_path) -> Path:
     writer holds one block of rows, not the whole log.  The block's times
     are formatted at once, by exact integer arithmetic
     (:func:`_shortest_digits`) on ``[1, 2**50)`` and by ``repr`` for the
-    rare rest, into the bytes ``repr`` gives.  A component whose times are
-    out of order, and a time that is NaN or infinite, raise
-    ``ValueError``.
+    rare rest, into the bytes ``repr`` gives.  Each component is read as
+    a float array.  A log whose component count is not ``d``, a component
+    whose times are out of order, and a time that is NaN or infinite,
+    raise ``ValueError``.
     """
     csv_path = Path(csv_path)
-    events = log.events
+    events = [np.asarray(t, dtype=float) for t in log.events]
+    if len(events) != log.d:
+        raise ValueError(f"the log has {len(events)} components, "
+                         f"but d = {log.d}")
     step = max(_WRITE_BLOCK // max(log.d, 1), 1)
     # in the smallest unsigned type holding every component index
     comp_type = np.min_scalar_type(max(log.d - 1, 0))
@@ -905,6 +1050,9 @@ def write_event_log(log: EventLog, csv_path) -> Path:
 
 
 def read_event_log(csv_path) -> EventLog:
+    """Read a log :func:`write_event_log` wrote: the CSV rows and the JSON
+    sidecar next to them.  A row whose component is not in ``0..d-1`` or
+    whose time is not finite raises ``ValueError`` naming its line."""
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as fh:
         side = json.load(fh)
@@ -913,7 +1061,14 @@ def read_event_log(csv_path) -> EventLog:
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for comp, time in reader:
-            per_comp[int(comp)].append(float(time))
+        for line, (comp, time) in enumerate(reader, start=2):
+            c, t = int(comp), float(time)
+            if not 0 <= c < d:
+                raise ValueError(f"{csv_path}, line {line}: component {c} "
+                                 f"is not in 0..{d - 1}")
+            if not math.isfinite(t):
+                raise ValueError(f"{csv_path}, line {line}: time {time} is "
+                                 "not finite")
+            per_comp[c].append(t)
     events = tuple(np.sort(np.asarray(t)) for t in per_comp)
     return EventLog(d, float(side["horizon"]), events, side.get("meta", {}))

@@ -235,10 +235,10 @@ _SPECTRAL_ABS_TOL = 1e-9
 # 1000 replicates at T = 2000 took 1.83-2.08 s alone (2**14), 1.73-1.76 s
 # in pairs (2**15), 1.11-1.29 s in fours (2**16) and 1.11-1.19 s in nines
 # (2**17), and decay's 4000 power-law replicates (~307 events) 0.08-0.11 s
-# in blocks of 53 and 0.06-0.09 s in blocks of 213.  The batch's tag
-# arrays and window regroup cost memory: the clt-test process (2 workers)
-# peaked at 40.9, 42.5, 43.4 and 47.9 MB at 2**14 to 2**17, so 2**16 takes
-# most of the gain inside a 10% memory rise.
+# in blocks of 53 and 0.06-0.09 s in blocks of 213.  A batch holds its
+# rows until its window is cut (one group of rows per component, see
+# ``simulate._CUT_ROWS``), so its memory grows with it; 2**16 takes most
+# of the gain.
 _BATCH_EVENTS = 1 << 16
 
 

@@ -75,6 +75,30 @@ class TestEventLog:
         assert (tmp_path / "none.csv").read_bytes() == b"component,time\r\n"
         assert hm.read_event_log(tmp_path / "none.csv").events == ()
 
+    def test_writer_reads_components_as_float_arrays(self, tmp_path):
+        hm.write_event_log(hm.EventLog(1, 3.0, ([1.0, 2],)),
+                           tmp_path / "ev.csv")
+        assert (tmp_path / "ev.csv").read_bytes() == (
+            b"component,time\r\n0,1.0\r\n0,2.0\r\n")
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_writer_refuses_another_component_count(self, tmp_path, d):
+        log = hm.EventLog(d, 3.0, (np.array([1.0]),))
+        with pytest.raises(ValueError, match=f"1 components, but d = {d}"):
+            hm.write_event_log(log, tmp_path / "ev.csv")
+        assert not (tmp_path / "ev.json").exists()
+
+    @pytest.mark.parametrize("row", ["-1,2.0", "2,2.0", "1,nan", "0,inf",
+                                     "0,-inf"])
+    def test_reader_refuses_a_bad_row(self, tmp_path, row):
+        hm.write_event_log(hm.EventLog(2, 3.0, ([1.0], [2.0])),
+                           tmp_path / "ev.csv")
+        with open(tmp_path / "ev.csv", "ab") as fh:
+            fh.write(f"{row}\r\n".encode())
+        what = "time" if row[0] == "0" or "nan" in row else "component"
+        with pytest.raises(ValueError, match=f"line 4: {what} "):
+            hm.read_event_log(tmp_path / "ev.csv")
+
 
 def _globally_sorted_rows(events) -> bytes:
     """The CSV that one stable sort of every row by time writes."""
@@ -908,22 +932,85 @@ class TestClusterBatch:
                           > trace.times[trace.parents[kids]])
         assert redraws > 0
 
-    @pytest.mark.parametrize("replicates", [1, 4])
-    def test_batch_memory_per_event(self, replicates, traced_peak):
-        """The traced peak stays under 33 bytes per returned event for a
-        lone run and for a batch of four clt-sized replicates of the 2-d
-        exponential model (~13.4k expected events each); both keep tags
-        and narrow parent picks, and they measure ~29.6 and ~28.5, so the
-        bound leaves ~10% for other numpy versions."""
-        model = hm.HawkesModel([1.0, 1.0], [
+    def test_tie_replay_matches_a_traced_run(self, d2_model):
+        """Without a trace, a window with a tie draws its batch again from
+        the saved state, with the genealogy: the logs, their ``meta`` and
+        the generator's final state are those of the traced run."""
+        for reps in (1, 4):
+            gen, ref = Coarse(2), Coarse(2)
+            logs = hm.simulate_cluster_batch(d2_model, 30.0, reps, seed=gen)
+            ref_logs, _ = hm.simulate_cluster_batch(d2_model, 30.0, reps,
+                                                    seed=ref,
+                                                    return_trace=True)
+            assert all(log.meta["tie_redraws"] > 0 for log in logs)
+            for log, ref_log in zip(logs, ref_logs):
+                for a, b in zip(log.events, ref_log.events):
+                    assert a.tobytes() == b.tobytes()
+                assert log.meta == ref_log.meta
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert gen.singles == ref.singles
+
+    def test_no_tie_draws_once(self, d2_model):
+        """A window without ties is not drawn again: a run without a trace
+        makes the draws of a traced one, each once."""
+        class Counting(np.random.Generator):
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+                self.draws = 0
+
+            def poisson(self, *args, **kwargs):
+                self.draws += 1
+                return super().poisson(*args, **kwargs)
+
+            def uniform(self, *args, **kwargs):
+                self.draws += 1
+                return super().uniform(*args, **kwargs)
+
+            def random(self, *args, **kwargs):
+                self.draws += 1
+                return super().random(*args, **kwargs)
+
+        for reps in (1, 3):
+            gen, ref = Counting(4), Counting(4)
+            logs = hm.simulate_cluster_batch(d2_model, 200.0, reps, seed=gen)
+            hm.simulate_cluster_batch(d2_model, 200.0, reps, seed=ref,
+                                      return_trace=True)
+            assert sum(log.meta["tie_redraws"] for log in logs) == 0
+            assert gen.draws == ref.draws > 0
+            assert gen.bit_generator.state == ref.bit_generator.state
+
+    @staticmethod
+    def _exp_model():
+        return hm.HawkesModel([1.0, 1.0], [
             [hm.ExponentialKernel(0.5, 2.0), hm.ExponentialKernel(0.3, 2.0)],
             [hm.ExponentialKernel(0.2, 2.0), hm.ExponentialKernel(0.4, 2.0)],
         ])
+
+    @pytest.mark.parametrize("replicates", [1, 4])
+    def test_batch_memory_per_event(self, replicates, traced_peak):
+        """The traced peak stays under 21 bytes per returned event for a
+        lone run and for a batch of four clt-sized replicates of the 2-d
+        exponential model (~13.4k expected events each).  No parent pick
+        is kept without a trace, the rows are freed as their window is
+        cut, and a lone run skips the regroup by tag: they measure ~14.7
+        and ~17.4, so the bound leaves ~20% for other numpy versions."""
+        model = self._exp_model()
         logs, peak = traced_peak(
             lambda: hm.simulate_cluster_batch(model, 2000.0, replicates,
                                               seed=1),
             lambda: hm.simulate_cluster_batch(model, 10.0, 4, seed=0))
-        assert peak < 33 * sum(log.total() for log in logs)
+        assert peak < 21 * sum(log.total() for log in logs)
+
+    def test_long_run_memory_per_event(self, traced_peak):
+        """A lone run at T = 1e5 (~670k events) cuts its window by groups
+        of rows as the generations are drawn: its traced peak, ~12.2 bytes
+        per returned event, is the cut windows and one component's joined
+        copy, under 17."""
+        model = self._exp_model()
+        log, peak = traced_peak(
+            lambda: hm.simulate_cluster(model, 1e5, seed=12),
+            lambda: hm.simulate_cluster(model, 10.0, seed=0))
+        assert peak < 17 * log.total()
 
 
 class TestNarrowPicks:
