@@ -92,8 +92,8 @@ _WRITE_BLOCK = 1 << 13
 # the most rows of one component the cluster simulator cuts its window from
 # at once (see :class:`_WindowCut`).  A harness batch (~2**16 events) is
 # one group, so it makes as many numpy calls as one cut of all its rows.
-# A lone run at T = 1e5 (2-d exponential model) traced 8.09-8.18 MB at
-# 2**14 to 2**18: its peak is the final join of the cut windows, not a cut
+# A lone run at T = 1e5 (2-d exponential model) traced 8.07-8.18 MB at
+# 2**12 to 2**18: its peak is the final join of the cut windows, not a cut
 _CUT_ROWS = 1 << 17
 # the times :func:`_shortest_digits` formats: ``repr`` writes them
 # positionally, their fractions have at most 52 bits, and each power of
@@ -366,8 +366,8 @@ def _move_descendants(times, parents, j, q, shift):
 class _WindowCut:
     """The window of a batch, cut from each generation's rows as they are
     drawn.  Per component, consecutive generations are joined into groups
-    of up to ``_CUT_ROWS`` rows, and a bigger one is cut in slices of that
-    many; each group is released once it is cut, so the rows held are the
+    of up to ``_CUT_ROWS`` rows, and a bigger generation is a group of its
+    own; each group is released once it is cut, so the rows held are the
     group being joined, the cut windows and one group's temporaries."""
 
     def __init__(self, d: int, reps: int, horizon: float):
@@ -382,14 +382,8 @@ class _WindowCut:
         """Hand over one generation's component-``j`` rows."""
         if self.rows[j] + times.size > _CUT_ROWS:
             self._cut_held(j)
-        if times.size <= _CUT_ROWS:
-            self.held[j].append((times, tags))
-            self.rows[j] += times.size
-            return
-        for a in range(0, times.size, _CUT_ROWS):
-            self.groups[j].append(
-                _cut([(times[a:a + _CUT_ROWS], tags[a:a + _CUT_ROWS])],
-                     self.reps, self.horizon))
+        self.held[j].append((times, tags))
+        self.rows[j] += times.size
 
     def _cut_held(self, j: int) -> None:
         if self.held[j]:

@@ -979,6 +979,41 @@ class TestClusterBatch:
             assert gen.draws == ref.draws > 0
             assert gen.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("reps", [1, 4])
+    def test_groups_match_a_traced_run(self, d2_model, monkeypatch, reps):
+        """Cut by groups of at most 64 rows, a window joins small
+        generations into one group, makes each bigger one a group of its
+        own and joins every replicate's rows across the groups; with and
+        without ties, the logs, their ``meta`` and the generator's final
+        state are those of the traced run."""
+        groups = []
+
+        def cut(pieces, reps, horizon):
+            groups.append((len(pieces), sum(t.size for t, _ in pieces)))
+            return whole_cut(pieces, reps, horizon)
+
+        whole_cut = SIMULATE._cut
+        monkeypatch.setattr(SIMULATE, "_CUT_ROWS", 64)
+        monkeypatch.setattr(SIMULATE, "_cut", cut)
+        for make in (np.random.default_rng, Coarse):
+            gen, ref = make(5), make(5)
+            groups.clear()
+            logs = hm.simulate_cluster_batch(d2_model, 200.0, reps, seed=gen)
+            # several groups per component, some joined, some oversized
+            assert len(groups) > 2 * d2_model.d
+            assert any(n > 1 for n, _ in groups)
+            assert any(n == 1 and rows > 64 for n, rows in groups)
+            ref_logs, _ = hm.simulate_cluster_batch(d2_model, 200.0, reps,
+                                                    seed=ref,
+                                                    return_trace=True)
+            ties = sum(log.meta["tie_redraws"] for log in logs)
+            assert (ties > 0) == (make is Coarse)
+            for log, ref_log in zip(logs, ref_logs):
+                for a, b in zip(log.events, ref_log.events):
+                    assert a.tobytes() == b.tobytes()
+                assert log.meta == ref_log.meta
+            assert gen.bit_generator.state == ref.bit_generator.state
+
     @staticmethod
     def _exp_model():
         return hm.HawkesModel([1.0, 1.0], [
@@ -1138,6 +1173,28 @@ class TestWindowTies:
         mine = (tags == 1) & (comps == 0) & (times >= 0.0)
         assert np.array_equal(events[1][0], np.sort(times[mine]))
         assert events[1][1].size == 0
+
+    def test_ties_found_across_groups(self, monkeypatch):
+        """Cut by groups of two rows, a tie whose rows sit in different
+        groups of one replicate is found; equal times in different
+        replicates are no tie."""
+        monkeypatch.setattr(SIMULATE, "_CUT_ROWS", 2)
+
+        def events(generations, reps):
+            window = SIMULATE._WindowCut(1, reps, self.HORIZON)
+            for t, r in generations:
+                window.take(0, np.array(t), np.array(r, dtype=np.uint8))
+            return window.events()
+
+        # groups: the first generation, the second (a group of its own),
+        # then the third; time 3.0 is in the first and the third
+        gens = [([3.0, 1.0], [1, 0]), ([-1.0, 2.0, 4.0], [0, 1, 0]),
+                ([3.0], [0])]
+        assert ([[tj.tolist() for tj in e] for e in events(gens, 2)]
+                == [[[1.0, 3.0, 4.0]], [[2.0, 3.0]]])
+        gens[2] = ([3.0], [1])
+        assert events(gens, 2) is None
+        assert events([(t, [0] * len(t)) for t, _ in gens], 1) is None
 
     def test_redraw_moves_descendants(self, d2_model):
         # row 1 (immigrant) ties row 0 and is redrawn; its child (row 2,
